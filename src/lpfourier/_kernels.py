@@ -1,10 +1,11 @@
-"""Hot per-panel quadrature kernels with a numba fast path.
+"""Hot per-panel quadrature kernels and phi_p at the quadrature nodes.
 
-Every kernel exists in two interchangeable implementations: a numba
-``@njit`` version and a pure-numpy one.  The active backend is chosen at
-import time: numba when importable, unless the environment variable
-``LPFOURIER_PURE_NUMPY=1`` forces the numpy fallback.  Results agree up
-to floating-point rounding; within one backend they are bit-reproducible.
+The kernels are numpy: each builds the (n, 15) Kronrod node array of its
+panels and evaluates the integrand in place, in a fixed operation order,
+so results are bit-reproducible.  numba is an optional dependency; when
+it is importable, ``@njit`` twins of the two lp kernels are selected at
+import time unless the environment variable ``LPFOURIER_PURE_NUMPY=1``
+forces numpy.  The twins agree with numpy up to floating-point rounding.
 
 A kernel maps arrays of panel endpoints to per-panel (value, error)
 pairs: the 15-point Kronrod value and the rescaled Gauss/Kronrod
@@ -46,17 +47,22 @@ _EPS50 = 50.0 * np.finfo(np.float64).eps
 
 
 def _phi_array(x, p):
-    """(1 - x^p)^(1/p) elementwise, exact 1 at x<=0 and 0 at x>=1."""
+    """(1 - x^p)^(1/p) elementwise on the domain [0, 1]; exact 1 at 0 and 0 at 1.
+
+    Unchecked: outside [0, 1] the value is meaningless (NaN for x < 0, and
+    for x > 1 when p > 1), which the quadrature engine reports as a
+    NonFiniteIntegrandError.  Validated evaluation is ``lpgeom.phi``.
+    """
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
-    lo = x <= 0.0
-    hi = x >= 1.0
-    mid = ~(lo | hi)
-    out[lo] = 1.0
-    out[hi] = 0.0
-    xm = x[mid]
-    # 1 - x^p via expm1 to keep accuracy near x = 1
-    out[mid] = (-np.expm1(p * np.log(xm))) ** (1.0 / p)
+    # 1 - x^p via expm1 to keep accuracy near x = 1; log(0) = -inf gives phi(0) = 1
+    with np.errstate(divide="ignore"):
+        np.log(x, out=out)
+    out *= p
+    np.expm1(out, out=out)
+    # 0 - v rather than -v: phi(1) is +0.0, also at p = 1 where the power is the identity
+    np.subtract(0.0, out, out=out)
+    out **= 1.0 / p
     return out
 
 
@@ -80,22 +86,37 @@ def panel_sums_from_values(v, half):
     return k15, scaled_errors(k15, g7, resabs, resasc)
 
 
-def lp_cos_sin_panel_sums_numpy(lefts, rights, p, alpha, beta):
-    """Panel sums of cos(alpha*x) * sin(beta * phi_p(x))."""
+def _panel_nodes(lefts, rights):
+    """Kronrod abscissae of each panel as an (n, 15) array, with the half-widths."""
     half = 0.5 * (rights - lefts)
     mid = 0.5 * (rights + lefts)
-    x = mid[:, None] + half[:, None] * KRONROD_NODES[None, :]
-    v = np.cos(alpha * x) * np.sin(beta * _phi_array(x, p))
-    return panel_sums_from_values(v, half)
+    x = np.multiply(half[:, None], KRONROD_NODES)
+    x += mid[:, None]
+    return x, half
+
+
+def lp_cos_sin_panel_sums_numpy(lefts, rights, p, alpha, beta):
+    """Panel sums of cos(alpha*x) * sin(beta * phi_p(x))."""
+    x, half = _panel_nodes(lefts, rights)
+    s = _phi_array(x, p)
+    s *= beta
+    np.sin(s, out=s)
+    x *= alpha
+    np.cos(x, out=x)
+    x *= s
+    return panel_sums_from_values(x, half)
 
 
 def lp_phase_sin_panel_sums_numpy(lefts, rights, p, r, cos_t, sin_t, sign):
     """Panel sums of sin(r * (sign*cos_t*x + sin_t*phi_p(x)))."""
-    half = 0.5 * (rights - lefts)
-    mid = 0.5 * (rights + lefts)
-    x = mid[:, None] + half[:, None] * KRONROD_NODES[None, :]
-    v = np.sin(r * (sign * cos_t * x + sin_t * _phi_array(x, p)))
-    return panel_sums_from_values(v, half)
+    x, half = _panel_nodes(lefts, rights)
+    s = _phi_array(x, p)
+    s *= sin_t
+    x *= sign * cos_t
+    x += s
+    x *= r
+    np.sin(x, out=x)
+    return panel_sums_from_values(x, half)
 
 
 NUMBA_AVAILABLE = False

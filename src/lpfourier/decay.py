@@ -122,6 +122,13 @@ def _map_samples(tasks, workers):
         return list(pool.map(_sample_worker, tasks, chunksize=chunk))
 
 
+def _base_phase(prof):
+    """Phase psi(x*; theta*) = cos(theta*) x* + sin(theta*) phi_p(x*) at the flat point."""
+    return math.cos(prof.theta_star) * prof.x_star + math.sin(prof.theta_star) * lpgeom.phi(
+        prof.p, prof.x_star
+    )
+
+
 def witness_r_values(p, r_min, r_max):
     """Witness radii inside [r_min, r_max]: the aligned r_n plus the
     quarter-period offset r_n + pi/(4 base_phase) that maximises the
@@ -129,10 +136,7 @@ def witness_r_values(p, r_min, r_max):
     p = as_p(p)
     if not (1.0 < p < 2.0):
         return np.empty(0)
-    prof = lpgeom.geom_profile(p)
-    base = math.cos(prof.theta_star) * prof.x_star + math.sin(prof.theta_star) * lpgeom.phi(
-        p, prof.x_star
-    )
+    base = _base_phase(lpgeom.geom_profile(p))
     n_lo = max(1, int(math.ceil(r_min * base / (2.0 * math.pi))))
     n_hi = int(math.floor(r_max * base / (2.0 * math.pi)))
     if n_hi < n_lo:
@@ -191,9 +195,7 @@ def stationary_sequence(p, n_min, n_max):
     if not (1 <= n_min <= n_max):
         raise ValueError("need 1 <= n_min <= n_max")
     prof = lpgeom.geom_profile(p)
-    base = math.cos(prof.theta_star) * prof.x_star + math.sin(prof.theta_star) * lpgeom.phi(
-        p, prof.x_star
-    )
+    base = _base_phase(prof)
     rs = tuple(2.0 * math.pi * n / base for n in range(n_min, n_max + 1))
     return SequenceSpec(p=p, theta_star=prof.theta_star, base_phase=base, r_values=rs)
 

@@ -132,19 +132,22 @@ def lp_initial_breaks(p, alpha, beta, cfg):
     p = as_p(p)
     rate = abs(alpha) + abs(beta)
     n0 = max(1, min(int(math.ceil(rate * cfg.panels_per_wavelength / (2.0 * math.pi))), 2**18))
-    breaks = list(np.linspace(0.0, 1.0, n0 + 1))
-    extra = []
-    a = breaks[-2]
-    tail_target = 0.1 * cfg.abs_tol
-    while len(extra) < 200 and (1.0 - a) > 1e-13:
-        tail_phase = beta * lpgeom.phi(p, a)
-        if tail_phase + alpha * (1.0 - a) <= 0.5 * math.pi and tail_phase * (1.0 - a) <= tail_target:
-            break
-        a = 0.5 * (a + 1.0)
-        extra.append(a)
-    if extra:
-        breaks = np.unique(np.concatenate([breaks, extra]))
-    return np.asarray(breaks, dtype=np.float64)
+    breaks = np.linspace(0.0, 1.0, n0 + 1)
+    # candidate tail points a_0 = breaks[-2], a <- (a + 1)/2, up to 200 extras or 1 - a <= 1e-13
+    tail = [breaks[-2]]
+    while len(tail) <= 200 and (1.0 - tail[-1]) > 1e-13:
+        tail.append(0.5 * (tail[-1] + 1.0))
+    tail = np.array(tail)
+    # test every candidate but the last at once; the first one meeting both
+    # conditions ends the grading, otherwise all candidates are kept
+    a = tail[:-1]
+    rest = 1.0 - a
+    tail_phase = beta * _kernels._phi_array(a, p)
+    done = (tail_phase + alpha * rest <= 0.5 * math.pi) & (tail_phase * rest <= 0.1 * cfg.abs_tol)
+    n_extra = int(np.argmax(done)) if done.any() else a.size
+    if n_extra:
+        breaks = np.unique(np.concatenate([breaks, tail[1 : n_extra + 1]]))
+    return breaks
 
 
 def _reduction_integral(p, alpha, beta, cfg):

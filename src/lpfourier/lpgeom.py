@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import _phi_array
+
 
 @dataclass(frozen=True)
 class PExponent:
@@ -93,15 +95,7 @@ def phi(p, x):
     xa = np.asarray(x, dtype=np.float64)
     if np.any(xa < 0.0) or np.any(xa > 1.0):
         raise ValueError("x must lie in [0, 1]")
-    out = np.empty_like(xa)
-    lo = xa == 0.0
-    hi = xa == 1.0
-    mid = ~(lo | hi)
-    out[lo] = 1.0
-    out[hi] = 0.0
-    xm = xa[mid]
-    out[mid] = (-np.expm1(p * np.log(xm))) ** (1.0 / p)
-    return _scalar_like(x, out)
+    return _scalar_like(x, _phi_array(xa, p))
 
 
 def phi_d1(p, x):

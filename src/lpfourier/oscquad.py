@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._kernels import KRONROD_NODES, panel_sums_from_values
+from ._kernels import KRONROD_NODES, _panel_nodes, panel_sums_from_values
 
 _MIN_PANEL_WIDTH = 1e-14
 _STAGNANT_ROUNDS = 3
@@ -86,9 +86,7 @@ class NonFiniteIntegrandError(RuntimeError):
 
 def _numpy_panel_sums(f):
     def panel_sums(lefts, rights):
-        half = 0.5 * (rights - lefts)
-        mid = 0.5 * (rights + lefts)
-        x = mid[:, None] + half[:, None] * KRONROD_NODES[None, :]
+        x, half = _panel_nodes(lefts, rights)
         v = np.asarray(f(x), dtype=np.float64)
         return panel_sums_from_values(v, half)
 
@@ -126,7 +124,7 @@ def integrate_oscillatory(
     with sharper knowledge may pass ``initial_breaks`` (a sorted array of
     panel boundaries from a to b) instead.  ``panel_sums`` overrides the
     node-evaluation kernel (signature: (lefts, rights) -> (k15, err));
-    the specialised numba kernels plug in here.
+    the specialised lp kernels of ``_kernels`` plug in here.
 
     Raises QuadratureBudgetError carrying the partial value when the
     panel budget is exhausted or the estimate stalls at the roundoff

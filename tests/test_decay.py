@@ -39,6 +39,9 @@ def test_stationary_sequence_spec():
     # phase alignment: r_n * base_phase sits on 2 pi Z
     for n, r in zip(range(1, 9), spec.r_values):
         assert abs(math.sin(r * spec.base_phase)) <= 1e-9
+    # the scan's witness radii use the same base phase: the aligned ones are the r_n
+    witness = decay.witness_r_values(1.5, 0.5 * spec.r_values[0], 1.01 * spec.r_values[-1])
+    assert set(spec.r_values) <= set(witness.tolist())
     for bad_p in (1.0, 2.0):
         with pytest.raises(ValueError):
             decay.stationary_sequence(bad_p, 1, 4)

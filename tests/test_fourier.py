@@ -17,6 +17,45 @@ J1_FIXTURES = {
 }
 
 
+def _lp_initial_breaks_loop(p, alpha, beta, cfg):
+    # reference: the scalar tail-grading loop that lp_initial_breaks vectorises
+    rate = abs(alpha) + abs(beta)
+    n0 = max(1, min(int(math.ceil(rate * cfg.panels_per_wavelength / (2.0 * math.pi))), 2**18))
+    breaks = list(np.linspace(0.0, 1.0, n0 + 1))
+    extra = []
+    a = breaks[-2]
+    tail_target = 0.1 * cfg.abs_tol
+    while len(extra) < 200 and (1.0 - a) > 1e-13:
+        tail_phase = beta * lpgeom.phi(p, a)
+        if tail_phase + alpha * (1.0 - a) <= 0.5 * math.pi and tail_phase * (1.0 - a) <= tail_target:
+            break
+        a = 0.5 * (a + 1.0)
+        extra.append(a)
+    if extra:
+        breaks = np.unique(np.concatenate([breaks, extra]))
+    return np.asarray(breaks, dtype=np.float64)
+
+
+def test_lp_initial_breaks_match_scalar_loop():
+    rng = np.random.default_rng(20221)
+    cases = [(1.0, 0.0, 0.1), (2.0, 0.0, 0.1), (1.0, 3.0, 5.0), (1.5, 1e5, 1e5), (2.0, 0.0, 1e5)]
+    for _ in range(2000):
+        p = float(rng.choice([1.0, 2.0, rng.uniform(1.0, 2.0)], p=[0.1, 0.1, 0.8]))
+        rate = 10.0 ** rng.uniform(-1.0, 5.0)
+        share = 0.0 if rng.random() < 0.15 else rng.uniform(0.0, 0.5)
+        cases.append((p, share * rate, (1.0 - share) * rate))
+    # abs_tol 1e-14 grades some tails, (2, 0, 1e5) among them, down to the
+    # 1e-13 floor; the 200-extras cap cannot bind, as 1 - a halves from below 1
+    floor_hits = 0
+    for cfg in (QuadConfig(), QuadConfig(abs_tol=1e-14)):
+        for p, alpha, beta in cases:
+            got = fourier.lp_initial_breaks(p, alpha, beta, cfg)
+            want = _lp_initial_breaks_loop(p, alpha, beta, cfg)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (p, alpha, beta, cfg)
+            floor_hits += bool(1.0 - got[-2] <= 1e-13)
+    assert floor_hits > 0
+
+
 def test_frequency_polar_consistency():
     om = Frequency.from_cartesian(-3.0, 2.0)
     assert om.r == pytest.approx(math.hypot(3, 2), rel=1e-15)

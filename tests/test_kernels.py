@@ -1,11 +1,14 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from lpfourier import _kernels
+from lpfourier import _kernels, lpgeom
+
+EDGE_X = np.array([0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0])
 
 
 def _random_panels(rng, n=64):
@@ -14,13 +17,78 @@ def _random_panels(rng, n=64):
     return breaks[:-1], breaks[1:]
 
 
+def _phi_masked(x, p):
+    # reference: the boolean-mask formula the in-place _phi_array replaces
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    lo = x <= 0.0
+    hi = x >= 1.0
+    mid = ~(lo | hi)
+    out[lo] = 1.0
+    out[hi] = 0.0
+    out[mid] = (-np.expm1(p * np.log(x[mid]))) ** (1.0 / p)
+    return out
+
+
+def _masked_panel_sums(lefts, rights, integrand):
+    half = 0.5 * (rights - lefts)
+    mid = 0.5 * (rights + lefts)
+    x = mid[:, None] + half[:, None] * _kernels.KRONROD_NODES[None, :]
+    return _kernels.panel_sums_from_values(integrand(x), half)
+
+
+def _same_bits(a, b):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def test_phi_array_edges():
-    x = np.array([0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0])
+    x = EDGE_X
     v = _kernels._phi_array(x, 1.5)
     assert v[0] == 1.0
     assert v[-1] == 0.0
     assert np.all(np.isfinite(v))
     assert np.all((0.0 <= v) & (v <= 1.0))
+
+
+def test_phi_matches_masked_formula_bitwise():
+    rng = np.random.default_rng(2718)
+    x = np.concatenate([EDGE_X, rng.uniform(0.0, 1.0, 2000), 1.0 - 10.0 ** -rng.uniform(1, 16, 200)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in [1.0, 2.0, *rng.uniform(1.0, 2.0, 8)]:
+            want = _phi_masked(x, p)
+            assert _same_bits(_kernels._phi_array(x, p), want), p
+            assert _same_bits(lpgeom.phi(p, x), want), p
+            for xi, wi in zip(EDGE_X, want):
+                v = lpgeom.phi(p, float(xi))
+                assert isinstance(v, float) and _same_bits(v, wi), (p, xi)
+
+
+def test_lp_kernels_match_masked_formulas_bitwise():
+    rng = np.random.default_rng(1618)
+    # panels at both ends: nodes of order 1e-300, and nodes that round onto 1
+    edge_panels = (np.array([0.0, 1e-300, 0.5, 1.0 - 4e-16]), np.array([1e-300, 0.5, 1.0 - 4e-16, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for trial in range(20):
+            lefts, rights = edge_panels if trial == 0 else _random_panels(rng, 200)
+            p = [1.0, 2.0][trial] if trial < 2 else rng.uniform(1.0, 2.0)
+            alpha, beta = rng.uniform(0.0, 200.0, 2)
+            got = _kernels.lp_cos_sin_panel_sums_numpy(lefts, rights, p, alpha, beta)
+            want = _masked_panel_sums(
+                lefts, rights, lambda x: np.cos(alpha * x) * np.sin(beta * _phi_masked(x, p))
+            )
+            assert all(_same_bits(g, w) for g, w in zip(got, want)), (p, alpha, beta)
+            r = rng.uniform(1.0, 1e4)
+            ct, st = np.cos(rng.uniform(0.3, 1.5)), np.sin(rng.uniform(0.3, 1.5))
+            for sign in (1.0, -1.0):
+                got = _kernels.lp_phase_sin_panel_sums_numpy(lefts, rights, p, r, ct, st, sign)
+                want = _masked_panel_sums(
+                    lefts, rights, lambda x: np.sin(r * (sign * ct * x + st * _phi_masked(x, p)))
+                )
+                assert all(_same_bits(g, w) for g, w in zip(got, want)), (p, r, sign)
 
 
 def test_gauss_weights_embedding():
