@@ -8,7 +8,6 @@ the curvature-based envelope bound for general convex graph bodies.
 
 __version__ = "0.1.0"
 
-from ._kernels import backend_name
 from .convex_probe import (
     ConjectureReport,
     ConvexBody,

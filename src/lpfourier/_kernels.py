@@ -1,22 +1,18 @@
-"""Hot per-panel quadrature kernels and phi_p at the quadrature nodes.
+"""G7/K15 panel rule, its reduction, and the lp integrands with phi_p at the nodes.
 
-The kernels are numpy: each builds the (n, 15) Kronrod node array of its
-panels and evaluates the integrand in place, in a fixed operation order,
-so results are bit-reproducible.  numba is an optional dependency; when
-it is importable, ``@njit`` twins of the two lp kernels are selected at
-import time unless the environment variable ``LPFOURIER_PURE_NUMPY=1``
-forces numpy.  The twins agree with numpy up to floating-point rounding.
+The quadrature engine builds the (n, 15) Kronrod node array of its panels
+with ``_panel_nodes``, evaluates an integrand on it and reduces the values
+with ``panel_sums_from_values``.  The two lp integrands here compute into
+that node array in place, in a fixed operation order, so results are
+bit-reproducible.
 
-A kernel maps arrays of panel endpoints to per-panel (value, error)
-pairs: the 15-point Kronrod value and the rescaled Gauss/Kronrod
-discrepancy.  The rescaling (error = resasc * min(1, (200 d / resasc)^1.5),
-floored at 50 eps * resabs) keeps the estimate honest on panels where the
-integrand is merely Hoelder continuous, where the raw discrepancy d of an
-embedded pair can undershoot the true error.
+The reduction maps node values to per-panel (value, error) pairs: the
+15-point Kronrod value and the rescaled Gauss/Kronrod discrepancy.  The
+rescaling (error = resasc * min(1, (200 d / resasc)^1.5), floored at
+50 eps * resabs) keeps the estimate honest on panels where the integrand
+is merely Hoelder continuous, where the raw discrepancy d of an embedded
+pair can undershoot the true error.
 """
-
-import math
-import os
 
 import numpy as np
 
@@ -95,115 +91,23 @@ def _panel_nodes(lefts, rights):
     return x, half
 
 
-def lp_cos_sin_panel_sums_numpy(lefts, rights, p, alpha, beta):
-    """Panel sums of cos(alpha*x) * sin(beta * phi_p(x))."""
-    x, half = _panel_nodes(lefts, rights)
+def lp_cos_sin_values(x, p, alpha, beta):
+    """cos(alpha*x) * sin(beta * phi_p(x)), computed into the buffer x and returned."""
     s = _phi_array(x, p)
     s *= beta
     np.sin(s, out=s)
     x *= alpha
     np.cos(x, out=x)
     x *= s
-    return panel_sums_from_values(x, half)
+    return x
 
 
-def lp_phase_sin_panel_sums_numpy(lefts, rights, p, r, cos_t, sin_t, sign):
-    """Panel sums of sin(r * (sign*cos_t*x + sin_t*phi_p(x)))."""
-    x, half = _panel_nodes(lefts, rights)
+def lp_phase_sin_values(x, p, r, cos_t, sin_t, sign):
+    """sin(r * (sign*cos_t*x + sin_t*phi_p(x))), computed into the buffer x and returned."""
     s = _phi_array(x, p)
     s *= sin_t
     x *= sign * cos_t
     x += s
     x *= r
     np.sin(x, out=x)
-    return panel_sums_from_values(x, half)
-
-
-NUMBA_AVAILABLE = False
-_FORCE_NUMPY = os.environ.get("LPFOURIER_PURE_NUMPY", "") == "1"
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-
-    @njit(cache=True)
-    def _phi_scalar(x, p):
-        if x <= 0.0:
-            return 1.0
-        if x >= 1.0:
-            return 0.0
-        return (-math.expm1(p * math.log(x))) ** (1.0 / p)
-
-    @njit(cache=True)
-    def _panel_reduce(values, half, k15, err, i):
-        sk = 0.0
-        sg = 0.0
-        sa = 0.0
-        for j in range(15):
-            v = values[j]
-            sk += KRONROD_WEIGHTS[j] * v
-            sg += GAUSS_WEIGHTS[j] * v
-            sa += KRONROD_WEIGHTS[j] * abs(v)
-        mean = 0.5 * sk
-        sc = 0.0
-        for j in range(15):
-            sc += KRONROD_WEIGHTS[j] * abs(values[j] - mean)
-        k = sk * half
-        d = abs(k - sg * half)
-        resabs = sa * half
-        resasc = sc * half
-        if resasc > 0.0 and d > 0.0:
-            scale = (200.0 * d / resasc) ** 1.5
-            if scale > 1.0:
-                scale = 1.0
-            d = resasc * scale
-        floor = _EPS50 * resabs
-        k15[i] = k
-        err[i] = d if d > floor else floor
-
-    @njit(cache=True)
-    def lp_cos_sin_panel_sums_numba(lefts, rights, p, alpha, beta):
-        n = lefts.shape[0]
-        k15 = np.empty(n)
-        err = np.empty(n)
-        values = np.empty(15)
-        for i in range(n):
-            half = 0.5 * (rights[i] - lefts[i])
-            mid = 0.5 * (rights[i] + lefts[i])
-            for j in range(15):
-                x = mid + half * KRONROD_NODES[j]
-                values[j] = math.cos(alpha * x) * math.sin(beta * _phi_scalar(x, p))
-            _panel_reduce(values, half, k15, err, i)
-        return k15, err
-
-    @njit(cache=True)
-    def lp_phase_sin_panel_sums_numba(lefts, rights, p, r, cos_t, sin_t, sign):
-        n = lefts.shape[0]
-        k15 = np.empty(n)
-        err = np.empty(n)
-        values = np.empty(15)
-        for i in range(n):
-            half = 0.5 * (rights[i] - lefts[i])
-            mid = 0.5 * (rights[i] + lefts[i])
-            for j in range(15):
-                x = mid + half * KRONROD_NODES[j]
-                values[j] = math.sin(r * (sign * cos_t * x + sin_t * _phi_scalar(x, p)))
-            _panel_reduce(values, half, k15, err, i)
-        return k15, err
-
-except ImportError:
-    pass
-
-if NUMBA_AVAILABLE and not _FORCE_NUMPY:
-    BACKEND = "numba"
-    lp_cos_sin_panel_sums = lp_cos_sin_panel_sums_numba
-    lp_phase_sin_panel_sums = lp_phase_sin_panel_sums_numba
-else:
-    BACKEND = "numpy"
-    lp_cos_sin_panel_sums = lp_cos_sin_panel_sums_numpy
-    lp_phase_sin_panel_sums = lp_phase_sin_panel_sums_numpy
-
-
-def backend_name():
-    return BACKEND
+    return x

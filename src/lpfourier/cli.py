@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 assertion/bound failure, 2 usage error,
 
 import argparse
 import json
-import math
 import sys
 from datetime import datetime, timezone
 
@@ -138,11 +137,10 @@ def cmd_sequence(args):
     cfg = _quad_config(args)
     spec = decay.stationary_sequence(args.p, args.n_min, args.n_max)
     v_ref = decay.v_of_p(args.p)
-    rows = []
-    for r in spec.r_values:
-        n = round(r * spec.base_phase / (2.0 * math.pi))
-        s = decay.scaled_sample(args.p, r, spec.theta_star, cfg)
-        rows.append((n, r, s.scaled_value, v_ref, s.err_estimate))
+    rows = [
+        (n, s.r, s.scaled_value, v_ref, s.err_estimate)
+        for n, s in decay.sequence_values(args.p, spec, cfg)
+    ]
     config = {
         "command": "sequence",
         "p": args.p,

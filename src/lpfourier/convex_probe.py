@@ -19,8 +19,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import fourier, lpgeom
-from .decay import ENVELOPE_UPPER_COEFF, R_MIN_ALLOWED
-from .fourier import TransformResult, as_frequency
+from .decay import ENVELOPE_UPPER_COEFF, R_MIN_ALLOWED, _ordered_map
+from .fourier import TransformResult, _sin_over, as_frequency
 from .oscquad import QuadConfig, integrate_oscillatory
 
 # phases built from body graphs inherit the slope blow-up at the endpoints;
@@ -239,14 +239,6 @@ def _slope_scale(body, cfg):
     return min(max(s, 1.0), _SLOPE_CAP)
 
 
-def _sinc(z):
-    z = np.asarray(z, dtype=np.float64)
-    out = np.ones_like(z)
-    nz = z != 0.0
-    out[nz] = np.sin(z[nz]) / z[nz]
-    return out
-
-
 def chi_hat_body_parts(body, omega, cfg=None):
     """(real, imaginary, err) of the transform by vertical slicing.
 
@@ -270,7 +262,7 @@ def chi_hat_body_parts(body, omega, cfg=None):
     def envelope_and_phase(x):
         u = body.upper(x)
         lo = body.lower(x)
-        amp = (u - lo) * _sinc(0.5 * beta * (u - lo))
+        amp = (u - lo) * _sin_over(0.5 * beta * (u - lo))
         return amp, alpha * x + 0.5 * beta * (u + lo)
 
     def f_re(x):
@@ -359,18 +351,7 @@ def _map_body_samples(body, tasks, workers):
     # global carries them into worker processes instead
     _ACTIVE_SCAN["body"] = body
     try:
-        if workers <= 1:
-            return [_body_scaled_sample(t) for t in tasks]
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            return [_body_scaled_sample(t) for t in tasks]
-        chunk = max(1, len(tasks) // (8 * workers))
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            return list(pool.map(_body_scaled_sample, tasks, chunksize=chunk))
+        return _ordered_map(_body_scaled_sample, tasks, workers)
     finally:
         _ACTIVE_SCAN.pop("body", None)
 

@@ -11,6 +11,7 @@ whose (p-1)^{-1/2} blow-up is the quantity the blow-up fit extracts.
 """
 
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -106,20 +107,18 @@ def _sample_worker(task):
     return scaled_sample(p, r, theta, cfg)
 
 
-def _map_samples(tasks, workers):
-    if workers <= 1:
-        return [_sample_worker(t) for t in tasks]
-    ctx_kwargs = {}
-    try:
-        import multiprocessing
+def _ordered_map(fn, tasks, workers):
+    """[fn(t) for t in tasks], on a fork pool when workers > 1 and fork exists.
 
-        ctx_kwargs["mp_context"] = multiprocessing.get_context("fork")
-    except ValueError:
-        pass
-    chunk = max(1, len(tasks) // (8 * workers))
-    with ProcessPoolExecutor(max_workers=workers, **ctx_kwargs) as pool:
-        # map preserves task order, so the downstream fold is deterministic
-        return list(pool.map(_sample_worker, tasks, chunksize=chunk))
+    Serial otherwise.  The pool's map keeps task order, so the downstream
+    fold is deterministic.
+    """
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        chunk = max(1, len(tasks) // (8 * workers))
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            return list(pool.map(fn, tasks, chunksize=chunk))
+    return [fn(t) for t in tasks]
 
 
 def _base_phase(prof):
@@ -176,7 +175,7 @@ def envelope_scan(p, r_grid=None, theta_grid=None, cfg=None, workers=1):
     t_star = lpgeom.theta_star(p)
     tasks += [(p, float(rw), t_star, cfg) for rw in witness_r_values(p, r_grid[0], r_grid[-1])]
 
-    samples = _map_samples(tasks, workers)
+    samples = _ordered_map(_sample_worker, tasks, workers)
     failed = sum(1 for s in samples if s.method == "budget-error")
     if failed > _MAX_FAILED_FRACTION * len(samples):
         raise RuntimeError(f"scan aborted: {failed}/{len(samples)} samples failed")
@@ -201,7 +200,10 @@ def stationary_sequence(p, n_min, n_max):
 
 
 def sequence_values(p, spec, cfg=None):
-    """Scaled transform along the witness sequence: list of (n, scaled_value)."""
+    """Samples along the witness sequence: list of (n, EnvelopeSample).
+
+    Raises QuadratureBudgetError when a sample misses its tolerance.
+    """
     p = as_p(p)
     cfg = cfg or QuadConfig()
     out = []
@@ -209,8 +211,10 @@ def sequence_values(p, spec, cfg=None):
         n = round(r * spec.base_phase / (2.0 * math.pi))
         s = scaled_sample(p, r, spec.theta_star, cfg)
         if s.method == "budget-error":
-            raise QuadratureBudgetError("sequence sample failed", s.scaled_value, s.err_estimate, 0)
-        out.append((n, s.scaled_value))
+            raise QuadratureBudgetError(
+                f"witness sample n={n} (r={r!r}) failed", s.scaled_value, s.err_estimate, 0
+            )
+        out.append((n, s))
     return out
 
 
@@ -254,8 +258,8 @@ def blowup_fit(p_grid, n_ref, cfg=None):
     vals = []
     for p in p_grid:
         spec = stationary_sequence(p, n_ref, n_ref)
-        (_, scaled), = sequence_values(p, spec, cfg)
-        vals.append(scaled)
+        ((_, s),) = sequence_values(p, spec, cfg)
+        vals.append(s.scaled_value)
     return fit_power_law([p - 1.0 for p in p_grid], vals)
 
 

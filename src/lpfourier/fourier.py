@@ -133,9 +133,10 @@ def lp_initial_breaks(p, alpha, beta, cfg):
     rate = abs(alpha) + abs(beta)
     n0 = max(1, min(int(math.ceil(rate * cfg.panels_per_wavelength / (2.0 * math.pi))), 2**18))
     breaks = np.linspace(0.0, 1.0, n0 + 1)
-    # candidate tail points a_0 = breaks[-2], a <- (a + 1)/2, up to 200 extras or 1 - a <= 1e-13
+    # candidate tail points a_0 = breaks[-2], a <- (a + 1)/2 until 1 - a <= 1e-13;
+    # 1 - a halves from below 1, so that takes at most 44 steps
     tail = [breaks[-2]]
-    while len(tail) <= 200 and (1.0 - tail[-1]) > 1e-13:
+    while (1.0 - tail[-1]) > 1e-13:
         tail.append(0.5 * (tail[-1] + 1.0))
     tail = np.array(tail)
     # test every candidate but the last at once; the first one meeting both
@@ -151,15 +152,11 @@ def lp_initial_breaks(p, alpha, beta, cfg):
 
 
 def _reduction_integral(p, alpha, beta, cfg):
-    # int_0^1 cos(alpha x) sin(beta phi_p(x)) dx with the specialised kernel
+    # int_0^1 cos(alpha x) sin(beta phi_p(x)) dx on the graded partition
     breaks = lp_initial_breaks(p, alpha, beta, cfg)
-
-    def panel_sums(lefts, rights):
-        return _kernels.lp_cos_sin_panel_sums(lefts, rights, p, alpha, beta)
-
-    f = lambda x: np.cos(alpha * x) * np.sin(beta * _kernels._phi_array(x, p))
     return integrate_oscillatory(
-        f, 0.0, 1.0, alpha + beta, cfg, initial_breaks=breaks, panel_sums=panel_sums
+        lambda x: _kernels.lp_cos_sin_values(x, p, alpha, beta),
+        0.0, 1.0, alpha + beta, cfg, initial_breaks=breaks,
     )
 
 
@@ -227,20 +224,13 @@ def psi_split_integrals(p, r, theta, cfg=None):
     ct, st = math.cos(theta), math.sin(theta)
     alpha, beta = r * ct, r * st
     breaks = lp_initial_breaks(p, abs(alpha), abs(beta), cfg)
-    out = []
-    for sign in (1.0, -1.0):
-
-        def panel_sums(lefts, rights, s=sign):
-            return _kernels.lp_phase_sin_panel_sums(lefts, rights, p, r, ct, st, s)
-
-        f = lambda x, s=sign: np.sin(r * (s * ct * x + st * _kernels._phi_array(x, p)))
-        out.append(
-            integrate_oscillatory(
-                f, 0.0, 1.0, abs(alpha) + abs(beta), cfg,
-                initial_breaks=breaks, panel_sums=panel_sums,
-            )
+    return tuple(
+        integrate_oscillatory(
+            lambda x, s=sign: _kernels.lp_phase_sin_values(x, p, r, ct, st, s),
+            0.0, 1.0, abs(alpha) + abs(beta), cfg, initial_breaks=breaks,
         )
-    return out[0], out[1]
+        for sign in (1.0, -1.0)
+    )
 
 
 def chi_hat_lp_polar(p, r, theta, cfg=None):

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._kernels import KRONROD_NODES, _panel_nodes, panel_sums_from_values
+from ._kernels import _panel_nodes, panel_sums_from_values
 
 _MIN_PANEL_WIDTH = 1e-14
 _STAGNANT_ROUNDS = 3
@@ -84,47 +84,39 @@ class NonFiniteIntegrandError(RuntimeError):
         self.abscissa = abscissa
 
 
-def _numpy_panel_sums(f):
-    def panel_sums(lefts, rights):
-        x, half = _panel_nodes(lefts, rights)
-        v = np.asarray(f(x), dtype=np.float64)
-        return panel_sums_from_values(v, half)
-
-    return panel_sums
+def _panel_sums(f, lefts, rights):
+    x, half = _panel_nodes(lefts, rights)
+    v = np.asarray(f(x), dtype=np.float64)
+    return panel_sums_from_values(v, half)
 
 
 def _locate_nonfinite(f, lefts, rights, k15, err):
     bad = ~(np.isfinite(k15) & np.isfinite(err))
     i = int(np.argmax(bad))
-    if f is not None:
-        half = 0.5 * (rights[i] - lefts[i])
-        mid = 0.5 * (rights[i] + lefts[i])
-        x = mid + half * KRONROD_NODES
-        v = np.asarray(f(x), dtype=np.float64)
-        j = np.argmax(~np.isfinite(v))
-        return float(x[j])
-    return float(0.5 * (lefts[i] + rights[i]))
+    x, _ = _panel_nodes(lefts[i : i + 1], rights[i : i + 1])
+    # f may overwrite its argument: evaluate a copy, read the abscissa from x
+    v = np.asarray(f(x.copy()), dtype=np.float64)
+    return float(x.flat[np.argmax(~np.isfinite(v))])
 
 
 def integrate_oscillatory(
-    f: Optional[Callable],
+    f: Callable,
     a: float,
     b: float,
     frequency_hint: float,
     cfg: Optional[QuadConfig] = None,
     *,
     initial_breaks=None,
-    panel_sums=None,
 ) -> QuadResult:
     """Integrate f over [a, b] to the configured tolerance.
 
-    ``f`` must accept an ndarray of abscissae and return the integrand
-    values elementwise.  ``frequency_hint`` is an estimate of the largest
-    phase rate, used only to size the initial uniform partition; callers
-    with sharper knowledge may pass ``initial_breaks`` (a sorted array of
-    panel boundaries from a to b) instead.  ``panel_sums`` overrides the
-    node-evaluation kernel (signature: (lefts, rights) -> (k15, err));
-    the specialised lp kernels of ``_kernels`` plug in here.
+    ``f`` maps an (n, 15) array of Kronrod abscissae, one row per panel,
+    to the integrand values at those abscissae, elementwise.  The array is
+    fresh in every call and owned by the engine: ``f`` may overwrite it
+    and return it as the values.  ``frequency_hint`` is an estimate of the
+    largest phase rate, used only to size the initial uniform partition;
+    callers with sharper knowledge may pass ``initial_breaks`` (a sorted
+    array of panel boundaries from a to b) instead.
 
     Raises QuadratureBudgetError carrying the partial value when the
     panel budget is exhausted or the estimate stalls at the roundoff
@@ -138,10 +130,8 @@ def integrate_oscillatory(
         raise ValueError("need a < b")
     if frequency_hint < 0.0 or not np.isfinite(frequency_hint):
         raise ValueError("frequency_hint must be finite and >= 0")
-    if panel_sums is None:
-        if f is None:
-            raise ValueError("either f or panel_sums is required")
-        panel_sums = _numpy_panel_sums(f)
+    if f is None:
+        raise ValueError("an integrand f is required")
 
     if initial_breaks is None:
         n0 = int(math.ceil(frequency_hint * cfg.panels_per_wavelength / (2.0 * math.pi)))
@@ -160,7 +150,7 @@ def integrate_oscillatory(
 
     lefts = breaks[:-1]
     rights = breaks[1:]
-    k15, err = panel_sums(lefts, rights)
+    k15, err = _panel_sums(f, lefts, rights)
     if not (np.all(np.isfinite(k15)) and np.all(np.isfinite(err))):
         raise NonFiniteIntegrandError(_locate_nonfinite(f, lefts, rights, k15, err))
 
@@ -206,7 +196,7 @@ def integrate_oscillatory(
         mids = 0.5 * (bl + br)
         new_l = np.concatenate([bl, mids])
         new_r = np.concatenate([mids, br])
-        nk, ne = panel_sums(new_l, new_r)
+        nk, ne = _panel_sums(f, new_l, new_r)
         if not (np.all(np.isfinite(nk)) and np.all(np.isfinite(ne))):
             raise NonFiniteIntegrandError(_locate_nonfinite(f, new_l, new_r, nk, ne))
 

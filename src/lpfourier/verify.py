@@ -77,18 +77,6 @@ def criterion_closed_forms(workers=1):
     )
 
 
-def grid_curvature_min(p, n=200001):
-    """Dense-grid minimum of the boundary curvature with one refinement pass."""
-    eps = 1e-9
-    xs = np.linspace(eps, 1.0 - eps, n)
-    k = lpgeom.curvature(p, xs)
-    i = int(np.argmin(k))
-    xs2 = np.linspace(xs[max(0, i - 1)], xs[min(n - 1, i + 1)], n)
-    k2 = lpgeom.curvature(p, xs2)
-    j = int(np.argmin(k2))
-    return float(k2[j]), float(xs2[j])
-
-
 def criterion_geometry(workers=1):
     """m endpoints exact, m decreasing, flat-point identity, curvature minimum."""
     t0 = time.time()
@@ -104,7 +92,7 @@ def criterion_geometry(workers=1):
         xs = lpgeom.x_star(p)
         target = (p - 1.0) * lpgeom.m_of_p(p)
         worst_flat = max(worst_flat, abs(abs(lpgeom.phi_d2(p, xs)) - target) / target)
-        k_min, _ = grid_curvature_min(p)
+        k_min, _ = convex_probe.body_curvature_min(convex_probe.lp_ball_body(p))
         ref = lpgeom.min_curvature(p)
         worst_curv = max(worst_curv, abs(k_min - ref) / ref)
     checks.append(("flat-point identity 1e-10", worst_flat <= 1e-10))
@@ -235,8 +223,8 @@ def criterion_sequence_convergence(workers=1):
     devs = []
     for n in ns:
         spec = decay.stationary_sequence(p, n, n)
-        (_, scaled), = decay.sequence_values(p, spec)
-        devs.append(abs(scaled - v_ref))
+        ((_, s),) = decay.sequence_values(p, spec)
+        devs.append(abs(s.scaled_value - v_ref))
     close = devs[-1] <= 0.05 * v_ref
     # deviation decreases beyond some N within the window: monotone from the peak
     peak = int(np.argmax(devs))

@@ -109,6 +109,19 @@ def test_sequence_csv(tmp_path):
     assert float(rows[0][3]) == pytest.approx(0.67561732204588437, abs=1e-12)
 
 
+def test_sequence_budget_failure_exit_code(capsys):
+    # a witness sample that misses its tolerance fails the command with code 3
+    # instead of writing nan/inf rows
+    code = run_cli(
+        ["sequence", "--p", "1.5", "--n-min", "3", "--n-max", "4", "--out", "-",
+         "--abs-tol", "1e-300", "--rel-tol", "1e-300"]
+    )
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "budget" in captured.err
+    assert "nan" not in captured.out
+
+
 def test_sequence_usage_errors(tmp_path):
     out = str(tmp_path / "seq.csv")
     assert run_cli(["sequence", "--p", "2.0", "--n-min", "1", "--n-max", "3", "--out", out]) == 2

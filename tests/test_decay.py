@@ -51,7 +51,8 @@ def test_stationary_sequence_spec():
 
 def test_sequence_values_converge():
     spec = decay.stationary_sequence(1.5, 200, 200)
-    (n, scaled), = decay.sequence_values(1.5, spec)
+    (n, sample), = decay.sequence_values(1.5, spec)
+    scaled = sample.scaled_value
     assert n == 200
     assert scaled == pytest.approx(V_15, rel=0.05)
 
@@ -60,7 +61,8 @@ def test_sequence_scaling_band():
     # scaled * sqrt(p-1) stays within [0.3, 1.0] near p = 1
     for p in (1.05, 1.1, 1.2, 1.3):
         spec = decay.stationary_sequence(p, 200, 200)
-        (_, scaled), = decay.sequence_values(p, spec)
+        (_, sample), = decay.sequence_values(p, spec)
+        scaled = sample.scaled_value
         assert 0.3 <= scaled * math.sqrt(p - 1.0) <= 1.0
 
 
@@ -71,7 +73,8 @@ def test_sequence_deviation_tail_monotone():
         devs = []
         for n in (25, 50, 100, 200):
             spec = decay.stationary_sequence(p, n, n)
-            (_, scaled), = decay.sequence_values(p, spec)
+            (_, sample), = decay.sequence_values(p, spec)
+            scaled = sample.scaled_value
             devs.append(abs(scaled - v_ref))
         peak = int(np.argmax(devs))
         assert peak <= 1

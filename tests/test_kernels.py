@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -35,6 +32,11 @@ def _masked_panel_sums(lefts, rights, integrand):
     mid = 0.5 * (rights + lefts)
     x = mid[:, None] + half[:, None] * _kernels.KRONROD_NODES[None, :]
     return _kernels.panel_sums_from_values(integrand(x), half)
+
+
+def _integrand_panel_sums(lefts, rights, integrand, *args):
+    x, half = _kernels._panel_nodes(lefts, rights)
+    return _kernels.panel_sums_from_values(integrand(x, *args), half)
 
 
 def _same_bits(a, b):
@@ -76,7 +78,7 @@ def test_lp_kernels_match_masked_formulas_bitwise():
             lefts, rights = edge_panels if trial == 0 else _random_panels(rng, 200)
             p = [1.0, 2.0][trial] if trial < 2 else rng.uniform(1.0, 2.0)
             alpha, beta = rng.uniform(0.0, 200.0, 2)
-            got = _kernels.lp_cos_sin_panel_sums_numpy(lefts, rights, p, alpha, beta)
+            got = _integrand_panel_sums(lefts, rights, _kernels.lp_cos_sin_values, p, alpha, beta)
             want = _masked_panel_sums(
                 lefts, rights, lambda x: np.cos(alpha * x) * np.sin(beta * _phi_masked(x, p))
             )
@@ -84,7 +86,9 @@ def test_lp_kernels_match_masked_formulas_bitwise():
             r = rng.uniform(1.0, 1e4)
             ct, st = np.cos(rng.uniform(0.3, 1.5)), np.sin(rng.uniform(0.3, 1.5))
             for sign in (1.0, -1.0):
-                got = _kernels.lp_phase_sin_panel_sums_numpy(lefts, rights, p, r, ct, st, sign)
+                got = _integrand_panel_sums(
+                    lefts, rights, _kernels.lp_phase_sin_values, p, r, ct, st, sign
+                )
                 want = _masked_panel_sums(
                     lefts, rights, lambda x: np.sin(r * (sign * ct * x + st * _phi_masked(x, p)))
                 )
@@ -98,75 +102,8 @@ def test_gauss_weights_embedding():
     assert np.count_nonzero(_kernels.GAUSS_WEIGHTS) == 7
 
 
-@pytest.mark.skipif(not _kernels.NUMBA_AVAILABLE, reason="numba not installed")
-def test_backends_agree_cos_sin():
-    rng = np.random.default_rng(314)
-    for _ in range(10):
-        lefts, rights = _random_panels(rng)
-        p = rng.uniform(1.0, 2.0)
-        alpha, beta = rng.uniform(0.0, 50.0, 2)
-        k_nb, e_nb = _kernels.lp_cos_sin_panel_sums_numba(lefts, rights, p, alpha, beta)
-        k_np, e_np = _kernels.lp_cos_sin_panel_sums_numpy(lefts, rights, p, alpha, beta)
-        assert np.allclose(k_nb, k_np, rtol=1e-12, atol=1e-15)
-        # error estimates involve the Gauss/Kronrod cancellation; they
-        # agree across backends only to estimator accuracy
-        assert np.allclose(e_nb, e_np, rtol=1e-2, atol=1e-16)
-
-
-@pytest.mark.skipif(not _kernels.NUMBA_AVAILABLE, reason="numba not installed")
-def test_backends_agree_phase_sin():
-    rng = np.random.default_rng(159)
-    for _ in range(10):
-        lefts, rights = _random_panels(rng)
-        p = rng.uniform(1.0, 2.0)
-        r = rng.uniform(1.0, 100.0)
-        th = rng.uniform(0.3, 1.5)
-        for sign in (1.0, -1.0):
-            k_nb, e_nb = _kernels.lp_phase_sin_panel_sums_numba(
-                lefts, rights, p, r, np.cos(th), np.sin(th), sign
-            )
-            k_np, e_np = _kernels.lp_phase_sin_panel_sums_numpy(
-                lefts, rights, p, r, np.cos(th), np.sin(th), sign
-            )
-            assert np.allclose(k_nb, k_np, rtol=1e-12, atol=1e-15)
-            assert np.allclose(e_nb, e_np, rtol=1e-2, atol=1e-16)
-
-
 def test_error_estimates_positive():
     rng = np.random.default_rng(2)
     lefts, rights = _random_panels(rng, 16)
-    _, err = _kernels.lp_cos_sin_panel_sums_numpy(lefts, rights, 1.5, 3.0, 4.0)
+    _, err = _integrand_panel_sums(lefts, rights, _kernels.lp_cos_sin_values, 1.5, 3.0, 4.0)
     assert np.all(err >= 0.0)
-
-
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, LPFOURIER_PURE_NUMPY="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from lpfourier._kernels import backend_name; print(backend_name())"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-@pytest.mark.skipif(not _kernels.NUMBA_AVAILABLE, reason="numba not installed")
-def test_default_backend_is_numba():
-    env = {k: v for k, v in os.environ.items() if k != "LPFOURIER_PURE_NUMPY"}
-    out = subprocess.run(
-        [sys.executable, "-c", "from lpfourier._kernels import backend_name; print(backend_name())"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "numba"
-
-
-def test_numpy_backend_end_to_end():
-    # a full transform on the fallback path, compared against the closed form
-    env = dict(os.environ, LPFOURIER_PURE_NUMPY="1")
-    code = (
-        "import math; from lpfourier import fourier; "
-        "v = fourier.chi_hat_lp(1.0, (math.pi, 2*math.pi)).value; "
-        "print(abs(v - (-4.0/(3.0*math.pi**3))))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert float(out.stdout.strip()) < 1e-12

@@ -98,6 +98,20 @@ def test_nonfinite_integrand_reports_abscissa():
     assert exc.value.abscissa < 0.5
 
 
+def test_nonfinite_abscissa_with_integrand_overwriting_its_argument():
+    # the integrand may compute into the node array it is handed; the
+    # reported abscissa must still be a node, not an overwritten value
+    def f(x):
+        x -= 0.5
+        np.sqrt(x, out=x)
+        return x
+
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteIntegrandError) as exc:
+            integrate_oscillatory(f, 0.0, 1.0, 4.0)
+    assert 0.0 <= exc.value.abscissa < 0.5
+
+
 def test_invalid_interval_and_hint():
     f = lambda x: np.zeros_like(x)
     with pytest.raises(ValueError):
