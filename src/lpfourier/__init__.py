@@ -36,7 +36,6 @@ from .decay import (
 )
 from .fourier import (
     Frequency,
-    PhasePair,
     TransformResult,
     ball_area,
     bessel_j1_oracle,
@@ -47,7 +46,6 @@ from .fourier import (
     chi_hat_lp,
     chi_hat_lp_polar,
     chi_hat_lp_via_y,
-    psi_pair,
     psi_split_integrals,
     reduce_symmetry,
 )
@@ -67,7 +65,6 @@ from .lpgeom import (
 )
 from .oscquad import (
     NonFiniteIntegrandError,
-    Phase,
     QuadConfig,
     QuadratureBudgetError,
     QuadResult,

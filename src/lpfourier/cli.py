@@ -16,6 +16,8 @@ import json
 import sys
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__, convex_probe, decay, fourier, lpgeom
 from .oscquad import QuadConfig, QuadratureBudgetError
 
@@ -187,8 +189,6 @@ def cmd_conjecture(args):
         spec = json.load(fh)
     body = convex_probe.body_from_spec(spec)
     cfg = _quad_config(args)
-    import numpy as np
-
     r_grid = np.geomspace(args.r_min, args.r_max, args.r_points)
     theta_grid = convex_probe.default_body_theta_grid(args.theta_points)
     report = convex_probe.conjecture_scan(

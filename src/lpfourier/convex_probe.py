@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,6 +39,12 @@ class ConvexBody:
     and the imaginary-part integrals are skipped.  transposed, when
     present, is the same body with the axes swapped; it enables the
     y-slicing route.
+
+    A scan with workers > 1 sends the body to worker processes, so its
+    callables must pickle.  The constructors below use module-level
+    functions, functools.partial objects of them and numpy Polynomials,
+    which do; a body built from lambdas or closures runs with workers=1
+    only.
     """
 
     x0: float
@@ -68,46 +75,79 @@ def validate_body(body, samples=512):
     return body
 
 
-def _symmetric_body(half_width, u, du, ddu, label, transposed=None):
+def _mirror(g, x):
+    return g(-np.asarray(x, dtype=np.float64))
+
+
+def _neg_mirror(g, x):
+    return -g(-np.asarray(x, dtype=np.float64))
+
+
+def _symmetric_body(half_width, graphs, label, transposed=None):
     # centrally symmetric body from one concave graph: lower(x) = -upper(-x)
-    return ConvexBody(
+    u, du, ddu = graphs
+    body = ConvexBody(
         x0=-half_width, x1=half_width,
         upper=u, upper_d1=du, upper_d2=ddu,
-        lower=lambda x: -u(-np.asarray(x, dtype=np.float64)),
-        lower_d1=lambda x: du(-np.asarray(x, dtype=np.float64)),
-        lower_d2=lambda x: -ddu(-np.asarray(x, dtype=np.float64)),
+        lower=partial(_neg_mirror, u),
+        lower_d1=partial(_mirror, du),
+        lower_d2=partial(_neg_mirror, ddu),
         label=label, centrally_symmetric=True, transposed=transposed,
     )
+    return validate_body(body)
 
 
-def ellipse_body(a, b, _with_transpose=True):
+def _ellipse_u(a, b, x):
+    t = np.clip(np.asarray(x, dtype=np.float64) / a, -1.0, 1.0)
+    return b * np.sqrt(np.maximum(0.0, 1.0 - t * t))
+
+
+def _ellipse_du(a, b, x):
+    t = np.asarray(x, dtype=np.float64) / a
+    return -b * t / (a * np.sqrt(1.0 - t * t))
+
+
+def _ellipse_ddu(a, b, x):
+    t = np.asarray(x, dtype=np.float64) / a
+    return -b / (a * a * (1.0 - t * t) ** 1.5)
+
+
+def ellipse_body(a, b):
     """Ellipse with semiaxes (a, b): upper graph b*sqrt(1 - (x/a)^2)."""
     a = float(a)
     b = float(b)
     if not (a > 0.0 and b > 0.0):
         raise ValueError("semiaxes must be positive")
 
-    def u(x):
-        t = np.clip(np.asarray(x, dtype=np.float64) / a, -1.0, 1.0)
-        return b * np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    def build(a, b, transposed=None):
+        graphs = [partial(g, a, b) for g in (_ellipse_u, _ellipse_du, _ellipse_ddu)]
+        return _symmetric_body(a, graphs, f"ellipse({a:g},{b:g})", transposed)
 
-    def du(x):
-        t = np.asarray(x, dtype=np.float64) / a
-        return -b * t / (a * np.sqrt(1.0 - t * t))
-
-    def ddu(x):
-        t = np.asarray(x, dtype=np.float64) / a
-        return -b / (a * a * (1.0 - t * t) ** 1.5)
-
-    transposed = ellipse_body(b, a, _with_transpose=False) if _with_transpose else None
-    return validate_body(_symmetric_body(a, u, du, ddu, f"ellipse({a:g},{b:g})", transposed))
+    return build(a, b, build(b, a))
 
 
 def disk_body():
     return ellipse_body(1.0, 1.0)
 
 
-def superellipse_body(a, b, exponent, _with_transpose=True):
+def _superellipse_u(a, b, q, x):
+    t = np.clip(np.abs(np.asarray(x, dtype=np.float64) / a), 0.0, 1.0)
+    return b * lpgeom.phi(q, t)
+
+
+def _superellipse_du(a, b, q, x):
+    t = np.asarray(x, dtype=np.float64) / a
+    # the closed forms are endpoint-singular; clamp into the open interval
+    tc = np.clip(np.abs(t), 1e-12, 1.0 - 1e-15)
+    return (b / a) * np.sign(t) * lpgeom.phi_d1(q, tc)
+
+
+def _superellipse_ddu(a, b, q, x):
+    t = np.clip(np.abs(np.asarray(x, dtype=np.float64) / a), 1e-12, 1.0 - 1e-15)
+    return (b / (a * a)) * lpgeom.phi_d2(q, t)
+
+
+def superellipse_body(a, b, exponent):
     """|x/a|^q + |y/b|^q <= 1 with 1 < q <= 2: upper graph b*phi_q(|x|/a)."""
     a = float(a)
     b = float(b)
@@ -117,26 +157,13 @@ def superellipse_body(a, b, exponent, _with_transpose=True):
     if not (1.0 < q <= 2.0):
         raise ValueError("exponent must lie in (1, 2]")
 
-    def u(x):
-        t = np.clip(np.abs(np.asarray(x, dtype=np.float64) / a), 0.0, 1.0)
-        return b * lpgeom.phi(q, t)
+    def build(a, b, transposed=None):
+        graphs = [
+            partial(g, a, b, q) for g in (_superellipse_u, _superellipse_du, _superellipse_ddu)
+        ]
+        return _symmetric_body(a, graphs, f"superellipse({a:g},{b:g},q={q:g})", transposed)
 
-    def du(x):
-        t = np.asarray(x, dtype=np.float64) / a
-        # the closed forms are endpoint-singular; clamp into the open interval
-        tc = np.clip(np.abs(t), 1e-12, 1.0 - 1e-15)
-        return (b / a) * np.sign(t) * lpgeom.phi_d1(q, tc)
-
-    def ddu(x):
-        t = np.clip(np.abs(np.asarray(x, dtype=np.float64) / a), 1e-12, 1.0 - 1e-15)
-        return (b / (a * a)) * lpgeom.phi_d2(q, t)
-
-    transposed = (
-        superellipse_body(b, a, q, _with_transpose=False) if _with_transpose else None
-    )
-    return validate_body(
-        _symmetric_body(a, u, du, ddu, f"superellipse({a:g},{b:g},q={q:g})", transposed)
-    )
+    return build(a, b, build(b, a))
 
 
 def lp_ball_body(p):
@@ -159,15 +186,7 @@ def poly_body(coeffs, half_width):
     for xe in (-w, w):
         if abs(poly(xe)) > 1e-9:
             raise ValueError(f"polynomial upper graph must vanish at x = {xe}")
-    return validate_body(
-        _symmetric_body(
-            w,
-            lambda x: poly(np.asarray(x, dtype=np.float64)),
-            lambda x: d1(np.asarray(x, dtype=np.float64)),
-            lambda x: d2(np.asarray(x, dtype=np.float64)),
-            f"poly(deg={poly.degree()},w={w:g})",
-        )
-    )
+    return _symmetric_body(w, (poly, d1, d2), f"poly(deg={poly.degree()},w={w:g})")
 
 
 def body_from_spec(spec):
@@ -336,24 +355,10 @@ def _witness_direction(body, x_min, y_min):
     return theta
 
 
-_ACTIVE_SCAN = {}
-
-
 def _body_scaled_sample(task):
-    r, theta, cfg = task
-    body = _ACTIVE_SCAN["body"]
+    body, r, theta, cfg = task
     res = chi_hat_body(body, fourier.Frequency.from_polar(r, theta), cfg)
     return r**1.5 * abs(res.value)
-
-
-def _map_body_samples(body, tasks, workers):
-    # bodies hold closures, which do not pickle; a fork-inherited module
-    # global carries them into worker processes instead
-    _ACTIVE_SCAN["body"] = body
-    try:
-        return _ordered_map(_body_scaled_sample, tasks, workers)
-    finally:
-        _ACTIVE_SCAN.pop("body", None)
 
 
 def conjecture_scan(body, r_grid=None, theta_grid=None, cfg=None, workers=1, grid_n=2000):
@@ -386,9 +391,9 @@ def conjecture_scan(body, r_grid=None, theta_grid=None, cfg=None, workers=1, gri
     thetas = []
     for r in r_grid:
         for t in theta_grid:
-            tasks.append((float(r), float(t), cfg))
+            tasks.append((body, float(r), float(t), cfg))
             thetas.append(float(t))
-    values = _map_body_samples(body, tasks, workers)
+    values = _ordered_map(_body_scaled_sample, tasks, workers)
     c_est = max(values)
     witness_max = max(v for v, t in zip(values, thetas) if t == theta_w)
     bound = ENVELOPE_UPPER_COEFF / math.sqrt(nu)

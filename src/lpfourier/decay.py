@@ -11,7 +11,6 @@ whose (p-1)^{-1/2} blow-up is the quantity the blow-up fit extracts.
 """
 
 import math
-import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -108,15 +107,15 @@ def _sample_worker(task):
 
 
 def _ordered_map(fn, tasks, workers):
-    """[fn(t) for t in tasks], on a fork pool when workers > 1 and fork exists.
+    """[fn(t) for t in tasks], on a process pool when workers > 1.
 
-    Serial otherwise.  The pool's map keeps task order, so the downstream
-    fold is deterministic.
+    The pool uses the platform's default start method, so fn and the
+    tasks must pickle.  Its map keeps task order, so the downstream fold
+    is deterministic.
     """
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+    if workers > 1:
         chunk = max(1, len(tasks) // (8 * workers))
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks, chunksize=chunk))
     return [fn(t) for t in tasks]
 
@@ -153,7 +152,8 @@ def envelope_scan(p, r_grid=None, theta_grid=None, cfg=None, workers=1):
     Returns (c_est, samples) where c_est is the max of scaled_value over
     all successful samples, folded in deterministic grid order.  Failed
     samples are recorded with method 'budget-error' and excluded from the
-    max; more than 1% of failures aborts the scan.
+    max; more than 1% of failures aborts the scan with
+    QuadratureBudgetError.
     """
     p = as_p(p)
     if not (1.0 < p <= 2.0):
@@ -178,7 +178,9 @@ def envelope_scan(p, r_grid=None, theta_grid=None, cfg=None, workers=1):
     samples = _ordered_map(_sample_worker, tasks, workers)
     failed = sum(1 for s in samples if s.method == "budget-error")
     if failed > _MAX_FAILED_FRACTION * len(samples):
-        raise RuntimeError(f"scan aborted: {failed}/{len(samples)} samples failed")
+        raise QuadratureBudgetError(
+            f"scan aborted: {failed}/{len(samples)} samples failed", float("nan"), float("inf"), 0
+        )
     c_est = 0.0
     for s in samples:
         if s.method != "budget-error" and s.scaled_value > c_est:

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from . import _kernels, lpgeom
+from . import _kernels
 from .lpgeom import as_p
-from .oscquad import Phase, QuadConfig, integrate_oscillatory
+from .oscquad import QuadConfig, integrate_oscillatory
 
 _BRUTEFORCE_MAX_FREQ = 50.0
 
@@ -89,33 +89,6 @@ class TransformResult:
     value: float
     err_estimate: float
     method: str  # reduction-x | reduction-y | closed-l1 | zero-frequency
-
-
-@dataclass(frozen=True)
-class PhasePair:
-    """The split-form phases psi, psi~ for one (p, theta)."""
-
-    psi: Phase
-    psi_tilde: Phase
-    p: float
-    theta: float
-
-
-def psi_pair(p, theta):
-    """Phases of the polar split, with derivatives wired to the closed forms."""
-    p = as_p(p)
-    theta = float(theta)
-    ct, st = math.cos(theta), math.sin(theta)
-
-    def make(sign, name):
-        return Phase(
-            eval=lambda x: sign * ct * np.asarray(x) + st * lpgeom.phi(p, x),
-            d1=lambda x: sign * ct + st * lpgeom.phi_d1(p, x),
-            d2=lambda x: st * lpgeom.phi_d2(p, x),
-            label=f"{name}(p={p:g}, theta={theta:.12g})",
-        )
-
-    return PhasePair(psi=make(1.0, "psi"), psi_tilde=make(-1.0, "psi~"), p=p, theta=theta)
 
 
 def lp_initial_breaks(p, alpha, beta, cfg):

@@ -25,20 +25,6 @@ _STAGNANT_ROUNDS = 3
 
 
 @dataclass(frozen=True)
-class Phase:
-    """A smooth phase psi with its first two derivatives.
-
-    The callables must be finite on the open interval handed to any
-    operation; endpoint singularities are the caller's business.
-    """
-
-    eval: Callable[[np.ndarray], np.ndarray]
-    d1: Callable[[np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
-
-
-@dataclass(frozen=True)
 class QuadConfig:
     """Tolerances and budgets for one oscillatory integration."""
 

@@ -6,13 +6,14 @@ deterministic measurement.
 """
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import convex_probe, decay, fourier, lpgeom
-from .oscquad import integrate_oscillatory
+from .oscquad import fresnel_symmetric, integrate_oscillatory, vdc_bound_first, vdc_bound_second
 
 SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 DISK_ENVELOPE = math.sqrt(2.0 / math.pi)
@@ -105,15 +106,11 @@ def criterion_geometry(workers=1):
     )
 
 
-def _poly_int(coeffs_poly):
-    return coeffs_poly.integ()
-
-
 def random_monotone_phase(rng):
     """psi with psi' = lam*(1 + q(x)^2) >= lam, q a random cubic; exact polys."""
     lam = 10.0 ** rng.uniform(-1.0, 0.7)
     q = np.polynomial.Polynomial(rng.uniform(-3.0, 3.0, size=4))
-    psi = (_poly_int((q**2)) + np.polynomial.Polynomial([0.0, 1.0])) * lam
+    psi = ((q**2).integ() + np.polynomial.Polynomial([0.0, 1.0])) * lam
     return psi, lam
 
 
@@ -122,10 +119,10 @@ def random_convex_phase(rng):
     lam = 10.0 ** rng.uniform(-1.0, 0.7)
     s = np.polynomial.Polynomial(rng.uniform(-2.0, 2.0, size=4))
     d2 = (s**2 + 1.0) * lam
-    d1 = _poly_int(d2)
+    d1 = d2.integ()
     x0 = rng.uniform(0.2, 0.8)
     d1 = d1 - d1(x0)  # stationary point at x0
-    return _poly_int(d1), lam
+    return d1.integ(), lam
 
 
 def _osc_integral_of_poly_phase(psi, r, a, b):
@@ -148,7 +145,7 @@ def criterion_van_der_corput(workers=1):
         a = rng.uniform(0.0, 0.3)
         b = rng.uniform(0.7, 1.0)
         res = _osc_integral_of_poly_phase(psi, r, a, b)
-        bound = 2.0 / (r * lam)
+        bound = vdc_bound_first(r, lam)
         if abs(res.value) > bound + res.err_estimate + 1e-12:
             violations += 1
         worst_ratio = max(worst_ratio, abs(res.value) / bound)
@@ -157,7 +154,7 @@ def criterion_van_der_corput(workers=1):
         psi, lam = random_convex_phase(rng)
         r = 10.0 ** rng.uniform(0.0, 4.0)
         res = _osc_integral_of_poly_phase(psi, r, 0.0, 1.0)
-        bound = 6.0 / math.sqrt(r * lam)
+        bound = vdc_bound_second(r, lam)
         if abs(res.value) > bound + res.err_estimate + 1e-12:
             violations += 1
         worst_ratio2 = max(worst_ratio2, abs(res.value) / bound)
@@ -173,8 +170,6 @@ def criterion_van_der_corput(workers=1):
 def criterion_stationary_fresnel(workers=1):
     """Fresnel remainder <= 2/m on [10, 100]; quadratic-phase ratio in [0.95, 1.05]."""
     t0 = time.time()
-    from .oscquad import fresnel_symmetric
-
     worst_c = 0.0
     ok = True
     for m in np.linspace(10.0, 100.0, 46):
@@ -362,8 +357,6 @@ def run_criterion(cid, workers=1):
 
 
 def run_suite(suite="all", workers=1, stream=None):
-    import sys
-
     stream = stream or sys.stdout
     results = []
     for cid in SUITES[suite]:

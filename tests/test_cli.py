@@ -122,6 +122,16 @@ def test_sequence_budget_failure_exit_code(capsys):
     assert "nan" not in captured.out
 
 
+def test_envelope_budget_failure_exit_code(capsys):
+    # a scan that loses more than 1% of its samples to the budget exits with code 3
+    code = run_cli(
+        ["envelope", "--p", "1.5", "--r-min", "5", "--r-max", "6", "--per-decade", "2",
+         "--theta-points", "2", "--out", "-", "--abs-tol", "1e-300", "--rel-tol", "1e-300"]
+    )
+    assert code == 3
+    assert "budget" in capsys.readouterr().err
+
+
 def test_sequence_usage_errors(tmp_path):
     out = str(tmp_path / "seq.csv")
     assert run_cli(["sequence", "--p", "2.0", "--n-min", "1", "--n-max", "3", "--out", out]) == 2

@@ -1,10 +1,13 @@
 import dataclasses
 import math
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
 
-from lpfourier import fourier, lpgeom
+from lpfourier import convex_probe, fourier, lpgeom
 from lpfourier.convex_probe import (
     ConvexBody,
     body_curvature_min,
@@ -18,6 +21,7 @@ from lpfourier.convex_probe import (
     poly_body,
     superellipse_body,
 )
+from lpfourier.oscquad import QuadConfig
 
 
 def _disk_chi(r):
@@ -86,6 +90,35 @@ def test_body_from_spec_kinds():
     assert poly.x1 == 1.0
     with pytest.raises(ValueError):
         body_from_spec({"kind": "blob", "params": {}})
+
+
+SPECS = (
+    {"kind": "lp", "params": {"p": 1.5}},
+    {"kind": "ellipse", "params": {"a": 2.0, "b": 1.0}},
+    {"kind": "superellipse", "params": {"a": 1.5, "b": 1.0, "exponent": 1.4}},
+    {
+        "kind": "custom-poly-coeffs",
+        "params": {"coeffs": [1.0, 0.0, -0.5, 0.0, -0.5], "half_width": 1.0},
+    },
+)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=[s["kind"] for s in SPECS])
+def test_body_pickle_roundtrip_bit_identical(spec):
+    body = body_from_spec(spec)
+    copy = pickle.loads(pickle.dumps(body))
+    pairs = [(body, copy)]
+    if body.transposed is not None:
+        assert copy.transposed is not None
+        pairs.append((body.transposed, copy.transposed))
+    methods = set()
+    for orig, back in pairs:
+        for omega in ((10.0, 0.0), (0.0, 10.0), (3.0, 4.0), (-7.0, 2.5)):
+            a, b = chi_hat_body(orig, omega), chi_hat_body(back, omega)
+            assert (a.value, a.err_estimate, a.method) == (b.value, b.err_estimate, b.method)
+            methods.add(a.method)
+    # bodies with a transpose exercise both slicing routes
+    assert methods == ({"reduction-x", "reduction-y"} if len(pairs) == 2 else {"reduction-x"})
 
 
 def test_disk_transform_matches_bessel_route():
@@ -188,7 +221,19 @@ def test_conjecture_scan_rejects_flat_bodies():
 def test_conjecture_scan_worker_determinism():
     r_grid = np.geomspace(5.0, 30.0, 8)
     th_grid = np.linspace(0.0, math.pi / 2, 5)
-    rep1 = conjecture_scan(disk_body(), r_grid, th_grid, workers=1)
-    rep2 = conjecture_scan(disk_body(), r_grid, th_grid, workers=2)
-    assert rep1.c_est == rep2.c_est
-    assert rep1.witness_max == rep2.witness_max
+    bodies = (disk_body(), superellipse_body(1.5, 1.0, 1.4), poly_body([1.0, 0.0, -1.0], 1.0))
+    for body in bodies:
+        rep1 = conjecture_scan(body, r_grid, th_grid, workers=1)
+        rep2 = conjecture_scan(body, r_grid, th_grid, workers=2)
+        assert rep1 == rep2
+
+
+def test_conjecture_tasks_run_under_spawn():
+    # scan tasks carry their body, so workers need no state inherited by fork
+    body = poly_body([1.0, 0.0, -0.5, 0.0, -0.5], 1.0)
+    cfg = QuadConfig()
+    tasks = [(body, r, t, cfg) for r in (5.0, 11.0, 23.0) for t in (0.0, 0.7, math.pi / 2)]
+    serial = [convex_probe._body_scaled_sample(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=2, mp_context=get_context("spawn")) as pool:
+        pooled = list(pool.map(convex_probe._body_scaled_sample, tasks, chunksize=3))
+    assert pooled == serial

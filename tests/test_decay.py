@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lpfourier import decay, fourier, lpgeom
-from lpfourier.oscquad import QuadConfig
+from lpfourier.oscquad import QuadConfig, QuadratureBudgetError
 
 V_15 = 0.67561732204588437
 BASE_PHASE_15 = 0.9114406848947249
@@ -177,7 +177,7 @@ def test_envelope_scan_aborts_on_mass_failure():
     cfg = QuadConfig(max_panels=2)
     r_grid = np.geomspace(500.0, 2000.0, 4)
     th = np.linspace(math.pi / 4, math.pi / 2, 3)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(QuadratureBudgetError):
         decay.envelope_scan(1.5, r_grid, th, cfg)
 
 

@@ -129,25 +129,6 @@ def test_chi_hat_l1_sharpness_pair():
     assert abs(val) >= 1.0 / (math.pi * math.hypot(alpha, beta))
 
 
-def test_psi_pair_at_right_angle():
-    pair = fourier.psi_pair(1.5, math.pi / 2)
-    xs = np.linspace(0.05, 0.95, 9)
-    assert np.allclose(pair.psi.eval(xs), lpgeom.phi(1.5, xs), atol=1e-15)
-    assert np.allclose(pair.psi_tilde.eval(xs), lpgeom.phi(1.5, xs), atol=1e-15)
-
-
-def test_psi_pair_stationary_and_monotone():
-    p = 1.5
-    prof = lpgeom.geom_profile(p)
-    pair = fourier.psi_pair(p, prof.theta_star)
-    assert abs(pair.psi.d1(prof.x_star)) <= 1e-10
-    xs = np.linspace(1e-4, 1 - 1e-4, 500)
-    assert np.all(pair.psi_tilde.d1(xs) <= -math.cos(prof.theta_star) + 1e-12)
-    # eval consistency with the defining formula
-    ct, st = math.cos(prof.theta_star), math.sin(prof.theta_star)
-    assert np.allclose(pair.psi.eval(xs), ct * xs + st * lpgeom.phi(p, xs), atol=1e-15)
-
-
 def test_chi_hat_rejects_bad_p():
     with pytest.raises(ValueError):
         fourier.chi_hat_lp(0.9, (1.0, 2.0))

@@ -194,6 +194,9 @@ def test_geom_profile():
     assert prof.theta_star == pytest.approx(
         float(np.arctan(-1.0 / np.float64(prof.phi1_at_xstar))), abs=1e-14
     )
+    # the polar phase cos(t) x + sin(t) phi(x) is stationary at x* in direction theta*
+    ct, st = math.cos(prof.theta_star), math.sin(prof.theta_star)
+    assert abs(ct + st * lpgeom.phi_d1(1.5, prof.x_star)) <= 1e-10
     prof2 = lpgeom.geom_profile(2.0)
     assert prof2.degenerate
     assert prof2.x_star == 0.0
