@@ -242,6 +242,11 @@ def _add_tol_args(sp):
     sp.add_argument("--rel-tol", type=float, default=1e-9)
 
 
+def _add_workers_arg(sp):
+    # default None: LPFOURIER_WORKERS is read in main, where a bad value exits 2
+    sp.add_argument("--workers", type=decay.positive_int, default=None)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lpfourier",
@@ -266,7 +271,7 @@ def build_parser():
     sp.add_argument("--out", required=True, help="CSV path ('-' for stdout)")
     sp.add_argument("--summary", default=None, help="summary JSON path (default stdout)")
     sp.add_argument("--no-timestamp", action="store_true")
-    sp.add_argument("--workers", type=int, default=decay.default_workers())
+    _add_workers_arg(sp)
     _add_tol_args(sp)
     sp.set_defaults(func=cmd_envelope)
 
@@ -296,13 +301,13 @@ def build_parser():
     sp.add_argument("--curvature-grid", type=int, default=2000)
     sp.add_argument("--out", default=None)
     sp.add_argument("--no-timestamp", action="store_true")
-    sp.add_argument("--workers", type=int, default=decay.default_workers())
+    _add_workers_arg(sp)
     _add_tol_args(sp)
     sp.set_defaults(func=cmd_conjecture)
 
     sp = sub.add_parser("verify", help="run a named acceptance suite")
     sp.add_argument("suite", nargs="?", default="all")
-    sp.add_argument("--workers", type=int, default=decay.default_workers())
+    _add_workers_arg(sp)
     sp.set_defaults(func=cmd_verify)
 
     return parser
@@ -312,6 +317,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "workers", 1) is None:
+            args.workers = decay.default_workers()
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -58,6 +58,9 @@ class ConvexBody:
     label: str = ""
     centrally_symmetric: bool = False
     transposed: Optional["ConvexBody"] = field(default=None, repr=False)
+    # _slope_scale by endpoint inset, filled on first use; it travels with
+    # the body, so a pool chunk computes it once
+    _slope_scales: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def validate_body(body, samples=512):
@@ -249,13 +252,16 @@ def body_curvature_min(body, grid_n=2000):
 def _slope_scale(body, cfg):
     # seed panels from the bulk slope, not the endpoint blow-up: the edge
     # boundary layers carry little mass and adaptive bisection resolves them
-    margin = (body.x1 - body.x0) * cfg.endpoint_inset
-    xs = np.linspace(body.x0 + margin, body.x1 - margin, 513)
-    s = max(
-        float(np.percentile(np.abs(body.upper_d1(xs)), 90)),
-        float(np.percentile(np.abs(body.lower_d1(xs)), 90)),
-    )
-    return min(max(s, 1.0), _SLOPE_CAP)
+    scale = body._slope_scales.get(cfg.endpoint_inset)
+    if scale is None:
+        margin = (body.x1 - body.x0) * cfg.endpoint_inset
+        xs = np.linspace(body.x0 + margin, body.x1 - margin, 513)
+        s = max(
+            float(np.percentile(np.abs(body.upper_d1(xs)), 90)),
+            float(np.percentile(np.abs(body.lower_d1(xs)), 90)),
+        )
+        scale = body._slope_scales[cfg.endpoint_inset] = min(max(s, 1.0), _SLOPE_CAP)
+    return scale
 
 
 def chi_hat_body_parts(body, omega, cfg=None):

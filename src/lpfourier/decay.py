@@ -111,8 +111,10 @@ def _ordered_map(fn, tasks, workers):
 
     The pool uses the platform's default start method, so fn and the
     tasks must pickle.  Its map keeps task order, so the downstream fold
-    is deterministic.
+    is deterministic.  Raises ValueError when workers < 1.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     if workers > 1:
         chunk = max(1, len(tasks) // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -271,9 +273,22 @@ def fit_asymptote_reference(p_grid):
     return fit_power_law([p - 1.0 for p in p_grid], [v_of_p(p) for p in p_grid])
 
 
+def positive_int(text):
+    """int(text), which must be at least 1; ValueError otherwise."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def default_workers():
-    """Worker count from LPFOURIER_WORKERS, defaulting to 1."""
+    """Worker count from LPFOURIER_WORKERS, defaulting to 1.
+
+    Raises ValueError naming the variable when it is set to anything but
+    a positive integer.
+    """
+    text = os.environ.get("LPFOURIER_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("LPFOURIER_WORKERS", "1")))
+        return positive_int(text)
     except ValueError:
-        return 1
+        raise ValueError(f"LPFOURIER_WORKERS must be a positive integer, got {text!r}") from None

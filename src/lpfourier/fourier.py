@@ -30,7 +30,7 @@ from numpy.polynomial.legendre import leggauss
 
 from . import _kernels
 from .lpgeom import as_p
-from .oscquad import QuadConfig, integrate_oscillatory
+from .oscquad import QuadConfig, integrate_oscillatory, seed_panel_count
 
 _BRUTEFORCE_MAX_FREQ = 50.0
 
@@ -94,18 +94,18 @@ class TransformResult:
 def lp_initial_breaks(p, alpha, beta, cfg):
     """Panel boundaries for int_0^1 cos(alpha x) sin(beta phi_p(x)) dx.
 
-    Uniform panels sized for the interior phase rate alpha + beta, then
-    geometric refinement toward x = 1, first until the remaining phase
-    variation beta*phi(a) + alpha*(1-a) over the last panel drops below
-    pi/2, then further until the crude tail bound beta*phi(a)*(1-a) is
-    negligible against abs_tol.  The second stage keeps the Hoelder
-    endpoint behaviour of phi out of the error estimator's blind spot:
-    the whole tail panel contributes less than the tolerance outright.
+    Uniform panels sized by ``seed_panel_count`` for the interior phase
+    rate alpha + beta, then geometric refinement toward x = 1, first
+    until the remaining phase variation beta*phi(a) + alpha*(1-a) over
+    the last panel drops below pi/2, then further until the crude tail
+    bound beta*phi(a)*(1-a) is negligible against abs_tol.  The second
+    stage keeps the Hoelder endpoint behaviour of phi out of the error
+    estimator's blind spot: the whole tail panel contributes less than
+    the tolerance outright.
     """
     p = as_p(p)
     rate = abs(alpha) + abs(beta)
-    n0 = max(1, min(int(math.ceil(rate * cfg.panels_per_wavelength / (2.0 * math.pi))), 2**18))
-    breaks = np.linspace(0.0, 1.0, n0 + 1)
+    breaks = np.linspace(0.0, 1.0, seed_panel_count(rate, cfg) + 1)
     # candidate tail points a_0 = breaks[-2], a <- (a + 1)/2 until 1 - a <= 1e-13;
     # 1 - a halves from below 1, so that takes at most 44 steps
     tail = [breaks[-2]]

@@ -198,3 +198,24 @@ def test_verify_quick_suite(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") >= 4
     assert "FAIL" not in out
+
+
+def test_workers_flag_must_be_positive(tmp_path, capsys):
+    for bad in ("0", "-2", "abc"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["envelope", "--p", "1.5", "--out", str(tmp_path / "e.csv"), "--workers", bad])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+
+def test_bad_workers_env_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LPFOURIER_WORKERS", "abc")
+    args = [
+        "envelope", "--p", "1.5", "--r-min", "5", "--r-max", "6", "--per-decade", "2",
+        "--theta-points", "2", "--out", str(tmp_path / "e.csv"), "--no-timestamp",
+    ]
+    assert run_cli(args) == 2
+    assert "LPFOURIER_WORKERS" in capsys.readouterr().err
+    assert not (tmp_path / "e.csv").exists()
+    # an explicit flag overrides the variable
+    assert run_cli(args + ["--workers", "1", "--summary", str(tmp_path / "s.json")]) == 0

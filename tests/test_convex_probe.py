@@ -237,3 +237,22 @@ def test_conjecture_tasks_run_under_spawn():
     with ProcessPoolExecutor(max_workers=2, mp_context=get_context("spawn")) as pool:
         pooled = list(pool.map(convex_probe._body_scaled_sample, tasks, chunksize=3))
     assert pooled == serial
+
+
+def test_slope_sample_once_per_orientation():
+    # _slope_scale's 513-point slope sample is a per-body constant
+    calls = {"body": 0, "transposed": 0}
+
+    def counted(g, key):
+        def wrapped(x):
+            calls[key] += np.size(x) == 513
+            return g(x)
+
+        return wrapped
+
+    body = ellipse_body(2.0, 1.0)
+    tr = body.transposed
+    tr = dataclasses.replace(tr, upper_d1=counted(tr.upper_d1, "transposed"))
+    body = dataclasses.replace(body, upper_d1=counted(body.upper_d1, "body"), transposed=tr)
+    conjecture_scan(body, np.geomspace(5.0, 40.0, 4), np.linspace(0.0, math.pi / 2, 5))
+    assert calls == {"body": 1, "transposed": 1}

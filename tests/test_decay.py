@@ -205,3 +205,22 @@ def test_witness_r_values_offsets():
         # quarter-period offset companion maximises the stationary term
         assert np.any(np.abs(rs - (r + math.pi / (4 * spec.base_phase))) < 1e-12)
     assert decay.witness_r_values(2.0, 5.0, 100.0).size == 0
+
+
+def test_default_workers_rejects_bad_values(monkeypatch):
+    monkeypatch.delenv("LPFOURIER_WORKERS", raising=False)
+    assert decay.default_workers() == 1
+    monkeypatch.setenv("LPFOURIER_WORKERS", "3")
+    assert decay.default_workers() == 3
+    for text in ("abc", "-3", "0", "1.5", ""):
+        monkeypatch.setenv("LPFOURIER_WORKERS", text)
+        with pytest.raises(ValueError, match="LPFOURIER_WORKERS"):
+            decay.default_workers()
+
+
+def test_scans_reject_nonpositive_workers():
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match="workers"):
+            decay._ordered_map(abs, [1.0], workers)
+        with pytest.raises(ValueError, match="workers"):
+            decay.envelope_scan(1.5, [5.0], [1.0], workers=workers)
