@@ -24,7 +24,7 @@ References:
 Every reference is computed at the exact double frequency the package
 receives.  Requires mpmath (the dev extra).
 
-Usage: python tools/calibrate.py [--seed N]
+Usage: python tools/calibrate.py
 prints one JSON list of {point, actual, estimate, ratio, ...} records and
 exits 1 when any estimate falls below its actual error.
 """
@@ -75,9 +75,9 @@ def _spec_label(spec):
     return f"{kind}-{where}" if p is None else f"{kind}-p{p:g}-{where}"
 
 
-def calibration_points(seed=SEED):
+def calibration_points():
     """[(label, kind, p, r, theta)] for every spec, drawn from one seeded stream."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     points = []
     for spec in _SPECS:
         kind, p, r_lo, r_hi, angle = spec
@@ -212,11 +212,9 @@ def calibrate_point(label, kind, p, r, theta):
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=SEED)
-    args = ap.parse_args(argv)
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     records = []
-    for point in calibration_points(args.seed):
+    for point in calibration_points():
         records.extend(calibrate_point(*point))
     json.dump(records, sys.stdout, indent=1)
     sys.stdout.write("\n")
