@@ -2,10 +2,11 @@
 
 Subcommands: transform, envelope, sequence, fit, conjecture, verify.
 Output files start with a '#'-prefixed header block embedding the tool
-version and the run configuration (worker count and output paths are
-execution details, not configuration: identical configs must produce
-byte-identical files regardless of them).  Floats are serialised with
-the shortest round-trip representation.
+version and the run configuration: the parsed arguments minus the
+execution details in _EXECUTION_KEYS (output paths, the timestamp switch
+and the worker count).  Identical configs must produce byte-identical
+files regardless of those.  Floats are serialised with the shortest
+round-trip representation.
 
 Exit codes: 0 success, 1 assertion/bound failure, 2 usage error,
 3 quadrature budget failure, 4 conjecture counterexample candidate.
@@ -34,32 +35,39 @@ def _fmt(v):
     return str(v)
 
 
-def _header_lines(config, timestamp):
-    lines = [f"# lpfourier {__version__}", f"# config: {json.dumps(config, sort_keys=True)}"]
-    if timestamp:
-        lines.append(f"# timestamp: {datetime.now(timezone.utc).isoformat()}")
-    return lines
+_EXECUTION_KEYS = ("func", "out", "summary", "no_timestamp", "workers")
 
 
-def _write_table(path, config, columns, rows, timestamp):
-    out = _header_lines(config, timestamp)
-    out.append(",".join(columns))
-    out.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(out) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+def _config(args):
+    return {k: v for k, v in vars(args).items() if k not in _EXECUTION_KEYS}
 
 
-def _write_json(path, payload):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _timestamp():
+    return datetime.now(timezone.utc).isoformat()
+
+
+def _emit(path, text):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(text)
+
+
+def _write_table(path, args, columns, rows):
+    out = [f"# lpfourier {__version__}", f"# config: {json.dumps(_config(args), sort_keys=True)}"]
+    if not args.no_timestamp:
+        out.append(f"# timestamp: {_timestamp()}")
+    out.append(",".join(columns))
+    out.extend(",".join(_fmt(v) for v in row) for row in rows)
+    _emit(path, "\n".join(out) + "\n")
+
+
+def _write_json(path, args, payload):
+    payload = dict(payload, tool_version=__version__, config=_config(args))
+    if not args.no_timestamp:
+        payload["timestamp"] = _timestamp()
+    _emit(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _quad_config(args):
@@ -73,36 +81,16 @@ def cmd_transform(args):
     return EXIT_OK
 
 
-def _envelope_config(args):
-    return {
-        "command": "envelope",
-        "p": args.p,
-        "r_min": args.r_min,
-        "r_max": args.r_max,
-        "per_decade": args.per_decade,
-        "theta_points": args.theta_points,
-        "abs_tol": args.abs_tol,
-        "rel_tol": args.rel_tol,
-    }
-
-
 def cmd_envelope(args):
-    if not (1.0 < args.p <= 2.0):
-        raise UsageError("envelope scans need p in (1, 2]")
-    if not (decay.R_MIN_ALLOWED <= args.r_min < args.r_max):
-        raise UsageError(f"need {decay.R_MIN_ALLOWED} <= r_min < r_max")
     cfg = _quad_config(args)
     r_grid = decay.default_r_grid(args.r_min, args.r_max, args.per_decade)
     theta_grid = decay.default_theta_grid(args.p, args.theta_points)
     c_est, samples = decay.envelope_scan(args.p, r_grid, theta_grid, cfg, workers=args.workers)
-    config = _envelope_config(args)
     rows = [
         (s.p, s.r, s.theta, s.scaled_value, s.err_estimate, s.method) for s in samples
     ]
     _write_table(
-        args.out, config,
-        ("p", "r", "theta", "scaled_value", "err_estimate", "method"),
-        rows, timestamp=not args.no_timestamp,
+        args.out, args, ("p", "r", "theta", "scaled_value", "err_estimate", "method"), rows
     )
     check = decay.upper_bound_check(args.p, c_est)
     best = max(
@@ -110,8 +98,6 @@ def cmd_envelope(args):
         key=lambda s: s.scaled_value,
     )
     summary = {
-        "tool_version": __version__,
-        "config": config,
         "c_est": c_est,
         "upper_bound": check.bound,
         "upper_ok": check.passed,
@@ -125,17 +111,11 @@ def cmd_envelope(args):
     if args.p < 2.0:
         summary["v_of_p"] = decay.v_of_p(args.p)
         summary["theta_star"] = lpgeom.theta_star(args.p)
-    if not args.no_timestamp:
-        summary["timestamp"] = datetime.now(timezone.utc).isoformat()
-    _write_json(args.summary, summary)
+    _write_json(args.summary, args, summary)
     return EXIT_OK if check.passed else EXIT_FAILURE
 
 
 def cmd_sequence(args):
-    if not (1.0 < args.p < 2.0):
-        raise UsageError("the witness sequence needs 1 < p < 2")
-    if not (1 <= args.n_min <= args.n_max):
-        raise UsageError("need 1 <= n_min <= n_max")
     cfg = _quad_config(args)
     spec = decay.stationary_sequence(args.p, args.n_min, args.n_max)
     v_ref = decay.v_of_p(args.p)
@@ -143,51 +123,23 @@ def cmd_sequence(args):
         (n, s.r, s.scaled_value, v_ref, s.err_estimate)
         for n, s in decay.sequence_values(args.p, spec, cfg)
     ]
-    config = {
-        "command": "sequence",
-        "p": args.p,
-        "n_min": args.n_min,
-        "n_max": args.n_max,
-        "abs_tol": args.abs_tol,
-        "rel_tol": args.rel_tol,
-    }
-    _write_table(
-        args.out, config,
-        ("n", "r_n", "scaled_value", "v_of_p", "err_estimate"),
-        rows, timestamp=not args.no_timestamp,
-    )
+    _write_table(args.out, args, ("n", "r_n", "scaled_value", "v_of_p", "err_estimate"), rows)
     return EXIT_OK
 
 
 def cmd_fit(args):
-    p_grid = [float(tok) for tok in args.p_list.split(",") if tok.strip()]
-    if len(p_grid) < 4:
-        raise UsageError("need at least 4 comma-separated exponents")
-    cfg = _quad_config(args)
-    fit = decay.blowup_fit(p_grid, args.n_ref, cfg)
+    fit = decay.blowup_fit(args.p_list, args.n_ref, _quad_config(args))
     payload = {
-        "tool_version": __version__,
-        "config": {
-            "command": "fit",
-            "p_list": p_grid,
-            "n_ref": args.n_ref,
-            "abs_tol": args.abs_tol,
-            "rel_tol": args.rel_tol,
-        },
         "slope": fit.slope,
         "intercept": fit.intercept,
         "max_abs_residual": fit.max_abs_residual,
     }
-    if not args.no_timestamp:
-        payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    _write_json(args.out, payload)
+    _write_json(args.out, args, payload)
     return EXIT_OK
 
 
 def cmd_conjecture(args):
-    with open(args.body_file, encoding="utf-8") as fh:
-        spec = json.load(fh)
-    body = convex_probe.body_from_spec(spec)
+    body = convex_probe.body_from_spec(args.body)
     cfg = _quad_config(args)
     r_grid = np.geomspace(args.r_min, args.r_max, args.r_points)
     theta_grid = convex_probe.default_body_theta_grid(args.theta_points)
@@ -195,18 +147,6 @@ def cmd_conjecture(args):
         body, r_grid, theta_grid, cfg, workers=args.workers, grid_n=args.curvature_grid
     )
     payload = {
-        "tool_version": __version__,
-        "config": {
-            "command": "conjecture",
-            "body": spec,
-            "r_min": args.r_min,
-            "r_max": args.r_max,
-            "r_points": args.r_points,
-            "theta_points": args.theta_points,
-            "curvature_grid": args.curvature_grid,
-            "abs_tol": args.abs_tol,
-            "rel_tol": args.rel_tol,
-        },
         "label": report.label,
         "nu": report.nu,
         "c_est": report.c_est,
@@ -215,26 +155,29 @@ def cmd_conjecture(args):
         "witness_max": report.witness_max,
         "notes": report.notes,
     }
-    if not args.no_timestamp:
-        payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    _write_json(args.out, payload)
+    _write_json(args.out, args, payload)
     return EXIT_OK if report.upper_ok else EXIT_COUNTEREXAMPLE
 
 
 def cmd_verify(args):
     from . import verify
 
-    try:
-        results = verify.run_suite(args.suite, workers=args.workers)
-    except KeyError:
-        raise UsageError(
-            f"unknown suite {args.suite!r}; choose from {', '.join(sorted(verify.SUITES))}"
-        )
+    results = verify.run_suite(args.suite, workers=args.workers)
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAILURE
 
 
-class UsageError(Exception):
-    pass
+def _float_list(text):
+    """Comma-separated floats, e.g. '1.05,1.1,1.2'."""
+    return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _json_file(path):
+    """The JSON document stored at path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_tol_args(sp):
@@ -266,8 +209,8 @@ def build_parser():
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--r-min", type=float, default=5.0)
     sp.add_argument("--r-max", type=float, default=2000.0)
-    sp.add_argument("--per-decade", type=int, default=60)
-    sp.add_argument("--theta-points", type=int, default=48)
+    sp.add_argument("--per-decade", type=decay.positive_int, default=60)
+    sp.add_argument("--theta-points", type=decay.positive_int, default=48)
     sp.add_argument("--out", required=True, help="CSV path ('-' for stdout)")
     sp.add_argument("--summary", default=None, help="summary JSON path (default stdout)")
     sp.add_argument("--no-timestamp", action="store_true")
@@ -285,7 +228,9 @@ def build_parser():
     sp.set_defaults(func=cmd_sequence)
 
     sp = sub.add_parser("fit", help="blow-up exponent fit over a p grid")
-    sp.add_argument("--p-list", required=True, help="comma-separated exponents in (1, 1.5]")
+    sp.add_argument(
+        "--p-list", type=_float_list, required=True, help="comma-separated exponents in (1, 1.5]"
+    )
     sp.add_argument("--n-ref", type=int, default=200)
     sp.add_argument("--out", default=None)
     sp.add_argument("--no-timestamp", action="store_true")
@@ -293,11 +238,11 @@ def build_parser():
     sp.set_defaults(func=cmd_fit)
 
     sp = sub.add_parser("conjecture", help="curvature-bound probe for a body JSON")
-    sp.add_argument("--body-file", required=True)
+    sp.add_argument("--body-file", dest="body", type=_json_file, required=True)
     sp.add_argument("--r-min", type=float, default=5.0)
     sp.add_argument("--r-max", type=float, default=500.0)
-    sp.add_argument("--r-points", type=int, default=81)
-    sp.add_argument("--theta-points", type=int, default=48)
+    sp.add_argument("--r-points", type=decay.positive_int, default=81)
+    sp.add_argument("--theta-points", type=decay.positive_int, default=48)
     sp.add_argument("--curvature-grid", type=int, default=2000)
     sp.add_argument("--out", default=None)
     sp.add_argument("--no-timestamp", action="store_true")
@@ -320,9 +265,6 @@ def main(argv=None):
         if getattr(args, "workers", 1) is None:
             args.workers = decay.default_workers()
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except QuadratureBudgetError as exc:
         print(f"quadrature budget failure: {exc}", file=sys.stderr)
         return EXIT_BUDGET

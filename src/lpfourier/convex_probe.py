@@ -14,7 +14,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,6 +27,8 @@ from .oscquad import QuadConfig, integrate_oscillatory
 # phases built from body graphs inherit the slope blow-up at the endpoints;
 # steeper rates are left to adaptive bisection
 _SLOPE_CAP = 1e3
+# the slope sample stays this fraction of the width away from each endpoint
+_ENDPOINT_INSET = 1e-6
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,10 @@ class ConvexBody:
     functions, functools.partial objects of them and numpy Polynomials,
     which do; a body built from lambdas or closures runs with workers=1
     only.
+
+    _slope_scale, the bulk graph slope that sizes the seed partition, is
+    computed on first use and cached on the instance; the cached value
+    travels with a pickled body, so a pool chunk computes it at most once.
     """
 
     x0: float
@@ -58,9 +64,18 @@ class ConvexBody:
     label: str = ""
     centrally_symmetric: bool = False
     transposed: Optional["ConvexBody"] = field(default=None, repr=False)
-    # _slope_scale by endpoint inset, filled on first use; it travels with
-    # the body, so a pool chunk computes it once
-    _slope_scales: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def _slope_scale(self):
+        # seed panels from the bulk slope, not the endpoint blow-up: the edge
+        # boundary layers carry little mass and adaptive bisection resolves them
+        margin = (self.x1 - self.x0) * _ENDPOINT_INSET
+        xs = np.linspace(self.x0 + margin, self.x1 - margin, 513)
+        s = max(
+            float(np.percentile(np.abs(self.upper_d1(xs)), 90)),
+            float(np.percentile(np.abs(self.lower_d1(xs)), 90)),
+        )
+        return min(max(s, 1.0), _SLOPE_CAP)
 
 
 def validate_body(body, samples=512):
@@ -249,21 +264,6 @@ def body_curvature_min(body, grid_n=2000):
     return nu, (x, y)
 
 
-def _slope_scale(body, cfg):
-    # seed panels from the bulk slope, not the endpoint blow-up: the edge
-    # boundary layers carry little mass and adaptive bisection resolves them
-    scale = body._slope_scales.get(cfg.endpoint_inset)
-    if scale is None:
-        margin = (body.x1 - body.x0) * cfg.endpoint_inset
-        xs = np.linspace(body.x0 + margin, body.x1 - margin, 513)
-        s = max(
-            float(np.percentile(np.abs(body.upper_d1(xs)), 90)),
-            float(np.percentile(np.abs(body.lower_d1(xs)), 90)),
-        )
-        scale = body._slope_scales[cfg.endpoint_inset] = min(max(s, 1.0), _SLOPE_CAP)
-    return scale
-
-
 def chi_hat_body_parts(body, omega, cfg=None):
     """(real, imaginary, err) of the transform by vertical slicing.
 
@@ -282,7 +282,7 @@ def chi_hat_body_parts(body, omega, cfg=None):
     omega = as_frequency(omega)
     alpha, beta = omega.alpha, omega.beta
     two_pi = 2.0 * math.pi
-    rate = abs(alpha) + abs(beta) * _slope_scale(body, cfg)
+    rate = abs(alpha) + abs(beta) * body._slope_scale
 
     def envelope_and_phase(x):
         u = body.upper(x)
@@ -317,8 +317,8 @@ def chi_hat_body(body, omega, cfg=None):
     method = "reduction-x"
     target, freq = body, omega
     if body.transposed is not None and omega.r > 0.0:
-        cost_x = abs(omega.alpha) + abs(omega.beta) * _slope_scale(body, cfg)
-        cost_y = abs(omega.beta) + abs(omega.alpha) * _slope_scale(body.transposed, cfg)
+        cost_x = abs(omega.alpha) + abs(omega.beta) * body._slope_scale
+        cost_y = abs(omega.beta) + abs(omega.alpha) * body.transposed._slope_scale
         if cost_y < cost_x:
             target = body.transposed
             freq = fourier.Frequency.from_cartesian(omega.beta, omega.alpha)

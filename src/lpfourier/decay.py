@@ -175,7 +175,8 @@ def envelope_scan(p, r_grid=None, theta_grid=None, cfg=None, workers=1):
 
     tasks = [(p, float(r), float(t), cfg) for r in r_grid for t in theta_grid]
     t_star = lpgeom.theta_star(p)
-    tasks += [(p, float(rw), t_star, cfg) for rw in witness_r_values(p, r_grid[0], r_grid[-1])]
+    witness = witness_r_values(p, np.min(r_grid), np.max(r_grid))
+    tasks += [(p, float(rw), t_star, cfg) for rw in witness]
 
     samples = _ordered_map(_sample_worker, tasks, workers)
     failed = sum(1 for s in samples if s.method == "budget-error")

@@ -314,7 +314,7 @@ def chi_hat_bruteforce(p, omega, grid_n=2000):
     return re
 
 
-_J1_CFG = QuadConfig(abs_tol=1e-12, rel_tol=1e-12, panels_per_wavelength=10)
+_J1_CFG = QuadConfig(abs_tol=1e-12, rel_tol=1e-12)
 
 
 def bessel_j1_oracle(r):

@@ -3,14 +3,15 @@
 The engine uses an embedded 15-point Kronrod / 7-point Gauss pair per
 panel.  The initial partition is seeded from a frequency hint (largest
 phase rate r*max|psi'|), sized by ``seed_panel_count`` at
-``panels_per_wavelength`` panels per 2*pi of phase; panels whose error
+``PANELS_PER_WAVELENGTH`` panels per 2*pi of phase; panels whose error
 estimate exceeds their share of the tolerance are bisected until the
 summed estimate meets the target.
 
-The default seed density is 4 panels per wavelength.  A panel spanning a
-quarter wavelength carries a Gauss error of about (pi/4)^14/14! ~ 4e-13
-relative, so denser seeds spend nodes the rule does not need; the
-adaptive loop still refines wherever the estimate asks.
+The seed density is the constant 4 panels per wavelength.  A panel
+spanning a quarter wavelength carries a Gauss error of about
+(pi/4)^14/14! ~ 4e-13 relative, so denser seeds spend nodes the rule
+does not need; the adaptive loop still refines wherever the estimate
+asks.
 ``tools/calibrate.py`` checks at this density that every reported
 estimate bounds the error against a 25-digit mpmath reference.
 
@@ -31,6 +32,7 @@ from ._kernels import _panel_nodes, panel_sums_from_values
 
 _MIN_PANEL_WIDTH = 1e-14
 _STAGNANT_ROUNDS = 3
+PANELS_PER_WAVELENGTH = 4
 
 
 @dataclass(frozen=True)
@@ -40,18 +42,12 @@ class QuadConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
     max_panels: int = 2**20
-    endpoint_inset: float = 1e-6
-    panels_per_wavelength: int = 4
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("tolerances must be positive")
         if self.max_panels < 1:
             raise ValueError("max_panels must be at least 1")
-        if not (0.0 < self.endpoint_inset <= 1e-3):
-            raise ValueError("endpoint_inset must lie in (0, 1e-3]")
-        if self.panels_per_wavelength < 4:
-            raise ValueError("panels_per_wavelength must be at least 4")
 
 
 @dataclass(frozen=True)
@@ -82,10 +78,10 @@ class NonFiniteIntegrandError(RuntimeError):
 def seed_panel_count(rate, cfg):
     """Uniform seed panels for phase rate ``rate``: ceil(rate * density / 2 pi).
 
-    density is ``cfg.panels_per_wavelength``; the count is kept within
+    density is ``PANELS_PER_WAVELENGTH``; the count is kept within
     [1, cfg.max_panels].
     """
-    n0 = int(math.ceil(rate * cfg.panels_per_wavelength / (2.0 * math.pi)))
+    n0 = int(math.ceil(rate * PANELS_PER_WAVELENGTH / (2.0 * math.pi)))
     return max(1, min(n0, cfg.max_panels))
 
 

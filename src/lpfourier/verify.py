@@ -357,6 +357,8 @@ def run_criterion(cid, workers=1):
 
 
 def run_suite(suite="all", workers=1, stream=None):
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(sorted(SUITES))}")
     stream = stream or sys.stdout
     results = []
     for cid in SUITES[suite]:

@@ -150,15 +150,19 @@ def test_fit_json(tmp_path):
     payload = json.loads(out.read_text())
     assert -0.7 < payload["slope"] < -0.3
     assert payload["config"]["n_ref"] == 50
+    assert payload["config"]["p_list"] == [1.05, 1.1, 1.2, 1.3, 1.4]
 
 
 def test_fit_usage_error():
     assert run_cli(["fit", "--p-list", "1.1,1.2"]) == 2
 
 
+DISK_SPEC = {"label": "disk", "kind": "ellipse", "params": {"a": 1, "b": 1}}
+
+
 def test_conjecture_json(tmp_path):
     body = tmp_path / "body.json"
-    body.write_text(json.dumps({"label": "disk", "kind": "ellipse", "params": {"a": 1, "b": 1}}))
+    body.write_text(json.dumps(DISK_SPEC))
     out = tmp_path / "report.json"
     code = run_cli(
         [
@@ -172,6 +176,21 @@ def test_conjecture_json(tmp_path):
     assert payload["upper_ok"] is True
     assert payload["nu"] == pytest.approx(1.0, abs=1e-8)
     assert payload["witness_max"] <= payload["c_est"] <= payload["bound"]
+    assert payload["config"]["body"] == DISK_SPEC
+    assert payload["config"]["curvature_grid"] == 2000
+
+
+def test_conjecture_reproducible_bytes(tmp_path):
+    body = tmp_path / "body.json"
+    body.write_text(json.dumps({"kind": "ellipse", "params": {"a": 2, "b": 1}}))
+    args = [
+        "conjecture", "--body-file", str(body), "--r-min", "5", "--r-max", "30",
+        "--r-points", "6", "--theta-points", "5", "--no-timestamp",
+    ]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run_cli(args + ["--out", str(a)]) == 0
+    assert run_cli(args + ["--out", str(b), "--workers", "2"]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_conjecture_counterexample_exit_code(tmp_path, monkeypatch):
@@ -193,6 +212,18 @@ def test_verify_unknown_suite():
     assert run_cli(["verify", "no-such-suite"]) == 2
 
 
+def test_verify_propagates_criterion_key_error(monkeypatch):
+    # a KeyError inside a criterion is a fault, not an unknown suite name
+    from lpfourier import verify
+
+    def broken(workers=1):
+        raise KeyError("inside c2")
+
+    monkeypatch.setitem(verify.CRITERIA, "c2", broken)
+    with pytest.raises(KeyError, match="inside c2"):
+        run_cli(["verify", "closed-forms"])
+
+
 def test_verify_quick_suite(capsys):
     assert run_cli(["verify", "quick"]) == 0
     out = capsys.readouterr().out
@@ -206,6 +237,24 @@ def test_workers_flag_must_be_positive(tmp_path, capsys):
             run_cli(["envelope", "--p", "1.5", "--out", str(tmp_path / "e.csv"), "--workers", bad])
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+
+def test_count_flags_must_be_positive(tmp_path, capsys):
+    body = tmp_path / "body.json"
+    body.write_text(json.dumps(DISK_SPEC))
+    envelope = ["envelope", "--p", "1.5", "--r-min", "5", "--r-max", "6", "--out", "-"]
+    conjecture = ["conjecture", "--body-file", str(body), "--out", "-"]
+    cases = [
+        (envelope, "--per-decade"),
+        (envelope, "--theta-points"),
+        (conjecture, "--theta-points"),
+        (conjecture, "--r-points"),
+    ]
+    for base, flag in cases:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(base + [flag, "0"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_bad_workers_env_is_usage_error(tmp_path, monkeypatch, capsys):

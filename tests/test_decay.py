@@ -157,6 +157,15 @@ def test_envelope_scan_grid_inclusion():
     assert c_big >= c_small
 
 
+def test_envelope_scan_witnesses_span_unsorted_grid():
+    # the witness range is the grid's extent, not its first and last entries
+    th = [1.0, 1.3]
+    _, unsorted = decay.envelope_scan(1.5, [40.0, 5.0, 20.0], th)
+    _, ordered = decay.envelope_scan(1.5, [5.0, 20.0, 40.0], th)
+    assert len(unsorted) == 19
+    assert set(unsorted) == set(ordered)
+
+
 def test_envelope_scan_validation():
     with pytest.raises(ValueError):
         decay.envelope_scan(1.0)

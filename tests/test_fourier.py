@@ -5,7 +5,7 @@ import pytest
 
 from lpfourier import fourier, lpgeom
 from lpfourier.fourier import Frequency, as_frequency, reduce_symmetry
-from lpfourier.oscquad import QuadConfig
+from lpfourier.oscquad import PANELS_PER_WAVELENGTH, QuadConfig
 
 CHI_L1_PI_2PI = -0.043002045910932652  # -4/(3 pi^3)
 AREA_15 = 2.7378536239189029  # 4 Gamma(1+1/p)^2 / Gamma(1+2/p) at p = 1.5
@@ -20,7 +20,7 @@ J1_FIXTURES = {
 def _lp_initial_breaks_loop(p, alpha, beta, cfg):
     # reference: the scalar tail-grading loop that lp_initial_breaks vectorises
     rate = abs(alpha) + abs(beta)
-    n0 = max(1, min(int(math.ceil(rate * cfg.panels_per_wavelength / (2.0 * math.pi))), 2**18))
+    n0 = max(1, min(int(math.ceil(rate * PANELS_PER_WAVELENGTH / (2.0 * math.pi))), 2**18))
     breaks = list(np.linspace(0.0, 1.0, n0 + 1))
     extra = []
     a = breaks[-2]

@@ -135,10 +135,6 @@ def test_quadconfig_validation():
     with pytest.raises(ValueError):
         QuadConfig(abs_tol=0.0)
     with pytest.raises(ValueError):
-        QuadConfig(endpoint_inset=2e-3)
-    with pytest.raises(ValueError):
-        QuadConfig(panels_per_wavelength=2)
-    with pytest.raises(ValueError):
         QuadConfig(max_panels=0)
 
 
