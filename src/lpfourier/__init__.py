@@ -3,7 +3,8 @@
 Computes the 2-D Fourier transform of the indicator of the l^p unit
 ball through 1-D oscillatory-integral reductions, measures the scaled
 decay envelope sup r^{3/2}|chi_hat|, its blow-up as p -> 1, and probes
-the curvature-based envelope bound for general convex graph bodies.
+the curvature-based envelope bound for convex bodies symmetric in
+both axes.
 """
 
 __version__ = "0.1.0"

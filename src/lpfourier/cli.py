@@ -143,9 +143,7 @@ def cmd_conjecture(args):
     cfg = _quad_config(args)
     r_grid = np.geomspace(args.r_min, args.r_max, args.r_points)
     theta_grid = convex_probe.default_body_theta_grid(args.theta_points)
-    report = convex_probe.conjecture_scan(
-        body, r_grid, theta_grid, cfg, workers=args.workers, grid_n=args.curvature_grid
-    )
+    report = convex_probe.conjecture_scan(body, r_grid, theta_grid, cfg, workers=args.workers)
     payload = {
         "label": report.label,
         "nu": report.nu,
@@ -243,7 +241,6 @@ def build_parser():
     sp.add_argument("--r-max", type=float, default=500.0)
     sp.add_argument("--r-points", type=decay.positive_int, default=81)
     sp.add_argument("--theta-points", type=decay.positive_int, default=48)
-    sp.add_argument("--curvature-grid", type=int, default=2000)
     sp.add_argument("--out", default=None)
     sp.add_argument("--no-timestamp", action="store_true")
     _add_workers_arg(sp)

@@ -1,13 +1,15 @@
-"""Decay scans for convex plane bodies given by upper/lower graphs.
+"""Decay scans for convex plane bodies symmetric in both axes.
 
-Generalises the l^p pipeline: a body is the region between a concave
-upper graph and a convex lower graph over [x0, x1] (meeting at the
-endpoints), the transform is computed by the same vertical slicing,
+Generalises the l^p pipeline: a body is the region |y| <= u(x) over
+[-w, w] for an even, concave upper graph u that vanishes at +-w.  Such a
+body is symmetric in both axes, its transform is real, and the same
+vertical slicing gives
 
-    2 pi chi_hat = int e^{-i alpha x} (e^{-i beta lower} - e^{-i beta upper}) / (i beta) dx,
+    2 pi chi_hat(alpha, beta) = int_{-w}^{w} 2u sinc(beta u) cos(alpha x) dx,
 
-and the measured envelope sup r^{3/2}|chi_hat| is compared against the
-curvature bound C / sqrt(nu), nu = min boundary curvature.
+with sinc(t) = sin(t)/t.  The measured envelope sup r^{3/2}|chi_hat| is
+compared against the curvature bound C / sqrt(nu), nu = min boundary
+curvature.
 """
 
 import dataclasses
@@ -29,18 +31,23 @@ from .oscquad import QuadConfig, integrate_oscillatory
 _SLOPE_CAP = 1e3
 # the slope sample stays this fraction of the width away from each endpoint
 _ENDPOINT_INSET = 1e-6
+# points per pass of the curvature-minimum scan
+CURVATURE_GRID = 2000
 
 
 @dataclass(frozen=True)
 class ConvexBody:
-    """A convex body between two graphs over [x0, x1].
+    """The convex body |y| <= upper(x), |x| <= half_width.
 
-    upper must be concave and lower convex (checked by sampling), equal
-    at the endpoints so the boundary closes.  centrally_symmetric marks
-    bodies with lower(x) = -upper(-x); for those the transform is real
-    and the imaginary-part integrals are skipped.  transposed, when
-    present, is the same body with the axes swapped; it enables the
-    y-slicing route.
+    upper is the even, concave graph u on [-w, w], positive inside and
+    zero at +-w (checked by sampling); upper_d1 and upper_d2 are its
+    derivatives.  The body is symmetric in both axes, so its transform is
+    real:
+
+        2 pi chi_hat(alpha, beta) = int_{-w}^{w} 2u sinc(beta u) cos(alpha x) dx.
+
+    transposed, when present, is the same body with the axes swapped; it
+    enables the y-slicing route.
 
     A scan with workers > 1 sends the body to worker processes, so its
     callables must pickle.  The constructors below use module-level
@@ -53,66 +60,43 @@ class ConvexBody:
     travels with a pickled body, so a pool chunk computes it at most once.
     """
 
-    x0: float
-    x1: float
+    half_width: float
     upper: Callable
     upper_d1: Callable
     upper_d2: Callable
-    lower: Callable
-    lower_d1: Callable
-    lower_d2: Callable
     label: str = ""
-    centrally_symmetric: bool = False
     transposed: Optional["ConvexBody"] = field(default=None, repr=False)
 
     @cached_property
     def _slope_scale(self):
         # seed panels from the bulk slope, not the endpoint blow-up: the edge
         # boundary layers carry little mass and adaptive bisection resolves them
-        margin = (self.x1 - self.x0) * _ENDPOINT_INSET
-        xs = np.linspace(self.x0 + margin, self.x1 - margin, 513)
-        s = max(
-            float(np.percentile(np.abs(self.upper_d1(xs)), 90)),
-            float(np.percentile(np.abs(self.lower_d1(xs)), 90)),
-        )
+        w = self.half_width
+        margin = 2.0 * w * _ENDPOINT_INSET
+        xs = np.linspace(margin - w, w - margin, 513)
+        s = float(np.percentile(np.abs(self.upper_d1(xs)), 90))
         return min(max(s, 1.0), _SLOPE_CAP)
 
 
 def validate_body(body, samples=512):
-    """Check ordering, closure and convexity of the two graphs by sampling."""
-    xs = np.linspace(body.x0, body.x1, samples)[1:-1]
-    up, lo = body.upper(xs), body.lower(xs)
-    if np.any(lo >= up):
-        raise ValueError(f"body {body.label!r}: lower graph not strictly below upper")
-    span = max(1.0, float(np.max(up) - np.min(lo)))
-    for xe in (body.x0, body.x1):
-        if abs(float(body.upper(xe)) - float(body.lower(xe))) > 1e-9 * span:
-            raise ValueError(f"body {body.label!r}: graphs do not meet at x = {xe}")
-    if np.any(body.upper_d2(xs) > 1e-9) or np.any(body.lower_d2(xs) < -1e-9):
-        raise ValueError(f"body {body.label!r}: second-derivative signs violate convexity")
+    """Check by sampling that upper is positive inside, zero at +-w, concave and even."""
+    w = body.half_width
+    xs = np.linspace(-w, w, samples)[1:-1]
+    up = body.upper(xs)
+    if np.any(up <= 0.0):
+        raise ValueError(f"body {body.label!r}: upper graph not positive inside")
+    for xe in (-w, w):
+        if abs(float(body.upper(xe))) > 1e-9 * max(1.0, float(np.max(up))):
+            raise ValueError(f"body {body.label!r}: upper graph does not vanish at x = {xe}")
+    if np.any(body.upper_d2(xs) > 1e-9):
+        raise ValueError(f"body {body.label!r}: upper graph is not concave")
+    if not np.array_equal(up, body.upper(-xs)):
+        raise ValueError(f"body {body.label!r}: upper graph is not even")
     return body
 
 
-def _mirror(g, x):
-    return g(-np.asarray(x, dtype=np.float64))
-
-
-def _neg_mirror(g, x):
-    return -g(-np.asarray(x, dtype=np.float64))
-
-
 def _symmetric_body(half_width, graphs, label, transposed=None):
-    # centrally symmetric body from one concave graph: lower(x) = -upper(-x)
-    u, du, ddu = graphs
-    body = ConvexBody(
-        x0=-half_width, x1=half_width,
-        upper=u, upper_d1=du, upper_d2=ddu,
-        lower=partial(_neg_mirror, u),
-        lower_d1=partial(_mirror, du),
-        lower_d2=partial(_neg_mirror, ddu),
-        label=label, centrally_symmetric=True, transposed=transposed,
-    )
-    return validate_body(body)
+    return validate_body(ConvexBody(half_width, *graphs, label=label, transposed=transposed))
 
 
 def _ellipse_u(a, b, x):
@@ -190,12 +174,15 @@ def lp_ball_body(p):
 
 
 def poly_body(coeffs, half_width):
-    """Centrally symmetric body with polynomial upper graph on [-w, w].
+    """Body with an even polynomial upper graph on [-w, w].
 
-    coeffs are ascending-power coefficients; the polynomial must be
-    positive inside, vanish at +-w, and be concave there.
+    coeffs are ascending-power coefficients, every odd-power one zero;
+    the polynomial must be positive inside, vanish at +-w, and be concave
+    there.
     """
     poly = np.polynomial.Polynomial(np.asarray(coeffs, dtype=np.float64))
+    if np.any(poly.coef[1::2] != 0.0):
+        raise ValueError("polynomial upper graph must be even: odd-power coefficients must be 0")
     d1 = poly.deriv()
     d2 = d1.deriv()
     w = float(half_width)
@@ -207,76 +194,83 @@ def poly_body(coeffs, half_width):
     return _symmetric_body(w, (poly, d1, d2), f"poly(deg={poly.degree()},w={w:g})")
 
 
+# body kind -> (constructor, its parameter names in call order)
+_BODY_KINDS = {
+    "lp": (lp_ball_body, ("p",)),
+    "ellipse": (ellipse_body, ("a", "b")),
+    "superellipse": (superellipse_body, ("a", "b", "exponent")),
+    "custom-poly-coeffs": (poly_body, ("coeffs", "half_width")),
+}
+
+
 def body_from_spec(spec):
-    """Build a body from a JSON-style dict: {label, kind, params}."""
+    """Build a body from a JSON-style dict: {label, kind, params}.
+
+    A malformed spec raises ValueError naming what is wrong.
+    """
     if isinstance(spec, str):
         spec = json.loads(spec)
+    if not isinstance(spec, dict):
+        raise ValueError(
+            f"body spec must be a JSON object {{label, kind, params}}, not {type(spec).__name__}"
+        )
     kind = spec.get("kind")
-    params = spec.get("params", {})
-    if kind == "lp":
-        body = lp_ball_body(params["p"])
-    elif kind == "ellipse":
-        body = ellipse_body(params["a"], params["b"])
-    elif kind == "superellipse":
-        body = superellipse_body(params["a"], params["b"], params["exponent"])
-    elif kind == "custom-poly-coeffs":
-        body = poly_body(params["coeffs"], params["half_width"])
-    else:
+    if not isinstance(kind, str) or kind not in _BODY_KINDS:
         raise ValueError(f"unknown body kind {kind!r}")
+    build, names = _BODY_KINDS[kind]
+    params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"body params must be a JSON object, not {type(params).__name__}")
+    missing = [name for name in names if name not in params]
+    if missing:
+        raise ValueError(f"body kind {kind!r} is missing parameter(s) {', '.join(missing)}")
+    try:
+        body = build(*(params[name] for name in names))
+    except TypeError as exc:
+        raise ValueError(f"body kind {kind!r}: bad parameter type: {exc}") from None
     label = spec.get("label")
     if label:
         body = dataclasses.replace(body, label=str(label))
     return body
 
 
-def body_curvature_min(body, grid_n=2000):
-    """Minimum boundary curvature over both arcs on a dense grid.
+def body_curvature_min(body):
+    """Minimum boundary curvature on a dense grid of the upper arc.
 
-    One local refinement pass around the coarse argmin.  Returns
-    (nu, (x, y)) with the realising boundary point.
+    The arc y = -u(x) mirrors it, so it has the same minimum.  One local
+    refinement pass around the coarse argmin.  Returns (nu, (x, y)) with
+    the realising point on the upper arc.
     """
-    if grid_n < 1000:
-        raise ValueError("grid_n must be at least 1000")
-    inset = (body.x1 - body.x0) * 1e-7
+    w = body.half_width
+    inset = 2.0 * w * 1e-7
 
-    def arc_curvature(xs, d1, d2):
-        k = np.abs(d2(xs)) / (1.0 + d1(xs) ** 2) ** 1.5
+    def curvature(xs):
+        k = np.abs(body.upper_d2(xs)) / (1.0 + body.upper_d1(xs) ** 2) ** 1.5
         if not np.all(np.isfinite(k)):
             bad = xs[~np.isfinite(k)][0]
             raise ArithmeticError(f"non-finite curvature sample at x = {bad}")
         return k
 
-    best = (math.inf, 0.0, "upper")
-    for name, d1, d2 in (
-        ("upper", body.upper_d1, body.upper_d2),
-        ("lower", body.lower_d1, body.lower_d2),
-    ):
-        xs = np.linspace(body.x0 + inset, body.x1 - inset, grid_n)
-        k = arc_curvature(xs, d1, d2)
-        i = int(np.argmin(k))
-        xs2 = np.linspace(xs[max(0, i - 1)], xs[min(grid_n - 1, i + 1)], grid_n)
-        k2 = arc_curvature(xs2, d1, d2)
-        j = int(np.argmin(k2))
-        if k2[j] < best[0]:
-            best = (float(k2[j]), float(xs2[j]), name)
-    nu, x, arc = best
-    y = float(body.upper(x) if arc == "upper" else body.lower(x))
-    return nu, (x, y)
+    n = CURVATURE_GRID
+    xs = np.linspace(inset - w, w - inset, n)
+    i = int(np.argmin(curvature(xs)))
+    xs2 = np.linspace(xs[max(0, i - 1)], xs[min(n - 1, i + 1)], n)
+    k2 = curvature(xs2)
+    j = int(np.argmin(k2))
+    x = float(xs2[j])
+    return float(k2[j]), (x, float(body.upper(x)))
 
 
 def chi_hat_body_parts(body, omega, cfg=None):
-    """(real, imaginary, err) of the transform by vertical slicing.
+    """(value, err_estimate) of the real transform by vertical slicing.
 
-    The vertical slice between the graphs integrates exactly to
+    The vertical slice |y| <= u(x) integrates exactly to
+    e^{-i alpha x} 2 sin(beta u)/beta, and the odd part in x cancels, so
 
-        e^{-i alpha x} (e^{-i beta l} - e^{-i beta u})/(i beta)
-            = (u - l) sinc(beta (u-l)/2) e^{-i(alpha x + beta (u+l)/2)},
+        2 pi chi_hat(alpha, beta) = int_{-w}^{w} 2u sinc(beta u) cos(alpha x) dx.
 
-    a product form stable for every beta (the naive difference of sines
-    cancels catastrophically once |beta|*(u-l) falls near machine
-    epsilon) and covering beta = 0 and omega = 0 without special cases.
-    For centrally symmetric bodies the imaginary part vanishes and is
-    returned as exact 0 without integration.
+    The sinc form is stable for every beta and covers beta = 0 and
+    omega = 0 without special cases.
     """
     cfg = cfg or QuadConfig()
     omega = as_frequency(omega)
@@ -284,26 +278,13 @@ def chi_hat_body_parts(body, omega, cfg=None):
     two_pi = 2.0 * math.pi
     rate = abs(alpha) + abs(beta) * body._slope_scale
 
-    def envelope_and_phase(x):
+    def f(x):
         u = body.upper(x)
-        lo = body.lower(x)
-        amp = (u - lo) * _sin_over(0.5 * beta * (u - lo))
-        return amp, alpha * x + 0.5 * beta * (u + lo)
+        return 2.0 * u * _sin_over(beta * u) * np.cos(alpha * x)
 
-    def f_re(x):
-        amp, phase = envelope_and_phase(x)
-        return amp * np.cos(phase)
-
-    re = integrate_oscillatory(f_re, body.x0, body.x1, rate, cfg)
-    if body.centrally_symmetric:
-        return re.value / two_pi, 0.0, re.err_estimate / two_pi
-
-    def f_im(x):
-        amp, phase = envelope_and_phase(x)
-        return amp * np.sin(phase)
-
-    im = integrate_oscillatory(f_im, body.x0, body.x1, rate, cfg)
-    return re.value / two_pi, -im.value / two_pi, (re.err_estimate + im.err_estimate) / two_pi
+    w = body.half_width
+    res = integrate_oscillatory(f, -w, w, rate, cfg)
+    return res.value / two_pi, res.err_estimate / two_pi
 
 
 def chi_hat_body(body, omega, cfg=None):
@@ -323,12 +304,10 @@ def chi_hat_body(body, omega, cfg=None):
             target = body.transposed
             freq = fourier.Frequency.from_cartesian(omega.beta, omega.alpha)
             method = "reduction-y"
-    re, im, err = chi_hat_body_parts(target, freq, cfg)
-    if body.centrally_symmetric and abs(im) > 1e-8:
-        raise ArithmeticError(f"imaginary part {im:.3e} for a centrally symmetric body")
+    value, err = chi_hat_body_parts(target, freq, cfg)
     if omega.r == 0.0:
         method = "zero-frequency"
-    return TransformResult(re, err, method)
+    return TransformResult(value, err, method)
 
 
 @dataclass(frozen=True)
@@ -343,18 +322,14 @@ class ConjectureReport:
 
 
 def default_body_theta_grid(n=48):
-    """General bodies lack the octant symmetry: angles cover [0, pi/2]."""
+    """Probe bodies lack the octant symmetry of B_p: angles cover [0, pi/2]."""
     return np.linspace(0.0, 0.5 * math.pi, n)
 
 
-def _witness_direction(body, x_min, y_min):
-    # normal direction at the flattest boundary point, folded into [0, pi/2]
-    # (scan bodies are symmetric in both axes; chi_hat(-w) = chi_hat(w))
-    if y_min >= 0.0:
-        slope = float(body.upper_d1(x_min))
-    else:
-        # mirror a lower-arc point to the upper arc of the symmetric body
-        slope = float(body.lower_d1(x_min))
+def _witness_direction(body, x_min):
+    # normal direction at the flattest upper-arc point, folded into [0, pi/2]
+    # (bodies are symmetric in both axes, so chi_hat is even in alpha and beta)
+    slope = float(body.upper_d1(x_min))
     theta = math.atan2(1.0, -slope)
     if theta > 0.5 * math.pi:
         theta = math.pi - theta
@@ -367,7 +342,7 @@ def _body_scaled_sample(task):
     return r**1.5 * abs(res.value)
 
 
-def conjecture_scan(body, r_grid=None, theta_grid=None, cfg=None, workers=1, grid_n=2000):
+def conjecture_scan(body, r_grid=None, theta_grid=None, cfg=None, workers=1):
     """Measure sup r^{3/2}|chi_hat| and compare with the curvature bound.
 
     The scan inserts the normal direction at the flattest boundary point
@@ -376,7 +351,7 @@ def conjecture_scan(body, r_grid=None, theta_grid=None, cfg=None, workers=1, gri
     swallowed: upper_ok=False marks a counterexample candidate.
     """
     cfg = cfg or QuadConfig()
-    nu, (x_min, y_min) = body_curvature_min(body, grid_n)
+    nu, (x_min, y_min) = body_curvature_min(body)
     # grid minima of genuinely flat boundaries land at rounding scale, not 0
     if nu <= 1e-9:
         raise ValueError(
@@ -390,7 +365,7 @@ def conjecture_scan(body, r_grid=None, theta_grid=None, cfg=None, workers=1, gri
     theta_grid = (
         default_body_theta_grid() if theta_grid is None else np.asarray(theta_grid, dtype=np.float64)
     )
-    theta_w = _witness_direction(body, x_min, y_min)
+    theta_w = _witness_direction(body, x_min)
     theta_grid = np.unique(np.concatenate([theta_grid, [theta_w]]))
 
     tasks = []
@@ -406,7 +381,7 @@ def conjecture_scan(body, r_grid=None, theta_grid=None, cfg=None, workers=1, gri
     ok = c_est <= bound
     notes = (
         f"nu at ({x_min:.6g}, {y_min:.6g}); {len(tasks)} samples, "
-        f"r in [{r_grid[0]:g}, {r_grid[-1]:g}], {len(theta_grid)} angles, "
+        f"r in [{np.min(r_grid):g}, {np.max(r_grid):g}], {len(theta_grid)} angles, "
         f"witness direction {theta_w:.6g}"
     )
     if not ok:

@@ -88,7 +88,7 @@ def reduce_symmetry(omega):
 class TransformResult:
     value: float
     err_estimate: float
-    method: str  # reduction-x | reduction-y | closed-l1 | zero-frequency
+    method: str  # reduction-x | reduction-y | zero-frequency
 
 
 def lp_initial_breaks(p, alpha, beta, cfg):

@@ -177,7 +177,6 @@ def test_conjecture_json(tmp_path):
     assert payload["nu"] == pytest.approx(1.0, abs=1e-8)
     assert payload["witness_max"] <= payload["c_est"] <= payload["bound"]
     assert payload["config"]["body"] == DISK_SPEC
-    assert payload["config"]["curvature_grid"] == 2000
 
 
 def test_conjecture_reproducible_bytes(tmp_path):
@@ -206,6 +205,27 @@ def test_conjecture_counterexample_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.convex_probe, "conjecture_scan", lambda *a, **k: fake)
     code = run_cli(["conjecture", "--body-file", str(body), "--out", str(tmp_path / "r.json")])
     assert code == 4
+
+
+BAD_BODY_SPECS = {
+    "not-an-object": ([1, 2], "JSON object"),
+    "missing-param": ({"kind": "ellipse", "params": {}}, "a, b"),
+    "null-param": ({"kind": "ellipse", "params": {"a": None, "b": 1}}, "bad parameter type"),
+    "odd-poly": (
+        {"kind": "custom-poly-coeffs", "params": {"coeffs": [1.0, 0.3, -1.0, -0.3], "half_width": 1.0}},
+        "even",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_BODY_SPECS))
+def test_conjecture_bad_body_spec_is_usage_error(tmp_path, capsys, name):
+    spec, message = BAD_BODY_SPECS[name]
+    body = tmp_path / "body.json"
+    body.write_text(json.dumps(spec))
+    assert run_cli(["conjecture", "--body-file", str(body), "--out", str(tmp_path / "r.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_verify_unknown_suite():

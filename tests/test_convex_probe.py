@@ -13,7 +13,6 @@ from lpfourier.convex_probe import (
     body_curvature_min,
     body_from_spec,
     chi_hat_body,
-    chi_hat_body_parts,
     conjecture_scan,
     disk_body,
     ellipse_body,
@@ -46,11 +45,6 @@ def test_lp_body_curvature_matches_lpgeom():
     assert abs(abs(x) - 2.0 ** (-1.0 / 1.5)) <= 1e-4
 
 
-def test_body_curvature_min_validation():
-    with pytest.raises(ValueError):
-        body_curvature_min(disk_body(), grid_n=100)
-
-
 def test_body_validation_errors():
     with pytest.raises(ValueError):
         ellipse_body(-1.0, 1.0)
@@ -64,11 +58,18 @@ def test_body_validation_errors():
     # does not vanish at the endpoints
     with pytest.raises(ValueError):
         poly_body([1.0, 0.0, -0.5], 1.0)
+    # (1 - x^2)(1 + 0.3 x) is concave but not even
+    odd = [1.0, 0.3, -1.0, -0.3]
+    with pytest.raises(ValueError, match="even"):
+        poly_body(odd, 1.0)
+    poly = np.polynomial.Polynomial(odd)
+    tilted = ConvexBody(1.0, poly, poly.deriv(), poly.deriv(2), label="tilted")
+    with pytest.raises(ValueError, match="not even"):
+        convex_probe.validate_body(tilted)
 
 
 def test_poly_body_roundtrip():
     body = poly_body([1.0, 0.0, -1.0], 1.0)  # parabola 1 - x^2
-    assert body.centrally_symmetric
     nu, (x, _) = body_curvature_min(body)
     # kappa = 2 / (1 + 4 x^2)^(3/2), minimal at the endpoints
     assert nu == pytest.approx(2.0 / (1.0 + 4.0) ** 1.5, rel=1e-3)
@@ -83,11 +84,11 @@ def test_body_from_spec_kinds():
     se = body_from_spec(
         {"kind": "superellipse", "params": {"a": 2.0, "b": 1.0, "exponent": 1.5}}
     )
-    assert se.x0 == -2.0
+    assert se.half_width == 2.0
     poly = body_from_spec(
         {"kind": "custom-poly-coeffs", "params": {"coeffs": [1, 0, -1], "half_width": 1.0}}
     )
-    assert poly.x1 == 1.0
+    assert poly.half_width == 1.0
     with pytest.raises(ValueError):
         body_from_spec({"kind": "blob", "params": {}})
 
@@ -164,43 +165,6 @@ def test_lp_body_matches_reduction():
         assert got == pytest.approx(ref, abs=1e-8)
 
 
-def test_imaginary_part_vanishes_on_forced_complex_path():
-    # disable the symmetric fast path and integrate the imaginary part
-    slow = dataclasses.replace(disk_body(), centrally_symmetric=False, transposed=None)
-    rng = np.random.default_rng(12)
-    for _ in range(5):
-        omega = tuple(rng.uniform(-20.0, 20.0, 2))
-        re, im, _ = chi_hat_body_parts(slow, omega)
-        assert abs(im) <= 1e-8
-        assert re == pytest.approx(_disk_chi(math.hypot(*omega)), abs=1e-8)
-
-
-def test_shifted_body_complex_parts():
-    # vertical shift multiplies the transform by exp(-i beta d)
-    d = 0.3
-
-    def u(x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.sqrt(np.maximum(0.0, 1.0 - x * x)) + d
-
-    def lo(x):
-        x = np.asarray(x, dtype=np.float64)
-        return -np.sqrt(np.maximum(0.0, 1.0 - x * x)) + d
-
-    du = lambda x: -np.asarray(x, float) / np.sqrt(1.0 - np.asarray(x, float) ** 2)
-    ddu = lambda x: -1.0 / (1.0 - np.asarray(x, float) ** 2) ** 1.5
-    body = ConvexBody(
-        -1.0, 1.0, u, du, ddu, lo,
-        lambda x: -du(x), lambda x: -ddu(x),
-        label="shifted-disk",
-    )
-    for alpha, beta in ((3.0, 4.0), (0.0, 7.0), (5.0, 0.0)):
-        re, im, _ = chi_hat_body_parts(body, (alpha, beta))
-        base = _disk_chi(math.hypot(alpha, beta))
-        assert re == pytest.approx(base * math.cos(beta * d), abs=1e-9)
-        assert im == pytest.approx(-base * math.sin(beta * d), abs=1e-9)
-
-
 def test_conjecture_scan_disk_small():
     r_grid = np.geomspace(5.0, 60.0, 21)
     th_grid = np.linspace(0.0, math.pi / 2, 13)
@@ -210,6 +174,11 @@ def test_conjecture_scan_disk_small():
     assert report.c_est <= report.bound
     assert 0.0 < report.witness_max <= report.c_est
     assert "counterexample" not in report.notes
+
+
+def test_conjecture_scan_notes_span_unsorted_grid():
+    report = conjecture_scan(ellipse_body(2.0, 1.0), [40.0, 5.0, 20.0], [0.3, 1.0])
+    assert "r in [5, 40]" in report.notes
 
 
 def test_conjecture_scan_rejects_flat_bodies():

@@ -7,7 +7,8 @@ the estimate is an upper bound where the ratio is at most 1.
 
 Paths covered: ``fourier.chi_hat_lp`` (x-slicing reduction),
 ``fourier.psi_split_integrals`` (both polar-split integrals) and
-``convex_probe.chi_hat_body`` on the (2,1) ellipse.
+``convex_probe.chi_hat_body`` on the (2,1) ellipse and on two
+superellipses, which between them take both slicing routes.
 
 References:
 
@@ -20,6 +21,8 @@ References:
   the finer one is the reference.
 * ellipse: the closed form a b J1(rho)/rho with rho = |(a alpha, b beta)|,
   evaluated with ``mpmath.besselj``.
+* superellipse |x/a|^q + |y/b|^q <= 1: the lp reference through the
+  scaling identity chi_hat(alpha, beta) = a b chi_hat_{B_q}(a alpha, b beta).
 
 Every reference is computed at the exact double frequency the package
 receives.  Requires mpmath (the dev extra).
@@ -52,7 +55,10 @@ _GRADE_FLOOR = 1e-22
 
 # (kind, p, r_lo, r_hi, angle): the radius is drawn from [r_lo, r_hi] (a
 # witness radius of p when angle is "witness"), a "generic" angle from
-# (0.1, pi/2 - 0.1); the ellipse "witness" angle is its flat-point normal
+# (0.1, pi/2 - 0.1); the ellipse "witness" angle is its flat-point normal.
+# For a superellipse p is its exponent q, and its axes are
+# _SUPERELLIPSE_AXES[q]; only the unit-axes one (B_q itself) takes the
+# lp witness direction.  New specs go last: each draws from the shared stream.
 _SPECS = (
     ("chi_hat_lp", 1.05, 200.0, 400.0, "witness"),
     ("chi_hat_lp", 1.1, 1500.0, 2000.0, "witness"),
@@ -65,8 +71,13 @@ _SPECS = (
     ("ellipse", None, 10.0, 50.0, "generic"),
     ("ellipse", None, 100.0, 400.0, "witness"),
     ("ellipse", None, 1500.0, 2000.0, "generic"),
+    ("superellipse", 1.3, 10.0, 60.0, "generic"),
+    ("superellipse", 1.3, 200.0, 600.0, "generic"),
+    ("superellipse", 1.1, 10.0, 60.0, "generic"),
+    ("superellipse", 1.1, 200.0, 600.0, "witness"),
 )
 _ELLIPSE_AXES = (2.0, 1.0)
+_SUPERELLIPSE_AXES = {1.3: (1.5, 1.0), 1.1: (1.0, 1.0)}
 
 
 def _spec_label(spec):
@@ -152,15 +163,22 @@ def reference_integral(f, breaks):
     return fine, abs(coarse - fine)
 
 
+def _lp_reference(p, alpha, beta):
+    """(reference, self-check difference) of chi_hat_lp at the mpf frequency (alpha, beta)."""
+    alpha, beta = sorted((abs(alpha), abs(beta)))
+    pm = mp.mpf(p)
+    integral, diff = reference_integral(
+        lambda x: mp.cos(alpha * x) * mp.sin(beta * _phi_mp(pm, x)),
+        reference_breaks(p, float(alpha), float(beta)),
+    )
+    scale = 2 / (mp.pi * beta)
+    return scale * integral, scale * diff
+
+
 def _chi_hat_lp_refs(p, r, theta):
     alpha, beta = sorted((abs(r * math.cos(theta)), abs(r * math.sin(theta))))
     res = fourier.chi_hat_lp(p, (alpha, beta))
-    pm, am, bm = mp.mpf(p), mp.mpf(alpha), mp.mpf(beta)
-    integral, diff = reference_integral(
-        lambda x: mp.cos(am * x) * mp.sin(bm * _phi_mp(pm, x)), reference_breaks(p, alpha, beta)
-    )
-    scale = 2 / (mp.pi * bm)
-    return [("", res, scale * integral, scale * diff)]
+    return [("", res, *_lp_reference(p, mp.mpf(alpha), mp.mpf(beta)))]
 
 
 def _psi_split_refs(p, r, theta):
@@ -185,7 +203,20 @@ def _ellipse_refs(p, r, theta):
     return [("", res, a * b * mp.besselj(1, rho) / rho, mp.mpf(0))]
 
 
-_REFS = {"chi_hat_lp": _chi_hat_lp_refs, "psi_split": _psi_split_refs, "ellipse": _ellipse_refs}
+def _superellipse_refs(q, r, theta):
+    a, b = _SUPERELLIPSE_AXES[q]
+    omega = fourier.Frequency.from_polar(r, theta)
+    res = convex_probe.chi_hat_body(convex_probe.superellipse_body(a, b, q), omega)
+    ref, diff = _lp_reference(q, a * mp.mpf(omega.alpha), b * mp.mpf(omega.beta))
+    return [("", res, a * b * ref, a * b * diff)]
+
+
+_REFS = {
+    "chi_hat_lp": _chi_hat_lp_refs,
+    "psi_split": _psi_split_refs,
+    "ellipse": _ellipse_refs,
+    "superellipse": _superellipse_refs,
+}
 
 
 def calibrate_point(label, kind, p, r, theta):
