@@ -91,17 +91,52 @@ class TransformResult:
     method: str  # reduction-x | reduction-y | zero-frequency
 
 
+def lp_head_grading(p, beta, h, cfg):
+    """Breaks h 2^-k, k = K..1 (ascending), grading the seed panel [0, h] toward x = 0.
+
+    Near x = 0, phi_p = 1 - x^p/p + ..., an x^p cusp for 1 < p < 2, so
+    sin(beta phi_p) on [0, e] differs from a smooth function by at most
+    beta e^(p+1).  K is the smallest k >= 0 with
+    beta (h 2^-k)^(p+1) <= 0.1 abs_tol: the end panel's whole cusp
+    contribution is then negligible against the tolerance.  Empty unless
+    1 < p < 2 and beta > 0 (phi_1 is linear and phi_2 smooth at 0).
+    """
+    if not (1.0 < p < 2.0 and beta > 0.0):
+        return np.empty(0)
+    target = 0.1 * cfg.abs_tol
+    e = p + 1.0
+
+    def done(k):
+        return beta * (h * 2.0**-k) ** e <= target
+
+    # K from log2; rounding can put the ceiling one off either way
+    k = max(0, math.ceil(math.log2(beta / target) / e + math.log2(h)))
+    if not done(k):
+        k += 1
+    elif k > 0 and done(k - 1):
+        k -= 1
+    return h * 2.0 ** -np.arange(k, 0.0, -1.0)
+
+
 def lp_initial_breaks(p, alpha, beta, cfg):
     """Panel boundaries for int_0^1 cos(alpha x) sin(beta phi_p(x)) dx.
 
     Uniform panels sized by ``seed_panel_count`` for the interior phase
-    rate alpha + beta, then geometric refinement toward x = 1, first
-    until the remaining phase variation beta*phi(a) + alpha*(1-a) over
-    the last panel drops below pi/2, then further until the crude tail
-    bound beta*phi(a)*(1-a) is negligible against abs_tol.  The second
-    stage keeps the Hoelder endpoint behaviour of phi out of the error
-    estimator's blind spot: the whole tail panel contributes less than
-    the tolerance outright.
+    rate alpha + beta, graded geometrically toward both ends of [0, 1],
+    where phi_p is not smooth.
+
+    Toward x = 1 (slope blow-up of phi_p): halve the last panel until the
+    remaining phase variation beta*phi(a) + alpha*(1-a) over it drops
+    below pi/2, then further until the crude tail bound
+    beta*phi(a)*(1-a) is below 0.1 abs_tol.
+
+    Toward x = 0 (the x^p cusp, 1 < p < 2 only): halve the first panel,
+    of width h, down to h 2^-K for the smallest K with
+    beta (h 2^-K)^(p+1) <= 0.1 abs_tol (``lp_head_grading``).
+
+    Both stages keep the endpoint singularities of phi out of the error
+    estimator's blind spot: each end panel contributes less than the
+    tolerance outright, so no adaptive round has to find it.
     """
     p = as_p(p)
     rate = abs(alpha) + abs(beta)
@@ -121,7 +156,8 @@ def lp_initial_breaks(p, alpha, beta, cfg):
     n_extra = int(np.argmax(done)) if done.any() else a.size
     if n_extra:
         breaks = np.unique(np.concatenate([breaks, tail[1 : n_extra + 1]]))
-    return breaks
+    head = lp_head_grading(p, abs(beta), breaks[1], cfg)
+    return np.concatenate([[0.0], head, breaks[1:]])
 
 
 def _reduction_integral(p, alpha, beta, cfg):
@@ -213,10 +249,10 @@ def chi_hat_lp_polar(p, r, theta, cfg=None):
     the two routes is a consistency invariant of the build.
     """
     cfg = cfg or QuadConfig()
-    res_psi, res_tilde = psi_split_integrals(p, r, theta, cfg)
     st = math.sin(float(theta))
     if st <= 0.0:
         raise ValueError("polar path needs sin(theta) > 0")
+    res_psi, res_tilde = psi_split_integrals(p, r, theta, cfg)
     scale = 1.0 / (math.pi * r * st)
     return TransformResult(
         scale * (res_psi.value + res_tilde.value),

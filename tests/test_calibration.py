@@ -56,5 +56,16 @@ def test_points_cover_paths_and_range():
     }
     assert routes == {"reduction-x", "reduction-y"}
     lp_ps = {point[2] for point in POINTS.values() if point[1] == "chi_hat_lp"}
-    assert lp_ps == {1.05, 1.1, 1.5, 1.9, 2.0}
+    assert lp_ps == {1.05, 1.1, 1.3, 1.5, 1.9, 2.0}
     assert max(point[3] for point in POINTS.values()) > 1500.0
+    assert min(point[3] for point in POINTS.values()) < 15.0
+    # "grid" points are samples of the default envelope scan near theta = pi/2
+    grid = [point for label, point in POINTS.items() if label.endswith("-grid")]
+    assert {(kind, p) for _, kind, p, _, _ in grid} == {
+        (kind, p) for kind in ("chi_hat_lp", "psi_split") for p in (1.05, 1.1)
+    }
+    for _, _, p, r, theta in grid:
+        assert r in calibrate.decay.default_r_grid() and r <= 100.0
+        assert theta in calibrate.decay.default_theta_grid(p) and theta >= 0.5 * math.pi - calibrate._STEEP
+    for point in calibrate._REGRESSION_POINTS:
+        assert POINTS[point[0]] == point

@@ -18,7 +18,7 @@ J1_FIXTURES = {
 
 
 def _lp_initial_breaks_loop(p, alpha, beta, cfg):
-    # reference: the scalar tail-grading loop that lp_initial_breaks vectorises
+    # reference for the uniform and tail points: the scalar tail-grading loop
     rate = abs(alpha) + abs(beta)
     n0 = max(1, min(int(math.ceil(rate * PANELS_PER_WAVELENGTH / (2.0 * math.pi))), 2**18))
     breaks = list(np.linspace(0.0, 1.0, n0 + 1))
@@ -36,9 +36,23 @@ def _lp_initial_breaks_loop(p, alpha, beta, cfg):
     return np.asarray(breaks, dtype=np.float64)
 
 
+def _head_done(p, beta, h, k, abs_tol):
+    # the head-grading stop rule at k halvings of the first panel
+    return beta * (h * 2.0**-k) ** (p + 1.0) <= 0.1 * abs_tol
+
+
+def _head_count_loop(p, beta, h, abs_tol):
+    # reference for lp_head_grading: try k = 0, 1, 2, ... until the rule holds
+    k = 0
+    while not _head_done(p, beta, h, k, abs_tol):
+        k += 1
+    return k
+
+
 def test_lp_initial_breaks_match_scalar_loop():
     rng = np.random.default_rng(20221)
-    cases = [(1.0, 0.0, 0.1), (2.0, 0.0, 0.1), (1.0, 3.0, 5.0), (1.5, 1e5, 1e5), (2.0, 0.0, 1e5)]
+    cases = [(1.0, 0.0, 0.1), (2.0, 0.0, 0.1), (1.0, 3.0, 5.0), (1.5, 1e5, 1e5), (2.0, 0.0, 1e5),
+             (1.5, 3.0, 0.0)]
     for _ in range(2000):
         p = float(rng.choice([1.0, 2.0, rng.uniform(1.0, 2.0)], p=[0.1, 0.1, 0.8]))
         rate = 10.0 ** rng.uniform(-1.0, 5.0)
@@ -47,13 +61,49 @@ def test_lp_initial_breaks_match_scalar_loop():
     # abs_tol 1e-14 grades some tails, (2, 0, 1e5) among them, down to the
     # 1e-13 floor; the 200-extras cap cannot bind, as 1 - a halves from below 1
     floor_hits = 0
+    graded_heads = 0
     for cfg in (QuadConfig(), QuadConfig(abs_tol=1e-14)):
         for p, alpha, beta in cases:
             got = fourier.lp_initial_breaks(p, alpha, beta, cfg)
             want = _lp_initial_breaks_loop(p, alpha, beta, cfg)
-            assert got.dtype == want.dtype and np.array_equal(got, want), (p, alpha, beta, cfg)
+            assert got.dtype == want.dtype, (p, alpha, beta, cfg)
             floor_hits += bool(1.0 - got[-2] <= 1e-13)
+            h = want[1]
+            head = got[(got > 0.0) & (got < h)]
+            if not (1.0 < p < 2.0 and beta > 0.0):
+                # p = 1 (linear phi), p = 2 (smooth at 0) and beta = 0: no head points
+                assert head.size == 0, (p, alpha, beta, cfg)
+            # uniform and tail points are bitwise those of the loop
+            assert np.array_equal(got[(got == 0.0) | (got >= h)], want), (p, alpha, beta, cfg)
+            # head points are exactly h 2^-k, k = 1..K, and K is where the rule first holds
+            k = head.size
+            assert np.array_equal(head, h * 2.0 ** -np.arange(k, 0.0, -1.0)), (p, alpha, beta, cfg)
+            if k:
+                assert _head_done(p, beta, h, k, cfg.abs_tol), (p, alpha, beta, cfg)
+                assert not _head_done(p, beta, h, k - 1, cfg.abs_tol), (p, alpha, beta, cfg)
+                graded_heads += 1
     assert floor_hits > 0
+    assert graded_heads > 1000
+
+
+def test_lp_head_grading_closed_form_matches_loop():
+    rng = np.random.default_rng(8)
+    cases = []
+    for _ in range(3000):
+        p = float(rng.uniform(1.0, 2.0))
+        h = float(2.0 ** -rng.uniform(0.0, 20.0))
+        abs_tol = float(10.0 ** rng.uniform(-16.0, -4.0))
+        beta = float(10.0 ** rng.uniform(-3.0, 8.0))
+        cases.append((p, beta, h, abs_tol))
+        # put beta on the stop rule's boundary at some k, where rounding decides
+        k = int(rng.integers(0, 40))
+        cases.append((p, 0.1 * abs_tol / (h * 2.0**-k) ** (p + 1.0), h, abs_tol))
+    for p, beta, h, abs_tol in cases:
+        got = fourier.lp_head_grading(p, beta, h, QuadConfig(abs_tol=abs_tol))
+        k = _head_count_loop(p, beta, h, abs_tol)
+        assert np.array_equal(got, h * 2.0 ** -np.arange(k, 0.0, -1.0)), (p, beta, h, abs_tol)
+    for p, beta in ((1.0, 1e5), (2.0, 1e5), (1.5, 0.0)):
+        assert fourier.lp_head_grading(p, beta, 0.5, QuadConfig()).size == 0
 
 
 def test_frequency_polar_consistency():
@@ -210,6 +260,15 @@ def test_polar_split_consistency():
         res_psi, res_tilde = fourier.psi_split_integrals(p, r, th)
         recon = (res_psi.value + res_tilde.value) / (math.pi * r * math.sin(th))
         assert recon == pytest.approx(direct.value, abs=1e-9)
+
+
+def test_polar_rejects_bad_angle_before_integrating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fourier, "integrate_oscillatory", lambda *a, **k: calls.append(a))
+    for theta in (0.0, -0.7, -math.pi / 2):
+        with pytest.raises(ValueError, match="sin"):
+            fourier.chi_hat_lp_polar(1.5, 5e4, theta)
+    assert calls == []
 
 
 def test_psi_tilde_correction_is_small():

@@ -8,7 +8,9 @@ the estimate is an upper bound where the ratio is at most 1.
 Paths covered: ``fourier.chi_hat_lp`` (x-slicing reduction),
 ``fourier.psi_split_integrals`` (both polar-split integrals) and
 ``convex_probe.chi_hat_body`` on the (2,1) ellipse and on two
-superellipses, which between them take both slicing routes.
+superellipses, which between them take both slicing routes.  Besides the
+seeded points, four fixed ``chi_hat_lp`` samples of the default envelope
+scan are kept as regression points: the estimate once failed there.
 
 References:
 
@@ -56,6 +58,10 @@ _GRADE_FLOOR = 1e-22
 # (kind, p, r_lo, r_hi, angle): the radius is drawn from [r_lo, r_hi] (a
 # witness radius of p when angle is "witness"), a "generic" angle from
 # (0.1, pi/2 - 0.1); the ellipse "witness" angle is its flat-point normal.
+# A "grid" point is a sample of the default envelope scan: r from
+# decay.default_r_grid() inside [r_lo, r_hi], theta from
+# decay.default_theta_grid(p) within _STEEP of pi/2, where the x^p cusp of
+# phi_p at x = 0 carries the most weight.
 # For a superellipse p is its exponent q, and its axes are
 # _SUPERELLIPSE_AXES[q]; only the unit-axes one (B_q itself) takes the
 # lp witness direction.  New specs go last: each draws from the shared stream.
@@ -75,6 +81,21 @@ _SPECS = (
     ("superellipse", 1.3, 200.0, 600.0, "generic"),
     ("superellipse", 1.1, 10.0, 60.0, "generic"),
     ("superellipse", 1.1, 200.0, 600.0, "witness"),
+    ("chi_hat_lp", 1.05, 5.0, 100.0, "grid"),
+    ("chi_hat_lp", 1.1, 5.0, 100.0, "grid"),
+    ("psi_split", 1.05, 5.0, 100.0, "grid"),
+    ("psi_split", 1.1, 5.0, 100.0, "grid"),
+)
+_STEEP = 0.25
+# default envelope-scan samples where the estimate once fell below the
+# actual error, before the seed was graded toward x = 0 (actual/estimate
+# 74.8, 1.19, 1.53 and 6.64); kept outside the seeded stream as
+# (label, kind, p, r, theta)
+_REGRESSION_POINTS = (
+    ("chi_hat_lp-p1.1-r17.6157-regression", "chi_hat_lp", 1.1, 17.615696182700127, 1.3702691361402288),
+    ("chi_hat_lp-p1.1-r98.11-regression", "chi_hat_lp", 1.1, 98.10997944880322, 1.3535585369190066),
+    ("chi_hat_lp-p1.3-r12.0272-regression", "chi_hat_lp", 1.3, 12.02717156829891, 1.153031346264339),
+    ("chi_hat_lp-p1.3-r133.138-regression", "chi_hat_lp", 1.3, 133.13806137219808, 1.0861889493794497),
 )
 _ELLIPSE_AXES = (2.0, 1.0)
 _SUPERELLIPSE_AXES = {1.3: (1.5, 1.0), 1.1: (1.0, 1.0)}
@@ -86,8 +107,13 @@ def _spec_label(spec):
     return f"{kind}-{where}" if p is None else f"{kind}-p{p:g}-{where}"
 
 
+def _draw(values, rng):
+    return float(values[rng.integers(values.size)])
+
+
 def calibration_points():
-    """[(label, kind, p, r, theta)] for every spec, drawn from one seeded stream."""
+    """[(label, kind, p, r, theta)]: one per spec, drawn from one seeded
+    stream, then the fixed regression points."""
     rng = np.random.default_rng(SEED)
     points = []
     for spec in _SPECS:
@@ -96,13 +122,17 @@ def calibration_points():
         generic_theta = float(rng.uniform(0.1, 0.5 * math.pi - 0.1))
         if angle == "generic":
             r, theta = generic_r, generic_theta
+        elif angle == "grid":
+            radii = decay.default_r_grid()
+            angles = decay.default_theta_grid(p)
+            r = _draw(radii[(radii >= r_lo) & (radii <= r_hi)], rng)
+            theta = _draw(angles[angles >= 0.5 * math.pi - _STEEP], rng)
         elif kind == "ellipse":
             r, theta = generic_r, 0.5 * math.pi
         else:
-            radii = decay.witness_r_values(p, r_lo, r_hi)
-            r, theta = float(radii[rng.integers(radii.size)]), lpgeom.theta_star(p)
+            r, theta = _draw(decay.witness_r_values(p, r_lo, r_hi), rng), lpgeom.theta_star(p)
         points.append((_spec_label(spec), kind, p, r, theta))
-    return points
+    return points + list(_REGRESSION_POINTS)
 
 
 @functools.lru_cache(maxsize=1)
