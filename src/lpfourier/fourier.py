@@ -171,8 +171,10 @@ def _reduction_integral(p, alpha, beta, cfg):
 
 @functools.lru_cache(maxsize=128)
 def _ball_area_quad(p, cfg):
-    # no oscillation; grade toward x = 1 for the slope singularity only
-    breaks = np.unique(np.concatenate([[0.0, 1.0], 1.0 - 2.0 ** -np.arange(1.0, 46.0)]))
+    # int_0^1 phi_p on the reduction's seed at beta = 1: with no oscillation,
+    # its tail rule phi(a)(1 - a) <= 0.1 abs_tol bounds the area's tail, and
+    # the head grading covers the x^p cusp at x = 0
+    breaks = lp_initial_breaks(p, 0.0, 1.0, cfg)
     return integrate_oscillatory(
         lambda x: _kernels._phi_array(x, p), 0.0, 1.0, 0.0, cfg, initial_breaks=breaks
     )

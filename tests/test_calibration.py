@@ -44,17 +44,12 @@ def test_reference_matches_disk_closed_form():
 
 def test_points_cover_paths_and_range():
     kinds = {point[1] for point in POINTS.values()}
-    assert kinds == {"chi_hat_lp", "psi_split", "ellipse", "superellipse"}
-    # the superellipse points take both slicing routes of chi_hat_body
-    routes = {
-        calibrate.convex_probe.chi_hat_body(
-            calibrate.convex_probe.superellipse_body(*calibrate._SUPERELLIPSE_AXES[q], q),
-            calibrate.fourier.Frequency.from_polar(r, theta),
-        ).method
-        for _, kind, q, r, theta in POINTS.values()
-        if kind == "superellipse"
-    }
-    assert routes == {"reduction-x", "reduction-y"}
+    assert kinds == {"chi_hat_lp", "psi_split", "ellipse", "superellipse", "poly"}
+    # chi_hat_body runs ellipse points through chi_hat_lp (scaling route) and
+    # poly points through chi_hat_body_parts (vertical slicing)
+    probe = calibrate.convex_probe
+    assert probe.ellipse_body(*calibrate._ELLIPSE_AXES).superellipse is not None
+    assert probe.poly_body(*calibrate._POLY_BODY).superellipse is None
     lp_ps = {point[2] for point in POINTS.values() if point[1] == "chi_hat_lp"}
     assert lp_ps == {1.05, 1.1, 1.3, 1.5, 1.9, 2.0}
     assert max(point[3] for point in POINTS.values()) > 1500.0

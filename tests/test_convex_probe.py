@@ -79,8 +79,9 @@ def test_poly_body_roundtrip():
 def test_body_from_spec_kinds():
     disk = body_from_spec({"label": "unit-disk", "kind": "ellipse", "params": {"a": 1, "b": 1}})
     assert disk.label == "unit-disk"
+    assert disk.superellipse == (1.0, 1.0, 2.0)
     lp = body_from_spec({"kind": "lp", "params": {"p": 1.5}})
-    assert lp.transposed is not None
+    assert lp.superellipse == (1.0, 1.0, 1.5)
     se = body_from_spec(
         {"kind": "superellipse", "params": {"a": 2.0, "b": 1.0, "exponent": 1.5}}
     )
@@ -89,6 +90,7 @@ def test_body_from_spec_kinds():
         {"kind": "custom-poly-coeffs", "params": {"coeffs": [1, 0, -1], "half_width": 1.0}}
     )
     assert poly.half_width == 1.0
+    assert poly.superellipse is None
     with pytest.raises(ValueError):
         body_from_spec({"kind": "blob", "params": {}})
 
@@ -108,18 +110,9 @@ SPECS = (
 def test_body_pickle_roundtrip_bit_identical(spec):
     body = body_from_spec(spec)
     copy = pickle.loads(pickle.dumps(body))
-    pairs = [(body, copy)]
-    if body.transposed is not None:
-        assert copy.transposed is not None
-        pairs.append((body.transposed, copy.transposed))
-    methods = set()
-    for orig, back in pairs:
-        for omega in ((10.0, 0.0), (0.0, 10.0), (3.0, 4.0), (-7.0, 2.5)):
-            a, b = chi_hat_body(orig, omega), chi_hat_body(back, omega)
-            assert (a.value, a.err_estimate, a.method) == (b.value, b.err_estimate, b.method)
-            methods.add(a.method)
-    # bodies with a transpose exercise both slicing routes
-    assert methods == ({"reduction-x", "reduction-y"} if len(pairs) == 2 else {"reduction-x"})
+    for omega in ((10.0, 0.0), (0.0, 10.0), (3.0, 4.0), (-7.0, 2.5)):
+        a, b = chi_hat_body(body, omega), chi_hat_body(copy, omega)
+        assert (a.value, a.err_estimate, a.method) == (b.value, b.err_estimate, b.method)
 
 
 def test_disk_transform_matches_bessel_route():
@@ -131,10 +124,23 @@ def test_disk_transform_matches_bessel_route():
 
 
 def test_slicing_choice_methods():
-    body = ellipse_body(2.0, 1.0)
-    assert chi_hat_body(body, (0.0, 10.0)).method == "reduction-y"
-    assert chi_hat_body(body, (10.0, 0.0)).method == "reduction-x"
-    assert chi_hat_body(body, (0.0, 0.0)).method == "zero-frequency"
+    for body in (ellipse_body(2.0, 1.0), poly_body([1.0, 0.0, -1.0], 1.0)):
+        assert chi_hat_body(body, (10.0, 0.0)).method == "reduction-x"
+        assert chi_hat_body(body, (0.0, 0.0)).method == "zero-frequency"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [ellipse_body(2.0, 1.0), disk_body(), superellipse_body(1.5, 1.0, 1.3), lp_ball_body(1.5)],
+    ids=lambda body: body.label,
+)
+def test_superellipse_bodies_take_scaling_route_bitwise(body):
+    # chi_hat(alpha, beta) = a b chi_hat_{B_q}(a alpha, b beta), bit for bit
+    a, b, q = body.superellipse
+    for alpha, beta in ((3.0, 4.0), (0.0, 10.0), (-7.0, 2.5), (250.0, -40.0), (0.0, 0.0)):
+        got = chi_hat_body(body, (alpha, beta))
+        ref = fourier.chi_hat_lp(q, (a * alpha, b * beta))
+        assert got == fourier.TransformResult(a * b * ref.value, a * b * ref.err_estimate, ref.method)
 
 
 def test_ellipse_scaling_identity():
@@ -158,9 +164,10 @@ def test_ellipse_zero_frequency_area():
 
 
 def test_lp_body_matches_reduction():
+    # the generic vertical slicing of B_p against the lp reduction
     body = lp_ball_body(1.5)
     for omega in ((3.0, 4.0), (0.0, 12.0), (9.0, 2.0)):
-        got = chi_hat_body(body, omega).value
+        got, _ = convex_probe.chi_hat_body_parts(body, omega)
         ref = fourier.chi_hat_lp(1.5, omega).value
         assert got == pytest.approx(ref, abs=1e-8)
 
@@ -179,6 +186,28 @@ def test_conjecture_scan_disk_small():
 def test_conjecture_scan_notes_span_unsorted_grid():
     report = conjecture_scan(ellipse_body(2.0, 1.0), [40.0, 5.0, 20.0], [0.3, 1.0])
     assert "r in [5, 40]" in report.notes
+
+
+def test_conjecture_verdict_counts_error_estimate(monkeypatch):
+    r_grid = np.geomspace(5.0, 30.0, 6)
+    th_grid = np.linspace(0.0, math.pi / 2, 4)
+    body = disk_body()
+    clean = conjecture_scan(body, r_grid, th_grid)
+    assert clean.upper_ok
+    exact_chi_hat_body = convex_probe.chi_hat_body
+
+    def chi_hat_wide_at_last_radius(body, omega, cfg=None):
+        # the samples at the last radius carry an estimate that alone reaches the bound
+        res = exact_chi_hat_body(body, omega, cfg)
+        if omega.r == r_grid[-1]:
+            res = dataclasses.replace(res, err_estimate=clean.bound / omega.r**1.5)
+        return res
+
+    monkeypatch.setattr(convex_probe, "chi_hat_body", chi_hat_wide_at_last_radius)
+    report = conjecture_scan(body, r_grid, th_grid)
+    assert not report.upper_ok
+    assert "counterexample" in report.notes
+    assert (report.c_est, report.witness_max) == (clean.c_est, clean.witness_max)
 
 
 def test_conjecture_scan_rejects_flat_bodies():
@@ -210,18 +239,14 @@ def test_conjecture_tasks_run_under_spawn():
 
 def test_slope_sample_once_per_orientation():
     # _slope_scale's 513-point slope sample is a per-body constant
-    calls = {"body": 0, "transposed": 0}
+    calls = 0
+    body = poly_body([1.0, 0.0, -0.5, 0.0, -0.5], 1.0)
 
-    def counted(g, key):
-        def wrapped(x):
-            calls[key] += np.size(x) == 513
-            return g(x)
+    def counted(x):
+        nonlocal calls
+        calls += np.size(x) == 513
+        return body.upper_d1(x)
 
-        return wrapped
-
-    body = ellipse_body(2.0, 1.0)
-    tr = body.transposed
-    tr = dataclasses.replace(tr, upper_d1=counted(tr.upper_d1, "transposed"))
-    body = dataclasses.replace(body, upper_d1=counted(body.upper_d1, "body"), transposed=tr)
-    conjecture_scan(body, np.geomspace(5.0, 40.0, 4), np.linspace(0.0, math.pi / 2, 5))
-    assert calls == {"body": 1, "transposed": 1}
+    counted_body = dataclasses.replace(body, upper_d1=counted)
+    conjecture_scan(counted_body, np.geomspace(5.0, 40.0, 4), np.linspace(0.0, math.pi / 2, 5))
+    assert calls == 1

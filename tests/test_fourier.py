@@ -139,6 +139,13 @@ def test_zero_frequency_area():
     assert fourier.ball_area(1.0) == pytest.approx(2.0, abs=5e-10)
 
 
+@pytest.mark.parametrize("p", [1.05, 1.1, 1.5, 1.9])
+def test_ball_area_gamma_closed_form_within_estimate(p):
+    exact = 4.0 * math.gamma(1.0 + 1.0 / p) ** 2 / math.gamma(1.0 + 2.0 / p)
+    estimate = 4.0 * fourier._ball_area_quad(p, QuadConfig()).err_estimate
+    assert abs(fourier.ball_area(p) - exact) <= estimate
+
+
 def test_chi_hat_l1_closed_fixture():
     assert fourier.chi_hat_l1_closed((math.pi, 2 * math.pi)) == pytest.approx(
         CHI_L1_PI_2PI, abs=1e-15

@@ -6,11 +6,14 @@ error |value - reference|, the package's ``err_estimate`` and their ratio;
 the estimate is an upper bound where the ratio is at most 1.
 
 Paths covered: ``fourier.chi_hat_lp`` (x-slicing reduction),
-``fourier.psi_split_integrals`` (both polar-split integrals) and
-``convex_probe.chi_hat_body`` on the (2,1) ellipse and on two
-superellipses, which between them take both slicing routes.  Besides the
-seeded points, four fixed ``chi_hat_lp`` samples of the default envelope
-scan are kept as regression points: the estimate once failed there.
+``fourier.psi_split_integrals`` (both polar-split integrals), both paths
+of ``convex_probe.chi_hat_body`` (the scaling route through
+``chi_hat_lp`` on the (2,1) ellipse, vertical slicing on the benchmark's
+quartic poly body) and ``convex_probe.chi_hat_body_parts`` on two
+superellipses, which keeps the generic slicing checked on a graph with a
+slope blow-up.  Besides the seeded points, four fixed ``chi_hat_lp``
+samples of the default envelope scan are kept as regression points: the
+estimate once failed there.
 
 References:
 
@@ -25,9 +28,15 @@ References:
   evaluated with ``mpmath.besselj``.
 * superellipse |x/a|^q + |y/b|^q <= 1: the lp reference through the
   scaling identity chi_hat(alpha, beta) = a b chi_hat_{B_q}(a alpha, b beta).
+* poly body |y| <= u(x) on [-w, w]: (2 / (pi beta)) int_0^w sin(beta u)
+  cos(alpha x) dx, the vertical-slice form, by the same composite rule on
+  breaks at equal steps of 2 pi in alpha x + beta (u(0) - u(x)), again
+  self-checked by bisecting every panel.  The polynomial graph is smooth,
+  so no end grading is needed.
 
 Every reference is computed at the exact double frequency the package
-receives.  Requires mpmath (the dev extra).
+receives; on the scaling route that is the rounded pair (a alpha, b beta)
+handed to ``chi_hat_lp``.  Requires mpmath (the dev extra).
 
 Usage: python tools/calibrate.py
 prints one JSON list of {point, actual, estimate, ratio, ...} records and
@@ -58,6 +67,8 @@ _GRADE_FLOOR = 1e-22
 # (kind, p, r_lo, r_hi, angle): the radius is drawn from [r_lo, r_hi] (a
 # witness radius of p when angle is "witness"), a "generic" angle from
 # (0.1, pi/2 - 0.1); the ellipse "witness" angle is its flat-point normal.
+# Ellipse and poly points run chi_hat_body (its scaling and its slicing
+# route), superellipse points chi_hat_body_parts.
 # A "grid" point is a sample of the default envelope scan: r from
 # decay.default_r_grid() inside [r_lo, r_hi], theta from
 # decay.default_theta_grid(p) within _STEEP of pi/2, where the x^p cusp of
@@ -85,6 +96,8 @@ _SPECS = (
     ("chi_hat_lp", 1.1, 5.0, 100.0, "grid"),
     ("psi_split", 1.05, 5.0, 100.0, "grid"),
     ("psi_split", 1.1, 5.0, 100.0, "grid"),
+    ("poly", None, 10.0, 60.0, "generic"),
+    ("poly", None, 200.0, 500.0, "generic"),
 )
 _STEEP = 0.25
 # default envelope-scan samples where the estimate once fell below the
@@ -99,6 +112,8 @@ _REGRESSION_POINTS = (
 )
 _ELLIPSE_AXES = (2.0, 1.0)
 _SUPERELLIPSE_AXES = {1.3: (1.5, 1.0), 1.1: (1.0, 1.0)}
+# (coeffs, half_width) of the poly body in the body-conjecture benchmark
+_POLY_BODY = ((1.0, 0.0, -0.5, 0.0, -0.5), 1.0)
 
 
 def _spec_label(spec):
@@ -156,17 +171,9 @@ def reference_breaks(p, alpha, beta):
     contribution is below _GRADE_FLOOR.
     """
     alpha, beta = abs(alpha), abs(beta)
-
-    def v_of(x):
-        return alpha * x + beta * (1.0 - (1.0 - x**p) ** (1.0 / p))
-
-    n = int(math.ceil((alpha + beta) / (2.0 * math.pi)))
-    targets = 2.0 * math.pi * np.arange(1, n)
-    lo, hi = np.zeros(n - 1), np.ones(n - 1)
-    for _ in range(60):  # bisection of the monotone V
-        mid = 0.5 * (lo + hi)
-        below = v_of(mid) < targets
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    wavelengths = _wavelength_breaks(
+        lambda x: alpha * x + beta * (1.0 - (1.0 - x**p) ** (1.0 / p)), alpha + beta, 1.0
+    )
     # end panels [0, e] and [1 - e, 1] differ from a smooth integrand by at
     # most beta e^(p+1) and beta e^(1+1/p) respectively
     scale = max(beta, 1.0)
@@ -174,7 +181,20 @@ def reference_breaks(p, alpha, beta):
     k1 = math.ceil(math.log2(scale / _GRADE_FLOOR) / (1.0 + 1.0 / p))
     grade0 = 2.0 ** -np.arange(1.0, k0 + 1)
     grade1 = 1.0 - 2.0 ** -np.arange(1.0, k1 + 1)
-    return np.unique(np.concatenate([[0.0, 1.0], 0.5 * (lo + hi), grade0, grade1]))
+    return np.unique(np.concatenate([[0.0, 1.0], wavelengths, grade0, grade1]))
+
+
+def _wavelength_breaks(v_of, v_end, end):
+    """Points of (0, end) where the increasing V, with V(0) = 0 and
+    V(end) = v_end, crosses the multiples of 2 pi."""
+    n = int(math.ceil(v_end / (2.0 * math.pi)))
+    targets = 2.0 * math.pi * np.arange(1, n)
+    lo, hi = np.zeros(n - 1), np.full(n - 1, end)
+    for _ in range(60):  # bisection of the monotone V
+        mid = 0.5 * (lo + hi)
+        below = v_of(mid) < targets
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def _composite(f, breaks):
@@ -187,7 +207,8 @@ def _composite(f, breaks):
 
 
 def reference_integral(f, breaks):
-    """(fine, |coarse - fine|) of int_0^1 f on breaks and on breaks bisected."""
+    """(fine, |coarse - fine|) of the integral of f over [breaks[0], breaks[-1]],
+    on breaks and on breaks bisected."""
     coarse = _composite(f, breaks)
     fine = _composite(f, np.unique(np.concatenate([breaks, 0.5 * (breaks[:-1] + breaks[1:])])))
     return fine, abs(coarse - fine)
@@ -229,16 +250,39 @@ def _ellipse_refs(p, r, theta):
     a, b = _ELLIPSE_AXES
     omega = fourier.Frequency.from_polar(r, theta)
     res = convex_probe.chi_hat_body(convex_probe.ellipse_body(a, b), omega)
-    rho = mp.sqrt((a * mp.mpf(omega.alpha)) ** 2 + (b * mp.mpf(omega.beta)) ** 2)
+    rho = mp.hypot(a * omega.alpha, b * omega.beta)
     return [("", res, a * b * mp.besselj(1, rho) / rho, mp.mpf(0))]
 
 
 def _superellipse_refs(q, r, theta):
     a, b = _SUPERELLIPSE_AXES[q]
     omega = fourier.Frequency.from_polar(r, theta)
-    res = convex_probe.chi_hat_body(convex_probe.superellipse_body(a, b, q), omega)
+    value, err = convex_probe.chi_hat_body_parts(convex_probe.superellipse_body(a, b, q), omega)
     ref, diff = _lp_reference(q, a * mp.mpf(omega.alpha), b * mp.mpf(omega.beta))
-    return [("", res, a * b * ref, a * b * diff)]
+    return [("", fourier.TransformResult(value, err, "reduction-x"), a * b * ref, a * b * diff)]
+
+
+def _poly_refs(p, r, theta):
+    coeffs, w = _POLY_BODY
+    omega = fourier.Frequency.from_polar(r, theta)
+    body = convex_probe.poly_body(coeffs, w)
+    res = convex_probe.chi_hat_body(body, omega)
+    alpha, beta = abs(omega.alpha), abs(omega.beta)
+    breaks = np.concatenate([
+        [0.0],
+        _wavelength_breaks(
+            lambda x: alpha * x + beta * (body.upper(0.0) - body.upper(x)),
+            alpha * w + beta * body.upper(0.0), w,
+        ),
+        [w],
+    ])
+    am, bm = mp.mpf(alpha), mp.mpf(beta)
+    cm = [mp.mpf(c) for c in reversed(coeffs)]
+    integral, diff = reference_integral(
+        lambda x: mp.sin(bm * mp.polyval(cm, x)) * mp.cos(am * x), breaks
+    )
+    scale = 2 / (mp.pi * bm)
+    return [("", res, scale * integral, scale * diff)]
 
 
 _REFS = {
@@ -246,6 +290,7 @@ _REFS = {
     "psi_split": _psi_split_refs,
     "ellipse": _ellipse_refs,
     "superellipse": _superellipse_refs,
+    "poly": _poly_refs,
 }
 
 
