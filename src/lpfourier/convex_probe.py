@@ -26,7 +26,7 @@ import numpy as np
 from . import fourier, lpgeom
 from .decay import ENVELOPE_UPPER_COEFF, R_MIN_ALLOWED, _ordered_map
 from .fourier import TransformResult, _sin_over, as_frequency
-from .oscquad import QuadConfig, integrate_oscillatory
+from .oscquad import QuadConfig, integrate_oscillatory, uniform_breaks
 
 # phases built from body graphs inherit the slope blow-up at the endpoints;
 # steeper rates are left to adaptive bisection
@@ -35,6 +35,8 @@ _SLOPE_CAP = 1e3
 _ENDPOINT_INSET = 1e-6
 # points per pass of the curvature-minimum scan
 CURVATURE_GRID = 2000
+# relative spread of constant sampled curvature (a disk's is about 1e-15)
+_CONSTANT_CURVATURE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -82,10 +84,10 @@ class ConvexBody:
         return min(max(s, 1.0), _SLOPE_CAP)
 
 
-def validate_body(body, samples=512):
+def validate_body(body):
     """Check by sampling that upper is positive inside, zero at +-w, concave and even."""
     w = body.half_width
-    xs = np.linspace(-w, w, samples)[1:-1]
+    xs = np.linspace(-w, w, 512)[1:-1]
     up = body.upper(xs)
     if np.any(up <= 0.0):
         raise ValueError(f"body {body.label!r}: upper graph not positive inside")
@@ -215,7 +217,9 @@ def body_curvature_min(body):
 
     The arc y = -u(x) mirrors it, so it has the same minimum.  One local
     refinement pass around the coarse argmin.  Returns (nu, (x, y)) with
-    the realising point on the upper arc.
+    the realising point on the upper arc.  Where the curvature is constant
+    (a disk) every point is a minimum, and the top point (0, u(0)) is
+    returned rather than wherever rounding puts the argmin.
     """
     w = body.half_width
     inset = 2.0 * w * 1e-7
@@ -229,7 +233,10 @@ def body_curvature_min(body):
 
     n = CURVATURE_GRID
     xs = np.linspace(inset - w, w - inset, n)
-    i = int(np.argmin(curvature(xs)))
+    k = curvature(xs)
+    if np.max(k) - np.min(k) <= _CONSTANT_CURVATURE_RTOL * np.min(k):
+        return float(curvature(np.zeros(1))[0]), (0.0, float(body.upper(0.0)))
+    i = int(np.argmin(k))
     xs2 = np.linspace(xs[max(0, i - 1)], xs[min(n - 1, i + 1)], n)
     k2 = curvature(xs2)
     j = int(np.argmin(k2))
@@ -259,7 +266,7 @@ def chi_hat_body_parts(body, omega, cfg=None):
         return 2.0 * u * _sin_over(beta * u) * np.cos(alpha * x)
 
     w = body.half_width
-    res = integrate_oscillatory(f, -w, w, rate, cfg)
+    res = integrate_oscillatory(f, uniform_breaks(-w, w, rate, cfg), cfg)
     return res.value / two_pi, res.err_estimate / two_pi
 
 

@@ -21,7 +21,6 @@ and a brute-force 2-D tensor quadrature that never touches the adaptive
 engine.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -30,9 +29,12 @@ from numpy.polynomial.legendre import leggauss
 
 from . import _kernels
 from .lpgeom import as_p
-from .oscquad import QuadConfig, integrate_oscillatory, seed_panel_count
+from .oscquad import QuadConfig, integrate_oscillatory, uniform_breaks
 
 _BRUTEFORCE_MAX_FREQ = 50.0
+# brute-force oracle: composite 8-point Gauss-Legendre on this many uniform
+# panels of [-1, 1] in each direction (plus the edge refinement in x)
+_BRUTEFORCE_PANELS = 250
 
 
 @dataclass(frozen=True)
@@ -109,8 +111,9 @@ def lp_head_grading(p, beta, h, cfg):
     def done(k):
         return beta * (h * 2.0**-k) ** e <= target
 
-    # K from log2; rounding can put the ceiling one off either way
-    k = max(0, math.ceil(math.log2(beta / target) / e + math.log2(h)))
+    # K from log2, differenced so that a huge beta / target cannot overflow;
+    # rounding can put the ceiling one off either way
+    k = max(0, math.ceil((math.log2(beta) - math.log2(target)) / e + math.log2(h)))
     if not done(k):
         k += 1
     elif k > 0 and done(k - 1):
@@ -121,8 +124,8 @@ def lp_head_grading(p, beta, h, cfg):
 def lp_initial_breaks(p, alpha, beta, cfg):
     """Panel boundaries for int_0^1 cos(alpha x) sin(beta phi_p(x)) dx.
 
-    Uniform panels sized by ``seed_panel_count`` for the interior phase
-    rate alpha + beta, graded geometrically toward both ends of [0, 1],
+    The uniform seed ``uniform_breaks(0, 1, alpha + beta, cfg)`` for the
+    interior phase rate, graded geometrically toward both ends of [0, 1],
     where phi_p is not smooth.
 
     Toward x = 1 (slope blow-up of phi_p): halve the last panel until the
@@ -139,8 +142,7 @@ def lp_initial_breaks(p, alpha, beta, cfg):
     tolerance outright, so no adaptive round has to find it.
     """
     p = as_p(p)
-    rate = abs(alpha) + abs(beta)
-    breaks = np.linspace(0.0, 1.0, seed_panel_count(rate, cfg) + 1)
+    breaks = uniform_breaks(0.0, 1.0, abs(alpha) + abs(beta), cfg)
     # candidate tail points a_0 = breaks[-2], a <- (a + 1)/2 until 1 - a <= 1e-13;
     # 1 - a halves from below 1, so that takes at most 44 steps
     tail = [breaks[-2]]
@@ -162,46 +164,50 @@ def lp_initial_breaks(p, alpha, beta, cfg):
 
 def _reduction_integral(p, alpha, beta, cfg):
     # int_0^1 cos(alpha x) sin(beta phi_p(x)) dx on the graded partition
-    breaks = lp_initial_breaks(p, alpha, beta, cfg)
     return integrate_oscillatory(
         lambda x: _kernels.lp_cos_sin_values(x, p, alpha, beta),
-        0.0, 1.0, alpha + beta, cfg, initial_breaks=breaks,
+        lp_initial_breaks(p, alpha, beta, cfg), cfg,
     )
 
 
-@functools.lru_cache(maxsize=128)
-def _ball_area_quad(p, cfg):
-    # int_0^1 phi_p on the reduction's seed at beta = 1: with no oscillation,
-    # its tail rule phi(a)(1 - a) <= 0.1 abs_tol bounds the area's tail, and
-    # the head grading covers the x^p cusp at x = 0
-    breaks = lp_initial_breaks(p, 0.0, 1.0, cfg)
-    return integrate_oscillatory(
-        lambda x: _kernels._phi_array(x, p), 0.0, 1.0, 0.0, cfg, initial_breaks=breaks
-    )
+def _sinc_slice_integral(p, alpha, beta, cfg):
+    # int_0^1 phi_p sinc(beta phi_p) cos(alpha x) dx for beta < 2/pi, on the
+    # reduction's seed at beta = 1: with under a radian of phase, its tail rule
+    # phi(a)(1 - a) <= 0.1 abs_tol bounds the tail (|sinc| <= 1), and the head
+    # grading covers the x^p cusp at x = 0
+    def f(x):
+        ph = _kernels._phi_array(x, p)
+        return ph * _sin_over(beta * ph) * np.cos(alpha * x)
+
+    return integrate_oscillatory(f, lp_initial_breaks(p, alpha, 1.0, cfg), cfg)
 
 
 def ball_area(p, cfg=None):
     """Area of the l^p ball as 4 int_0^1 phi_p, by graded quadrature."""
-    return 4.0 * _ball_area_quad(as_p(p), cfg or QuadConfig()).value
+    return 4.0 * _sinc_slice_integral(as_p(p), 0.0, 0.0, cfg or QuadConfig()).value
 
 
 def chi_hat_lp(p, omega, cfg=None):
     """chi_hat of the l^p ball at omega, by the 1-D x-slicing reduction.
 
-    Zero frequency short-circuits to area/(2 pi).  The result records
-    the evaluation path and the propagated quadrature error estimate.
+    Below beta = 2/pi, zero frequency included, the slice is integrated in
+    its sinc form (2/pi) int_0^1 phi_p sinc(beta phi_p) cos(alpha x) dx:
+    the factor 2/(pi beta) of the sine form would magnify the integral's
+    error there, and overflow for subnormal beta.  The result records the
+    evaluation path and the propagated quadrature error estimate.
     """
     p = as_p(p)
     cfg = cfg or QuadConfig()
     omega = reduce_symmetry(omega)
-    if omega.r == 0.0:
-        area = _ball_area_quad(p, cfg)
-        scale = 4.0 / (2.0 * math.pi)
-        return TransformResult(scale * area.value, scale * area.err_estimate, "zero-frequency")
-    alpha, beta = omega.alpha, omega.beta  # beta >= alpha >= 0, beta > 0
-    res = _reduction_integral(p, alpha, beta, cfg)
-    scale = 2.0 / (math.pi * beta)
-    return TransformResult(scale * res.value, scale * res.err_estimate, "reduction-x")
+    alpha, beta = omega.alpha, omega.beta  # beta >= alpha >= 0
+    if beta < 2.0 / math.pi:
+        res = _sinc_slice_integral(p, alpha, beta, cfg)
+        scale = 2.0 / math.pi
+    else:
+        res = _reduction_integral(p, alpha, beta, cfg)
+        scale = 2.0 / (math.pi * beta)
+    method = "zero-frequency" if omega.r == 0.0 else "reduction-x"
+    return TransformResult(scale * res.value, scale * res.err_estimate, method)
 
 
 def chi_hat_lp_via_y(p, omega, cfg=None):
@@ -237,8 +243,7 @@ def psi_split_integrals(p, r, theta, cfg=None):
     breaks = lp_initial_breaks(p, abs(alpha), abs(beta), cfg)
     return tuple(
         integrate_oscillatory(
-            lambda x, s=sign: _kernels.lp_phase_sin_values(x, p, r, ct, st, s),
-            0.0, 1.0, abs(alpha) + abs(beta), cfg, initial_breaks=breaks,
+            lambda x, s=sign: _kernels.lp_phase_sin_values(x, p, r, ct, st, s), breaks, cfg
         )
         for sign in (1.0, -1.0)
     )
@@ -293,20 +298,16 @@ def chi_hat_l1_bound(omega):
     return 2.0 / (math.pi * omega.r)
 
 
-@functools.lru_cache(maxsize=8)
-def _gl_rule(n):
-    return leggauss(n)
-
-
-def _composite_gl_nodes(breaks, n_per_panel=8):
-    xg, wg = _gl_rule(n_per_panel)
+def _composite_gl_nodes(breaks):
+    # built per call: leggauss loads numpy.linalg, which an import should not
+    xg, wg = leggauss(8)
     l, r = breaks[:-1], breaks[1:]
     half = 0.5 * (r - l)[:, None]
     mid = 0.5 * (r + l)[:, None]
     return (mid + half * xg[None, :]).ravel(), (half * wg[None, :]).ravel()
 
 
-def bruteforce_parts(p, omega, grid_n=2000):
+def bruteforce_parts(p, omega):
     """Direct 2-D tensor quadrature of (1/2pi) iint e^{-i(x a + y b)} over the ball.
 
     Independent of the adaptive engine: composite Gauss-Legendre in both
@@ -321,19 +322,16 @@ def bruteforce_parts(p, omega, grid_n=2000):
     omega = as_frequency(omega)
     if omega.r > _BRUTEFORCE_MAX_FREQ:
         raise ValueError(f"brute-force oracle is limited to |omega| <= {_BRUTEFORCE_MAX_FREQ}")
-    if grid_n < 64:
-        raise ValueError("grid_n too small")
     alpha, beta = omega.alpha, omega.beta
 
-    nseg = max(16, grid_n // 8)
-    base = np.linspace(-1.0, 1.0, nseg + 1)
+    base = np.linspace(-1.0, 1.0, _BRUTEFORCE_PANELS + 1)
     w0 = base[1] - base[0]
     edge = w0 * 0.5 ** np.arange(1.0, 46.0)
     breaks = np.unique(np.concatenate([base, -1.0 + edge, 1.0 - edge]))
     x, wx = _composite_gl_nodes(breaks)
     ph = _kernels._phi_array(np.abs(x), p)
 
-    t_breaks = np.linspace(-1.0, 1.0, max(8, grid_n // 8) + 1)
+    t_breaks = np.linspace(-1.0, 1.0, _BRUTEFORCE_PANELS + 1)
     t, wt = _composite_gl_nodes(t_breaks)
     # vertical slice y = t*phi(x): weight picks up the slice half-height
     phase = alpha * x[:, None] + beta * np.outer(ph, t)
@@ -344,9 +342,9 @@ def bruteforce_parts(p, omega, grid_n=2000):
     return re, im
 
 
-def chi_hat_bruteforce(p, omega, grid_n=2000):
+def chi_hat_bruteforce(p, omega):
     """Real part of the brute-force transform; checks the imaginary part is ~0."""
-    re, im = bruteforce_parts(p, omega, grid_n)
+    re, im = bruteforce_parts(p, omega)
     if abs(im) > 1e-8:
         raise ArithmeticError(f"brute-force imaginary part {im:.3e} not negligible")
     return re
@@ -362,15 +360,18 @@ def bessel_j1_oracle(r):
     route for the disk cross-check, run at its own tight tolerances.
     """
     r = float(r)
-    res = integrate_oscillatory(
-        lambda t: np.cos(t - r * np.sin(t)), 0.0, math.pi, 1.0 + abs(r), _J1_CFG
-    )
+    breaks = uniform_breaks(0.0, math.pi, 1.0 + abs(r), _J1_CFG)
+    res = integrate_oscillatory(lambda t: np.cos(t - r * np.sin(t)), breaks, _J1_CFG)
     return res.value / math.pi
 
 
 def chi_hat_disk_oracle(r):
-    """Disk transform J1(r)/r, with the r -> 0 limit 1/2."""
+    """Disk transform J1(r)/r = (1/pi) int_0^pi cos(r cos t) sin(t)^2 dt (Poisson).
+
+    The integral carries no division by r, so small r keeps its accuracy;
+    like ``bessel_j1_oracle``, an independent route at tight tolerances.
+    """
     r = float(r)
-    if r == 0.0:
-        return 0.5
-    return bessel_j1_oracle(r) / r
+    breaks = uniform_breaks(0.0, math.pi, abs(r), _J1_CFG)
+    res = integrate_oscillatory(lambda t: np.cos(r * np.cos(t)) * np.sin(t) ** 2, breaks, _J1_CFG)
+    return res.value / math.pi

@@ -1,11 +1,13 @@
 """Adaptive panel quadrature for oscillatory integrands on an interval.
 
 The engine uses an embedded 15-point Kronrod / 7-point Gauss pair per
-panel.  The initial partition is seeded from a frequency hint (largest
-phase rate r*max|psi'|), sized by ``seed_panel_count`` at
-``PANELS_PER_WAVELENGTH`` panels per 2*pi of phase; panels whose error
-estimate exceeds their share of the tolerance are bisected until the
-summed estimate meets the target.
+panel.  It integrates over the seed partition its caller hands it and
+only refines it: panels whose error estimate exceeds their share of the
+tolerance are bisected until the summed estimate meets the target.
+``uniform_breaks`` builds the uniform seed from the largest phase rate
+r*max|psi'|, at ``PANELS_PER_WAVELENGTH`` panels per 2*pi of phase; the
+l^p reduction grades that seed toward the endpoint singularities of
+phi_p (``fourier.lp_initial_breaks``).
 
 The seed density is the constant 4 panels per wavelength.  A panel
 spanning a quarter wavelength carries a Gauss error of about
@@ -75,20 +77,34 @@ class NonFiniteIntegrandError(RuntimeError):
         self.abscissa = abscissa
 
 
-def seed_panel_count(rate, cfg):
-    """Uniform seed panels for phase rate ``rate``: ceil(rate * density / 2 pi).
+def uniform_breaks(a, b, rate, cfg=None):
+    """ceil(rate * PANELS_PER_WAVELENGTH / 2 pi) equal panels on [a, b], within [1, max_panels].
 
-    density is ``PANELS_PER_WAVELENGTH``; the count is kept within
-    [1, cfg.max_panels].
+    The count ignores b - a, so the density per wavelength holds on unit
+    intervals only (density / (2 w) on [-w, w]).  Sizing it by
+    rate * (b - a) nearly doubles the time of a body-conjecture scan of
+    the quartic poly body; that belongs with a performance change.
     """
+    a = float(a)
+    b = float(b)
+    if not (a < b):
+        raise ValueError("need a < b")
+    if not (0.0 <= rate < math.inf):
+        raise ValueError("rate must be finite and >= 0")
+    cfg = cfg or QuadConfig()
     n0 = int(math.ceil(rate * PANELS_PER_WAVELENGTH / (2.0 * math.pi)))
-    return max(1, min(n0, cfg.max_panels))
+    # no more panels than doubles in [a, b], so that the breaks stay distinct
+    n = int(min(n0, cfg.max_panels, (b - a) / math.ulp(max(abs(a), abs(b)))))
+    return np.linspace(a, b, max(1, n) + 1)
 
 
 def _panel_sums(f, lefts, rights):
     x, half = _panel_nodes(lefts, rights)
     v = np.asarray(f(x), dtype=np.float64)
-    return panel_sums_from_values(v, half)
+    k15, err = panel_sums_from_values(v, half)
+    if not (np.all(np.isfinite(k15)) and np.all(np.isfinite(err))):
+        raise NonFiniteIntegrandError(_locate_nonfinite(f, lefts, rights, k15, err))
+    return k15, err
 
 
 def _locate_nonfinite(f, lefts, rights, k15, err):
@@ -100,24 +116,15 @@ def _locate_nonfinite(f, lefts, rights, k15, err):
     return float(x.flat[np.argmax(~np.isfinite(v))])
 
 
-def integrate_oscillatory(
-    f: Callable,
-    a: float,
-    b: float,
-    frequency_hint: float,
-    cfg: Optional[QuadConfig] = None,
-    *,
-    initial_breaks=None,
-) -> QuadResult:
-    """Integrate f over [a, b] to the configured tolerance.
+def integrate_oscillatory(f: Callable, breaks, cfg: Optional[QuadConfig] = None) -> QuadResult:
+    """Integrate f over [breaks[0], breaks[-1]] to the configured tolerance.
 
     ``f`` maps an (n, 15) array of Kronrod abscissae, one row per panel,
     to the integrand values at those abscissae, elementwise.  The array is
     fresh in every call and owned by the engine: ``f`` may overwrite it
-    and return it as the values.  ``frequency_hint`` is an estimate of the
-    largest phase rate, used only to size the initial uniform partition;
-    callers with sharper knowledge may pass ``initial_breaks`` (a sorted
-    array of panel boundaries from a to b) instead.
+    and return it as the values.  ``breaks`` is the seed partition, a
+    strictly increasing array of panel boundaries (``uniform_breaks``
+    builds a uniform one); the engine only refines it.
 
     Raises QuadratureBudgetError carrying the partial value when the
     panel budget is exhausted or the estimate stalls at the roundoff
@@ -125,33 +132,21 @@ def integrate_oscillatory(
     the integrand misbehaves.
     """
     cfg = cfg or QuadConfig()
-    a = float(a)
-    b = float(b)
-    if not (a < b):
-        raise ValueError("need a < b")
-    if frequency_hint < 0.0 or not np.isfinite(frequency_hint):
-        raise ValueError("frequency_hint must be finite and >= 0")
     if f is None:
         raise ValueError("an integrand f is required")
-
-    if initial_breaks is None:
-        breaks = np.linspace(a, b, seed_panel_count(frequency_hint, cfg) + 1)
-    else:
-        breaks = np.asarray(initial_breaks, dtype=np.float64)
-        if breaks.ndim != 1 or breaks.size < 2 or np.any(np.diff(breaks) <= 0.0):
-            raise ValueError("initial_breaks must be strictly increasing with >= 2 entries")
-        if not (breaks[0] == a and breaks[-1] == b):
-            raise ValueError("initial_breaks must span [a, b]")
-        if breaks.size - 1 > cfg.max_panels:
-            raise QuadratureBudgetError(
-                "initial partition exceeds max_panels", 0.0, np.inf, breaks.size - 1
-            )
+    breaks = np.asarray(breaks, dtype=np.float64)
+    # increasing breaks are all finite when their span is
+    ok = breaks.ndim == 1 and breaks.size >= 2 and np.all(np.diff(breaks) > 0.0)
+    if not (ok and math.isfinite(breaks[-1] - breaks[0])):
+        raise ValueError("breaks must be finite and strictly increasing with >= 2 entries")
+    if breaks.size - 1 > cfg.max_panels:
+        raise QuadratureBudgetError(
+            "initial partition exceeds max_panels", 0.0, np.inf, breaks.size - 1
+        )
 
     lefts = breaks[:-1]
     rights = breaks[1:]
     k15, err = _panel_sums(f, lefts, rights)
-    if not (np.all(np.isfinite(k15)) and np.all(np.isfinite(err))):
-        raise NonFiniteIntegrandError(_locate_nonfinite(f, lefts, rights, k15, err))
 
     prev_err = math.inf
     stagnant = 0
@@ -196,8 +191,6 @@ def integrate_oscillatory(
         new_l = np.concatenate([bl, mids])
         new_r = np.concatenate([mids, br])
         nk, ne = _panel_sums(f, new_l, new_r)
-        if not (np.all(np.isfinite(nk)) and np.all(np.isfinite(ne))):
-            raise NonFiniteIntegrandError(_locate_nonfinite(f, new_l, new_r, nk, ne))
 
         lefts = np.concatenate([lefts[~bad], new_l])
         rights = np.concatenate([rights[~bad], new_r])
@@ -268,7 +261,6 @@ def fresnel_symmetric(m):
     if m <= _FRESNEL_SPLIT:
         return 2.0 * _fresnel_sine_to(m)
     head = _fresnel_sine_to(_FRESNEL_SPLIT)
-    tail = integrate_oscillatory(
-        lambda x: np.sin(x * x), _FRESNEL_SPLIT, m, frequency_hint=2.0 * m, cfg=_FRESNEL_CFG
-    )
+    breaks = uniform_breaks(_FRESNEL_SPLIT, m, 2.0 * m, _FRESNEL_CFG)
+    tail = integrate_oscillatory(lambda x: np.sin(x * x), breaks, _FRESNEL_CFG)
     return 2.0 * (head + tail.value)

@@ -6,14 +6,14 @@ deterministic measurement.
 """
 
 import math
-import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import convex_probe, decay, fourier, lpgeom
-from .oscquad import fresnel_symmetric, integrate_oscillatory, vdc_bound_first, vdc_bound_second
+from .oscquad import fresnel_symmetric, integrate_oscillatory, uniform_breaks
+from .oscquad import vdc_bound_first, vdc_bound_second
 
 SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 DISK_ENVELOPE = math.sqrt(2.0 / math.pi)
@@ -128,9 +128,8 @@ def random_convex_phase(rng):
 def _osc_integral_of_poly_phase(psi, r, a, b):
     d1 = psi.deriv()
     grid = np.linspace(a, b, 513)
-    hint = r * float(np.max(np.abs(d1(grid))))
-    res = integrate_oscillatory(lambda x: np.sin(r * psi(x)), a, b, hint)
-    return res
+    rate = r * float(np.max(np.abs(d1(grid))))
+    return integrate_oscillatory(lambda x: np.sin(r * psi(x)), uniform_breaks(a, b, rate))
 
 
 def criterion_van_der_corput(workers=1):
@@ -178,7 +177,7 @@ def criterion_stationary_fresnel(workers=1):
         if diff > 2.0 / m:
             ok = False
     r = 1e5
-    res = integrate_oscillatory(lambda x: np.sin(r * (x - 0.5) ** 2), 0.0, 1.0, r)
+    res = integrate_oscillatory(lambda x: np.sin(r * (x - 0.5) ** 2), uniform_breaks(0.0, 1.0, r))
     ratio = abs(res.value) * math.sqrt(2.0 * r) / math.sqrt(math.pi)
     ok = ok and (0.95 <= ratio <= 1.05)
     return _result(
@@ -357,18 +356,17 @@ def run_criterion(cid, workers=1):
     return CRITERIA[cid](workers=workers)
 
 
-def run_suite(suite="all", workers=1, stream=None):
+def run_suite(suite="all", workers=1):
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(sorted(SUITES))}")
-    stream = stream or sys.stdout
     results = []
     for cid in SUITES[suite]:
         res = run_criterion(cid, workers=workers)
         results.append(res)
         status = "PASS" if res.passed else "FAIL"
-        stream.write(f"{status}  {res.cid:<4} {res.name:<22} {res.seconds:7.1f}s  {res.detail}\n")
-        stream.flush()
+        line = f"{status}  {res.cid:<4} {res.name:<22} {res.seconds:7.1f}s  {res.detail}"
+        print(line, flush=True)
     total = sum(r.seconds for r in results)
     npass = sum(1 for r in results if r.passed)
-    stream.write(f"{npass}/{len(results)} criteria passed in {total:.1f}s\n")
+    print(f"{npass}/{len(results)} criteria passed in {total:.1f}s")
     return results

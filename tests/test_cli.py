@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from lpfourier import cli
+from lpfourier import cli, fourier
 
 BRUTE_15_34 = -0.06419374168744058  # brute-force 2-D value at p=1.5, omega=(3,4)
 
@@ -44,6 +44,14 @@ def test_transform_budget_failure_exit_code(capsys):
     )
     assert code == 3
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", ["1", "1.5", "2"])
+@pytest.mark.parametrize("freq", ["1e298", "1e300"])
+def test_transform_huge_frequency_exit_code(capsys, p, freq):
+    # the seed partition outgrows the panel budget: exit 3, not an overflow traceback
+    assert run_cli(["transform", "--p", p, "--alpha", freq, "--beta", freq]) == 3
+    assert "exceeds max_panels" in capsys.readouterr().err
 
 
 def test_envelope_csv_and_summary(tmp_path, capsys):
@@ -130,6 +138,31 @@ def test_envelope_budget_failure_exit_code(capsys):
     )
     assert code == 3
     assert "budget" in capsys.readouterr().err
+
+
+def test_envelope_verdict_counts_error_estimate(tmp_path, monkeypatch, capsys):
+    # one sample whose estimate reaches past the bound fails the verdict,
+    # while c_est and the argmax keep their bare-value definitions
+    args = ["envelope", "--p", "1.5", "--r-min", "5", "--r-max", "6", "--per-decade", "2",
+            "--theta-points", "2", "--out", str(tmp_path / "env.csv"), "--no-timestamp"]
+    assert run_cli(args + ["--summary", str(tmp_path / "plain.json")]) == 0
+    plain = json.loads((tmp_path / "plain.json").read_text())
+    chi_hat_lp = fourier.chi_hat_lp
+    calls = []
+
+    def widened(p, omega, cfg=None):
+        res = chi_hat_lp(p, omega, cfg)
+        calls.append(omega)
+        if len(calls) == 2:
+            res = fourier.TransformResult(res.value, 1e3, res.method)
+        return res
+
+    monkeypatch.setattr(fourier, "chi_hat_lp", widened)
+    assert run_cli(args + ["--summary", str(tmp_path / "wide.json")]) == 1
+    wide = json.loads((tmp_path / "wide.json").read_text())
+    assert plain["upper_ok"] and not wide["upper_ok"]
+    for key in ("c_est", "upper_bound", "slack_ratio", "argmax_r", "argmax_theta"):
+        assert wide[key] == plain[key], key
 
 
 def test_sequence_usage_errors(tmp_path):

@@ -32,6 +32,28 @@ def test_disk_curvature():
     assert nu == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("body", [disk_body(), ellipse_body(2.0, 2.0)], ids=lambda b: b.label)
+def test_constant_curvature_witness_ignores_rounding(body):
+    # the curvature is constant, so rounding alone picks the grid argmin;
+    # the reported point and direction must not follow a few-ulp perturbation
+    def perturbed(seed):
+        rng = np.random.default_rng(seed)
+
+        def upper_d2(x):
+            v = body.upper_d2(x)
+            return v * (1.0 + np.finfo(float).eps * rng.integers(-4, 5, size=np.shape(v)))
+
+        return dataclasses.replace(body, upper_d2=upper_d2)
+
+    results = []
+    for b in (perturbed(1), perturbed(2)):
+        nu, (x, y) = body_curvature_min(b)
+        assert nu == pytest.approx(1.0 / body.half_width, rel=1e-12)
+        results.append((x, y, convex_probe._witness_direction(b, x)))
+    assert results[0] == results[1]
+    assert results[0][2] == 0.5 * math.pi
+
+
 def test_ellipse_curvature_min():
     nu, (x, y) = body_curvature_min(ellipse_body(2.0, 1.0))
     assert nu == pytest.approx(0.25, rel=1e-9)  # b / a^2 at (0, +-1)

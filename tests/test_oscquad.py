@@ -10,6 +10,7 @@ from lpfourier.oscquad import (
     fresnel_symmetric,
     integrate_oscillatory,
     stationary_phase_magnitude,
+    uniform_breaks,
     vdc_bound_first,
     vdc_bound_second,
 )
@@ -28,14 +29,14 @@ FRESNEL_FIXTURES = {
 
 
 def test_sin_closed_form():
-    res = integrate_oscillatory(lambda x: np.sin(10.0 * x), 0.0, 1.0, 10.0)
+    res = integrate_oscillatory(lambda x: np.sin(10.0 * x), uniform_breaks(0.0, 1.0, 10.0))
     assert res.value == pytest.approx(0.18390715290764525, abs=1e-12)
     assert res.err_estimate <= 1e-10
     assert res.panels_used >= 1
 
 
 def test_zero_integrand():
-    res = integrate_oscillatory(lambda x: np.zeros_like(x), 0.0, 1.0, 0.0)
+    res = integrate_oscillatory(lambda x: np.zeros_like(x), uniform_breaks(0.0, 1.0, 0.0))
     assert res.value == 0.0
     assert res.err_estimate == 0.0
 
@@ -44,7 +45,8 @@ def test_l1_reduction_consistency():
     # int_0^1 cos(pi x) sin(2pi (1-x)) dx equals chi_hat * pi * beta / 2
     alpha, beta = math.pi, 2 * math.pi
     res = integrate_oscillatory(
-        lambda x: np.cos(alpha * x) * np.sin(beta * (1.0 - x)), 0.0, 1.0, alpha + beta
+        lambda x: np.cos(alpha * x) * np.sin(beta * (1.0 - x)),
+        uniform_breaks(0.0, 1.0, alpha + beta),
     )
     chi = -4.0 / (3.0 * math.pi**3)
     assert res.value == pytest.approx(chi * math.pi * beta / 2.0, abs=1e-12)
@@ -69,7 +71,7 @@ def test_randomized_antiderivative_oracle():
 
         lo = rng.uniform(0.0, 0.4)
         hi = rng.uniform(0.6, 1.0)
-        res = integrate_oscillatory(integrand, lo, hi, w1 + w2, cfg)
+        res = integrate_oscillatory(integrand, uniform_breaks(lo, hi, w1 + w2, cfg), cfg)
         exact = antideriv(hi) - antideriv(lo)
         assert abs(res.value - exact) <= max(cfg.abs_tol, cfg.rel_tol * abs(exact))
         assert res.err_estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
@@ -77,15 +79,15 @@ def test_randomized_antiderivative_oracle():
 
 def test_determinism():
     f = lambda x: np.sin(137.0 * x * x)
-    r1 = integrate_oscillatory(f, 0.0, 1.0, 274.0)
-    r2 = integrate_oscillatory(f, 0.0, 1.0, 274.0)
+    r1 = integrate_oscillatory(f, uniform_breaks(0.0, 1.0, 274.0))
+    r2 = integrate_oscillatory(f, uniform_breaks(0.0, 1.0, 274.0))
     assert r1 == r2
 
 
 def test_budget_error_carries_partials():
     cfg = QuadConfig(max_panels=4)
     with pytest.raises(QuadratureBudgetError) as exc:
-        integrate_oscillatory(lambda x: np.sin(300.0 * x), 0.0, 1.0, 300.0, cfg)
+        integrate_oscillatory(lambda x: np.sin(300.0 * x), uniform_breaks(0.0, 1.0, 300.0, cfg), cfg)
     assert math.isfinite(exc.value.partial_value)
     assert exc.value.err_estimate > 0
     assert exc.value.panels_used >= 1
@@ -94,7 +96,7 @@ def test_budget_error_carries_partials():
 def test_nonfinite_integrand_reports_abscissa():
     with np.errstate(invalid="ignore"):
         with pytest.raises(NonFiniteIntegrandError) as exc:
-            integrate_oscillatory(lambda x: np.sqrt(x - 0.5), 0.0, 1.0, 4.0)
+            integrate_oscillatory(lambda x: np.sqrt(x - 0.5), uniform_breaks(0.0, 1.0, 4.0))
     assert exc.value.abscissa < 0.5
 
 
@@ -108,27 +110,32 @@ def test_nonfinite_abscissa_with_integrand_overwriting_its_argument():
 
     with np.errstate(invalid="ignore"):
         with pytest.raises(NonFiniteIntegrandError) as exc:
-            integrate_oscillatory(f, 0.0, 1.0, 4.0)
+            integrate_oscillatory(f, uniform_breaks(0.0, 1.0, 4.0))
     assert 0.0 <= exc.value.abscissa < 0.5
 
 
 def test_invalid_interval_and_hint():
-    f = lambda x: np.zeros_like(x)
     with pytest.raises(ValueError):
-        integrate_oscillatory(f, 1.0, 0.0, 1.0)
+        uniform_breaks(1.0, 0.0, 1.0)
+    for rate in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            uniform_breaks(0.0, 1.0, rate)
     with pytest.raises(ValueError):
-        integrate_oscillatory(f, 0.0, 1.0, -1.0)
-    with pytest.raises(ValueError):
-        integrate_oscillatory(None, 0.0, 1.0, 1.0)
+        integrate_oscillatory(None, uniform_breaks(0.0, 1.0, 1.0))
+    assert np.array_equal(uniform_breaks(-1.0, 1.0, 2.0 * math.pi), np.linspace(-1.0, 1.0, 5))
+    assert uniform_breaks(0.0, 1.0, 1e300, QuadConfig(max_panels=8)).size == 9
 
 
 def test_initial_breaks_validation():
     f = lambda x: np.ones_like(x)
-    bad = np.array([0.0, 0.7, 0.4, 1.0])
-    with pytest.raises(ValueError):
-        integrate_oscillatory(f, 0.0, 1.0, 0.0, initial_breaks=bad)
-    res = integrate_oscillatory(f, 0.0, 1.0, 0.0, initial_breaks=[0.0, 0.25, 1.0])
+    for bad in ([0.0, 0.7, 0.4, 1.0], [0.0, 0.5, 0.5, 1.0], [0.0, np.nan, 1.0], [0.0, np.inf],
+                [1.0], [[0.0, 1.0]]):
+        with pytest.raises(ValueError):
+            integrate_oscillatory(f, bad)
+    res = integrate_oscillatory(f, [0.0, 0.25, 1.0])
     assert res.value == pytest.approx(1.0, abs=1e-14)
+    with pytest.raises(QuadratureBudgetError):
+        integrate_oscillatory(f, [0.0, 0.25, 0.5, 1.0], QuadConfig(max_panels=2))
 
 
 def test_quadconfig_validation():
@@ -151,7 +158,7 @@ def test_vdc_bound_values():
 
 
 def test_first_bound_on_linear_phase():
-    res = integrate_oscillatory(lambda x: np.sin(10.0 * x), 0.0, 1.0, 10.0)
+    res = integrate_oscillatory(lambda x: np.sin(10.0 * x), uniform_breaks(0.0, 1.0, 10.0))
     assert abs(res.value) <= vdc_bound_first(10.0, 1.0)
 
 
@@ -165,7 +172,7 @@ def test_vdc_first_bound_randomized():
         r = 10.0 ** rng.uniform(0.0, 4.0)
         a, b = rng.uniform(0.0, 0.3), rng.uniform(0.7, 1.0)
         hint = r * float(np.max(np.abs(psi.deriv()(np.linspace(a, b, 257)))))
-        res = integrate_oscillatory(lambda x: np.sin(r * psi(x)), a, b, hint)
+        res = integrate_oscillatory(lambda x: np.sin(r * psi(x)), uniform_breaks(a, b, hint))
         assert abs(res.value) <= vdc_bound_first(r, lam) + res.err_estimate + 1e-12
 
 
@@ -180,7 +187,7 @@ def test_vdc_second_bound_randomized():
         psi = d1.integ()
         r = 10.0 ** rng.uniform(0.0, 4.0)
         hint = r * float(np.max(np.abs(d1(np.linspace(0, 1, 257)))))
-        res = integrate_oscillatory(lambda x: np.sin(r * psi(x)), 0.0, 1.0, hint)
+        res = integrate_oscillatory(lambda x: np.sin(r * psi(x)), uniform_breaks(0.0, 1.0, hint))
         assert abs(res.value) <= vdc_bound_second(r, lam) + res.err_estimate + 1e-12
 
 
@@ -194,7 +201,7 @@ def test_stationary_phase_magnitude_values():
 def test_stationary_phase_quadratic_agreement():
     # psi = (x - 1/2)^2, lambda = psi'' = 2
     for r, tol in ((1e4, 0.02), (1e5, 0.05)):
-        res = integrate_oscillatory(lambda x: np.sin(r * (x - 0.5) ** 2), 0.0, 1.0, r)
+        res = integrate_oscillatory(lambda x: np.sin(r * (x - 0.5) ** 2), uniform_breaks(0.0, 1.0, r))
         assert abs(res.value) == pytest.approx(
             stationary_phase_magnitude(r, 2.0), rel=tol
         )
@@ -206,7 +213,7 @@ def _ratio_envelope(psi, lam, r, n=5):
     devs = []
     for j in range(n):
         rj = r * (1.0 + 0.02 * j)
-        res = integrate_oscillatory(lambda x: np.sin(rj * psi(x)), 0.0, 1.0, rj * 2.0)
+        res = integrate_oscillatory(lambda x: np.sin(rj * psi(x)), uniform_breaks(0.0, 1.0, rj * 2.0))
         devs.append(abs(abs(res.value) * math.sqrt(rj * lam) / math.sqrt(math.pi) - 1.0))
     return max(devs)
 
@@ -230,6 +237,10 @@ def test_fresnel_fixtures():
 
 def test_fresnel_edges():
     assert fresnel_symmetric(0.0) == 0.0
+    # a tail interval one ulp wide still gets a partition of distinct breaks
+    m = float(np.nextafter(4.0, 5.0))
+    assert uniform_breaks(4.0, m, 2.0 * m).tolist() == [4.0, m]
+    assert fresnel_symmetric(m) == pytest.approx(FRESNEL_FIXTURES[4.0], abs=2e-10)
     with pytest.raises(ValueError):
         fresnel_symmetric(-1.0)
 
