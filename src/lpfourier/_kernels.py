@@ -1,43 +1,48 @@
-"""G7/K15 panel rule, its reduction, and the lp integrands with phi_p at the nodes.
+"""G15/K31 panel rule, its reduction, and the lp integrands with phi_p at the nodes.
 
-The quadrature engine builds the (n, 15) Kronrod node array of its panels
+The quadrature engine builds the (n, 31) Kronrod node array of its panels
 with ``_panel_nodes``, evaluates an integrand on it and reduces the values
 with ``panel_sums_from_values``.  The two lp integrands here compute into
 that node array in place, in a fixed operation order, so results are
 bit-reproducible.
 
 The reduction maps node values to per-panel (value, error) pairs: the
-15-point Kronrod value and the rescaled Gauss/Kronrod discrepancy.  The
+31-point Kronrod value and the rescaled Gauss/Kronrod discrepancy.  The
 rescaling (error = resasc * min(1, (200 d / resasc)^1.5), floored at
 50 eps * resabs) keeps the estimate honest on panels where the integrand
 is merely Hoelder continuous, where the raw discrepancy d of an embedded
-pair can undershoot the true error.
+pair can undershoot the true error.  Rule and rescaling are QUADPACK's
+``qk31`` (Piessens et al., 1983); ``tools/derive_constants.py``
+rederives the table at 60 digits.
 """
 
 import numpy as np
 
-# 15-point Kronrod rule with embedded 7-point Gauss rule on [-1, 1].
-# Nodes ascending; Gauss weights are zero on the Kronrod-only nodes so
-# both sums run over the same abscissae.
+# 31-point Kronrod rule with embedded 15-point Gauss rule on [-1, 1]: the
+# nodes x >= 0, descending to the shared node 0, with their weights.  The
+# Gauss nodes are every other one from the second; Gauss weights are zero
+# on the Kronrod-only nodes, so both sums run over the same abscissae.
 _XGK_HALF = [
-    0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
-    0.7415311855993944, 0.5860872354676911, 0.4058451513773972,
-    0.2077849550078985, 0.0,
+    0.9980022986933971, 0.9879925180204854, 0.9677390756791391, 0.937273392400706,
+    0.8972645323440819, 0.8482065834104272, 0.790418501442466, 0.7244177313601701,
+    0.650996741297417, 0.5709721726085388, 0.4850818636402397, 0.3941513470775634,
+    0.29918000715316884, 0.20119409399743451, 0.1011420669187175, 0.0,
 ]
 _WGK_HALF = [
-    0.0229353220105292, 0.0630920926299786, 0.1047900103222502,
-    0.1406532597155259, 0.1690047266392679, 0.1903505780647854,
-    0.2044329400752989, 0.2094821410847278,
+    0.005377479872923349, 0.015007947329316122, 0.02546084732671532, 0.03534636079137585,
+    0.04458975132476488, 0.05348152469092809, 0.06200956780067064, 0.06985412131872826,
+    0.07684968075772038, 0.08308050282313302, 0.08856444305621176, 0.09312659817082532,
+    0.09664272698362368, 0.09917359872179196, 0.10076984552387559, 0.10133000701479154,
 ]
 _WG_HALF = [
-    0.1294849661688697, 0.2797053914892767, 0.3818300505051189,
-    0.4179591836734694,
+    0.03075324199611727, 0.07036604748810812, 0.10715922046717194, 0.13957067792615432,
+    0.16626920581699392, 0.1861610000155622, 0.19843148532711158, 0.2025782419255613,
 ]
 
 KRONROD_NODES = np.array([-x for x in _XGK_HALF[:-1]] + list(reversed(_XGK_HALF)))
 KRONROD_WEIGHTS = np.array(_WGK_HALF[:-1] + list(reversed(_WGK_HALF)))
-GAUSS_WEIGHTS = np.zeros(15)
-GAUSS_WEIGHTS[1:14:2] = _WG_HALF[:-1] + list(reversed(_WG_HALF))
+GAUSS_WEIGHTS = np.zeros(KRONROD_NODES.size)
+GAUSS_WEIGHTS[1::2] = _WG_HALF[:-1] + list(reversed(_WG_HALF))
 
 _EPS50 = 50.0 * np.finfo(np.float64).eps
 
@@ -62,9 +67,9 @@ def _phi_array(x, p):
     return out
 
 
-def scaled_errors(k15, g7, resabs, resasc):
+def scaled_errors(kronrod, gauss, resabs, resasc):
     """QUADPACK-style panel error from the embedded-pair discrepancy."""
-    err = np.abs(k15 - g7)
+    err = np.abs(kronrod - gauss)
     mask = (resasc > 0.0) & (err > 0.0)
     ratio = np.minimum(1.0, (200.0 * err[mask] / resasc[mask]) ** 1.5)
     err[mask] = resasc[mask] * ratio
@@ -72,18 +77,18 @@ def scaled_errors(k15, g7, resabs, resasc):
 
 
 def panel_sums_from_values(v, half):
-    """(value, error) per panel from integrand values at the 15 nodes."""
-    k15 = (v @ KRONROD_WEIGHTS) * half
-    g7 = (v @ GAUSS_WEIGHTS) * half
+    """(value, error) per panel from integrand values at the 31 nodes."""
+    kronrod = (v @ KRONROD_WEIGHTS) * half
+    gauss = (v @ GAUSS_WEIGHTS) * half
     resabs = (np.abs(v) @ KRONROD_WEIGHTS) * half
     width = 2.0 * half
-    mean = np.where(width > 0.0, k15 / width, 0.0)
+    mean = np.where(width > 0.0, kronrod / width, 0.0)
     resasc = (np.abs(v - mean[:, None]) @ KRONROD_WEIGHTS) * half
-    return k15, scaled_errors(k15, g7, resabs, resasc)
+    return kronrod, scaled_errors(kronrod, gauss, resabs, resasc)
 
 
 def _panel_nodes(lefts, rights):
-    """Kronrod abscissae of each panel as an (n, 15) array, with the half-widths."""
+    """Kronrod abscissae of each panel as an (n, 31) array, with the half-widths."""
     half = 0.5 * (rights - lefts)
     mid = 0.5 * (rights + lefts)
     x = np.multiply(half[:, None], KRONROD_NODES)

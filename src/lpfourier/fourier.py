@@ -22,19 +22,21 @@ engine.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import _kernels
 from .lpgeom import as_p
-from .oscquad import QuadConfig, integrate_oscillatory, uniform_breaks
+from .oscquad import QuadConfig, QuadratureBudgetError, integrate_oscillatory, uniform_breaks
 
 _BRUTEFORCE_MAX_FREQ = 50.0
 # brute-force oracle: composite 8-point Gauss-Legendre on this many uniform
 # panels of [-1, 1] in each direction (plus the edge refinement in x)
 _BRUTEFORCE_PANELS = 250
+# c of the phase-roundoff floor c (1 + rate) eps; see _with_phase_floor
+_PHASE_ROUNDOFF_C = 8.0
 
 
 @dataclass(frozen=True)
@@ -140,9 +142,21 @@ def lp_initial_breaks(p, alpha, beta, cfg):
     Both stages keep the endpoint singularities of phi out of the error
     estimator's blind spot: each end panel contributes less than the
     tolerance outright, so no adaptive round has to find it.
+
+    Raises QuadratureBudgetError naming |omega| = hypot(alpha, beta) when
+    the phase rate alpha + beta overflows: no partition within
+    ``cfg.max_panels`` resolves such a frequency.  A large finite rate
+    gets a seed capped at max_panels, which the engine rejects.
     """
     p = as_p(p)
-    breaks = uniform_breaks(0.0, 1.0, abs(alpha) + abs(beta), cfg)
+    rate = abs(alpha) + abs(beta)
+    if rate == math.inf:
+        raise QuadratureBudgetError(
+            f"the seed partition for |omega| = {math.hypot(alpha, beta):.3e} "
+            f"exceeds max_panels = {cfg.max_panels}",
+            0.0, math.inf, 0,
+        )
+    breaks = uniform_breaks(0.0, 1.0, rate, cfg)
     # candidate tail points a_0 = breaks[-2], a <- (a + 1)/2 until 1 - a <= 1e-13;
     # 1 - a halves from below 1, so that takes at most 44 steps
     tail = [breaks[-2]]
@@ -162,12 +176,38 @@ def lp_initial_breaks(p, alpha, beta, cfg):
     return np.concatenate([[0.0], head, breaks[1:]])
 
 
+def _with_phase_floor(res, rate):
+    """``res`` with c (1 + rate) eps added to its estimate, c = 8.
+
+    The engine's floor 50 eps resabs covers errors relative to the
+    integrand's values.  The lp integrands are trig functions of a phase
+    of size up to rate, the largest phase rate over [0, 1] (alpha + beta
+    for cos(alpha x) sin(beta phi_p), r (|cos t| + |sin t|) for sin(r psi)),
+    and float evaluation perturbs that phase in absolute terms.  Count each
+    basic operation at 0.5 eps relative and each libm call at 1 ulp (eps):
+    phi_p through log, the factor p, expm1 (condition number at most 1 on
+    1 - x^p) and the 1/p-th power is off by 3.5 eps relative; with the
+    rounded sin t (1 eps), the products, the sum and the factor r (0.5
+    each), the phase is off by at most 6 rate eps.  The rounded node is
+    within 1.5 eps of the exact one, which moves the phase by
+    1.5 eps |phase'|, and int_0^1 |phase'| <= rate as phi_p falls
+    monotonically from 1 to 0.  Each node value is therefore off by at
+    most 7.5 rate eps beyond the relative part, and the rule's weights,
+    positive and summing to the length 1 of [0, 1], carry that bound to
+    the integral.  The floor is added after the engine returns, so it
+    never changes the refinement.
+    """
+    floor = _PHASE_ROUNDOFF_C * (1.0 + rate) * math.ulp(1.0)
+    return replace(res, err_estimate=res.err_estimate + floor)
+
+
 def _reduction_integral(p, alpha, beta, cfg):
     # int_0^1 cos(alpha x) sin(beta phi_p(x)) dx on the graded partition
-    return integrate_oscillatory(
+    res = integrate_oscillatory(
         lambda x: _kernels.lp_cos_sin_values(x, p, alpha, beta),
         lp_initial_breaks(p, alpha, beta, cfg), cfg,
     )
+    return _with_phase_floor(res, alpha + beta)
 
 
 def _sinc_slice_integral(p, alpha, beta, cfg):
@@ -179,7 +219,8 @@ def _sinc_slice_integral(p, alpha, beta, cfg):
         ph = _kernels._phi_array(x, p)
         return ph * _sin_over(beta * ph) * np.cos(alpha * x)
 
-    return integrate_oscillatory(f, lp_initial_breaks(p, alpha, 1.0, cfg), cfg)
+    res = integrate_oscillatory(f, lp_initial_breaks(p, alpha, 1.0, cfg), cfg)
+    return _with_phase_floor(res, alpha + beta)
 
 
 def ball_area(p, cfg=None):
@@ -187,50 +228,56 @@ def ball_area(p, cfg=None):
     return 4.0 * _sinc_slice_integral(as_p(p), 0.0, 0.0, cfg or QuadConfig()).value
 
 
+def _slice_transform(p, alpha, beta, cfg):
+    """(value, err_estimate) of (2/(pi beta)) int_0^1 cos(alpha x) sin(beta phi_p(x)) dx.
+
+    Below beta = 2/pi, zero included, the slice is integrated in its sinc
+    form (2/pi) int_0^1 phi_p sinc(beta phi_p) cos(alpha x) dx: the factor
+    2/(pi beta) of the sine form would magnify the integral's error there,
+    and overflow for subnormal beta.
+    """
+    if beta < 2.0 / math.pi:
+        res, scale = _sinc_slice_integral(p, alpha, beta, cfg), 2.0 / math.pi
+    else:
+        res, scale = _reduction_integral(p, alpha, beta, cfg), 2.0 / (math.pi * beta)
+    return scale * res.value, scale * res.err_estimate
+
+
 def chi_hat_lp(p, omega, cfg=None):
     """chi_hat of the l^p ball at omega, by the 1-D x-slicing reduction.
 
-    Below beta = 2/pi, zero frequency included, the slice is integrated in
-    its sinc form (2/pi) int_0^1 phi_p sinc(beta phi_p) cos(alpha x) dx:
-    the factor 2/(pi beta) of the sine form would magnify the integral's
-    error there, and overflow for subnormal beta.  The result records the
-    evaluation path and the propagated quadrature error estimate.
+    The result records the evaluation path and the propagated quadrature
+    error estimate; small beta takes the sinc form (``_slice_transform``).
     """
     p = as_p(p)
     cfg = cfg or QuadConfig()
     omega = reduce_symmetry(omega)
-    alpha, beta = omega.alpha, omega.beta  # beta >= alpha >= 0
-    if beta < 2.0 / math.pi:
-        res = _sinc_slice_integral(p, alpha, beta, cfg)
-        scale = 2.0 / math.pi
-    else:
-        res = _reduction_integral(p, alpha, beta, cfg)
-        scale = 2.0 / (math.pi * beta)
+    value, err = _slice_transform(p, omega.alpha, omega.beta, cfg)  # beta >= alpha >= 0
     method = "zero-frequency" if omega.r == 0.0 else "reduction-x"
-    return TransformResult(scale * res.value, scale * res.err_estimate, method)
+    return TransformResult(value, err, method)
 
 
 def chi_hat_lp_via_y(p, omega, cfg=None):
     """Same transform through the y-slicing form (2/(pi alpha)) int cos(beta y) sin(alpha phi).
 
     Requires alpha > 0 after reduction; used as the cross-check route.
+    Below alpha = 2/pi it takes the sinc form, as ``chi_hat_lp`` does.
     """
     p = as_p(p)
     cfg = cfg or QuadConfig()
     omega = reduce_symmetry(omega)
-    alpha, beta = omega.alpha, omega.beta
-    if alpha == 0.0:
+    if omega.alpha == 0.0:
         raise ValueError("y-slicing needs alpha != 0")
-    res = _reduction_integral(p, beta, alpha, cfg)  # roles swapped
-    scale = 2.0 / (math.pi * alpha)
-    return TransformResult(scale * res.value, scale * res.err_estimate, "reduction-y")
+    value, err = _slice_transform(p, omega.beta, omega.alpha, cfg)  # roles swapped
+    return TransformResult(value, err, "reduction-y")
 
 
 def psi_split_integrals(p, r, theta, cfg=None):
     """The two polar-split integrals (int sin(r psi), int sin(r psi~)).
 
     Shares the graded partition of the reduction path; the two pieces
-    are what the stationary-phase analysis bounds separately.
+    are what the stationary-phase analysis bounds separately.  Each
+    estimate carries the phase-roundoff floor at rate r (|cos t| + |sin t|).
     """
     p = as_p(p)
     cfg = cfg or QuadConfig()
@@ -242,8 +289,11 @@ def psi_split_integrals(p, r, theta, cfg=None):
     alpha, beta = r * ct, r * st
     breaks = lp_initial_breaks(p, abs(alpha), abs(beta), cfg)
     return tuple(
-        integrate_oscillatory(
-            lambda x, s=sign: _kernels.lp_phase_sin_values(x, p, r, ct, st, s), breaks, cfg
+        _with_phase_floor(
+            integrate_oscillatory(
+                lambda x, s=sign: _kernels.lp_phase_sin_values(x, p, r, ct, st, s), breaks, cfg
+            ),
+            r * (abs(ct) + abs(st)),
         )
         for sign in (1.0, -1.0)
     )

@@ -1,19 +1,21 @@
 """Adaptive panel quadrature for oscillatory integrands on an interval.
 
-The engine uses an embedded 15-point Kronrod / 7-point Gauss pair per
-panel.  It integrates over the seed partition its caller hands it and
-only refines it: panels whose error estimate exceeds their share of the
-tolerance are bisected until the summed estimate meets the target.
+The engine uses an embedded 31-point Kronrod / 15-point Gauss pair per
+panel (QUADPACK's ``qk31``).  It integrates over the seed partition its
+caller hands it and only refines it: panels whose error estimate
+exceeds their share of the tolerance are bisected until the summed
+estimate meets the target.
 ``uniform_breaks`` builds the uniform seed from the largest phase rate
 r*max|psi'|, at ``PANELS_PER_WAVELENGTH`` panels per 2*pi of phase; the
 l^p reduction grades that seed toward the endpoint singularities of
 phi_p (``fourier.lp_initial_breaks``).
 
-The seed density is the constant 4 panels per wavelength.  A panel
-spanning a quarter wavelength carries a Gauss error of about
-(pi/4)^14/14! ~ 4e-13 relative, so denser seeds spend nodes the rule
-does not need; the adaptive loop still refines wherever the estimate
-asks.
+The seed density is the constant 1 panel per wavelength.  A panel
+spanning a full wavelength sees a phase half-width of pi, so its G15
+value carries a Gauss error of about pi^30/30! ~ 3e-18 relative, and the
+K31 value less; denser seeds spend nodes the rule does not need and only
+feed the pessimism of the QUADPACK estimate.  The adaptive loop still
+refines wherever the estimate asks.
 ``tools/calibrate.py`` checks at this density that every reported
 estimate bounds the error against a 25-digit mpmath reference.
 
@@ -34,7 +36,7 @@ from ._kernels import _panel_nodes, panel_sums_from_values
 
 _MIN_PANEL_WIDTH = 1e-14
 _STAGNANT_ROUNDS = 3
-PANELS_PER_WAVELENGTH = 4
+PANELS_PER_WAVELENGTH = 1
 
 
 @dataclass(frozen=True)
@@ -101,14 +103,14 @@ def uniform_breaks(a, b, rate, cfg=None):
 def _panel_sums(f, lefts, rights):
     x, half = _panel_nodes(lefts, rights)
     v = np.asarray(f(x), dtype=np.float64)
-    k15, err = panel_sums_from_values(v, half)
-    if not (np.all(np.isfinite(k15)) and np.all(np.isfinite(err))):
-        raise NonFiniteIntegrandError(_locate_nonfinite(f, lefts, rights, k15, err))
-    return k15, err
+    sums, err = panel_sums_from_values(v, half)
+    if not (np.all(np.isfinite(sums)) and np.all(np.isfinite(err))):
+        raise NonFiniteIntegrandError(_locate_nonfinite(f, lefts, rights, sums, err))
+    return sums, err
 
 
-def _locate_nonfinite(f, lefts, rights, k15, err):
-    bad = ~(np.isfinite(k15) & np.isfinite(err))
+def _locate_nonfinite(f, lefts, rights, sums, err):
+    bad = ~(np.isfinite(sums) & np.isfinite(err))
     i = int(np.argmax(bad))
     x, _ = _panel_nodes(lefts[i : i + 1], rights[i : i + 1])
     # f may overwrite its argument: evaluate a copy, read the abscissa from x
@@ -119,7 +121,7 @@ def _locate_nonfinite(f, lefts, rights, k15, err):
 def integrate_oscillatory(f: Callable, breaks, cfg: Optional[QuadConfig] = None) -> QuadResult:
     """Integrate f over [breaks[0], breaks[-1]] to the configured tolerance.
 
-    ``f`` maps an (n, 15) array of Kronrod abscissae, one row per panel,
+    ``f`` maps an (n, 31) array of Kronrod abscissae, one row per panel,
     to the integrand values at those abscissae, elementwise.  The array is
     fresh in every call and owned by the engine: ``f`` may overwrite it
     and return it as the values.  ``breaks`` is the seed partition, a
@@ -146,12 +148,12 @@ def integrate_oscillatory(f: Callable, breaks, cfg: Optional[QuadConfig] = None)
 
     lefts = breaks[:-1]
     rights = breaks[1:]
-    k15, err = _panel_sums(f, lefts, rights)
+    sums, err = _panel_sums(f, lefts, rights)
 
     prev_err = math.inf
     stagnant = 0
     while True:
-        total = float(np.sum(k15))
+        total = float(np.sum(sums))
         total_err = float(np.sum(err))
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
         if total_err <= tol:
@@ -194,10 +196,10 @@ def integrate_oscillatory(f: Callable, breaks, cfg: Optional[QuadConfig] = None)
 
         lefts = np.concatenate([lefts[~bad], new_l])
         rights = np.concatenate([rights[~bad], new_r])
-        k15 = np.concatenate([k15[~bad], nk])
+        sums = np.concatenate([sums[~bad], nk])
         err = np.concatenate([err[~bad], ne])
         order = np.argsort(lefts, kind="stable")
-        lefts, rights, k15, err = lefts[order], rights[order], k15[order], err[order]
+        lefts, rights, sums, err = lefts[order], rights[order], sums[order], err[order]
 
 
 def vdc_bound_first(r, lam):

@@ -47,11 +47,15 @@ def test_transform_budget_failure_exit_code(capsys):
 
 
 @pytest.mark.parametrize("p", ["1", "1.5", "2"])
-@pytest.mark.parametrize("freq", ["1e298", "1e300"])
+@pytest.mark.parametrize("freq", ["1e298", "1e300", "1e308"])
 def test_transform_huge_frequency_exit_code(capsys, p, freq):
-    # the seed partition outgrows the panel budget: exit 3, not an overflow traceback
+    # the seed partition outgrows the panel budget: exit 3, not an overflow
+    # traceback, nor a usage error where alpha + beta overflows (1e308)
     assert run_cli(["transform", "--p", p, "--alpha", freq, "--beta", freq]) == 3
-    assert "exceeds max_panels" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "exceeds max_panels" in err
+    if freq == "1e308":
+        assert "|omega| = 1.414e+308" in err
 
 
 def test_envelope_csv_and_summary(tmp_path, capsys):

@@ -193,13 +193,22 @@ def test_chi_hat_rejects_bad_p():
         fourier.chi_hat_lp(2.1, (1.0, 2.0))
 
 
-def test_disk_bessel_oracle():
+def test_disk_bessel_oracle(monkeypatch):
     for r, ref in J1_FIXTURES.items():
         assert fourier.bessel_j1_oracle(r) == pytest.approx(ref, abs=1e-10)
-    assert fourier.chi_hat_disk_oracle(0.0) == 0.5
     assert fourier.chi_hat_disk_oracle(10.0) == pytest.approx(
         0.0043472746168861437, abs=1e-12
     )
+    # J1(r)/r -> 1/2 at r = 0, where the integrand is sin(t)^2; the K31 sum
+    # lands 1.7e-16 below 1/2, inside the oracle's own estimate
+    results = []
+    integrate = fourier.integrate_oscillatory
+    monkeypatch.setattr(
+        fourier, "integrate_oscillatory", lambda *a: results.append(integrate(*a)) or results[-1]
+    )
+    assert fourier.chi_hat_disk_oracle(0.0) == 0.49999999999999983
+    (res,) = results
+    assert abs(res.value / math.pi - 0.5) <= res.err_estimate / math.pi
 
 
 def test_disk_reduction_matches_bessel():
@@ -258,6 +267,17 @@ def test_x_and_y_slicing_agree():
         fourier.chi_hat_lp_via_y(1.5, (0.0, 3.0))
 
 
+def test_y_slicing_small_alpha_takes_sinc_form():
+    # below alpha = 2/pi the y-slice is integrated in its sinc form: the sine
+    # form's factor 2/(pi alpha) made the value -inf at a subnormal alpha
+    for p in (1.5, 2.0):
+        for alpha in (1e-310, 1e-10, 1e-2, 0.6):
+            x = fourier.chi_hat_lp(p, (alpha, 5.0))
+            y = fourier.chi_hat_lp_via_y(p, (alpha, 5.0))
+            assert abs(x.value - y.value) <= x.err_estimate + y.err_estimate, (p, alpha)
+            assert y.err_estimate < 1e-13, (p, alpha)
+
+
 def test_polar_split_consistency():
     # the polar split differs from the direct product form by a trig identity
     for (p, r, th) in ((1.5, 20.0, 1.0), (1.2, 7.0, math.pi / 2), (1.9, 100.0, 0.9)):
@@ -292,3 +312,20 @@ def test_transform_result_error_propagation():
     res = fourier.chi_hat_lp(1.5, (3.0, 4.0), cfg)
     assert res.err_estimate <= 2.0 / (math.pi * 4.0) * max(1e-8, 1e-8 * 1.0)
     assert res.err_estimate > 0.0
+
+
+@pytest.mark.parametrize("p, r", [
+    (1.1957414880075943, 26142.59353596105),
+    (1.0706574114584273, 20001.25013247582),
+])
+def test_routes_agree_within_phase_floor_at_high_frequency(p, r):
+    # two witness transforms of the high-frequency benchmark where the routes
+    # differ by more than the engine's estimates, which miss the roundoff of
+    # the phase: the floor c (1 + rate) eps covers it
+    theta = lpgeom.theta_star(p)
+    direct = fourier.chi_hat_lp(p, Frequency.from_polar(r, theta))
+    res_psi, res_tilde = fourier.psi_split_integrals(p, r, theta)
+    scale = 1.0 / (math.pi * r * math.sin(theta))
+    split = scale * (res_psi.value + res_tilde.value)
+    allowed = direct.err_estimate + scale * (res_psi.err_estimate + res_tilde.err_estimate)
+    assert abs(direct.value - split) <= allowed

@@ -1,9 +1,14 @@
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lpfourier import _kernels, lpgeom
+
+# QUADPACK's qk31 outermost Kronrod node xgk(1)
+QUADPACK_XGK1 = 0.998002298693397060285172840152271
 
 EDGE_X = np.array([0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0])
 
@@ -99,7 +104,36 @@ def test_gauss_weights_embedding():
     # both rules integrate constants exactly: weights sum to 2
     assert _kernels.KRONROD_WEIGHTS.sum() == pytest.approx(2.0, abs=1e-14)
     assert _kernels.GAUSS_WEIGHTS.sum() == pytest.approx(2.0, abs=1e-14)
-    assert np.count_nonzero(_kernels.GAUSS_WEIGHTS) == 7
+    assert np.count_nonzero(_kernels.GAUSS_WEIGHTS) == 15
+    # G15 sits on the odd indices 1..29, 0 (index 15) a shared node
+    assert np.flatnonzero(_kernels.GAUSS_WEIGHTS).tolist() == list(range(1, 30, 2))
+    x, w = np.polynomial.legendre.leggauss(15)
+    assert np.allclose(_kernels.KRONROD_NODES[1::2], x, rtol=0.0, atol=2e-16)
+    assert np.allclose(_kernels.GAUSS_WEIGHTS[1::2], w, rtol=0.0, atol=1e-15)
+
+
+def test_kronrod_31_exact_to_degree_46():
+    x = _kernels.KRONROD_NODES
+    assert x.size == 31 and np.all(np.diff(x) > 0.0)
+    assert np.array_equal(x, -x[::-1]) and x[15] == 0.0
+    assert x[-1] == QUADPACK_XGK1
+    for k in range(47):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert _kernels.KRONROD_WEIGHTS @ x**k == pytest.approx(exact, rel=0.0, abs=1e-15), k
+
+
+def test_kronrod_table_is_the_rounded_derivation():
+    mp = pytest.importorskip("mpmath")
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+    import derive_constants
+
+    with mp.workdps(60):
+        nodes, wk, wg = derive_constants.kronrod_rule()
+        assert derive_constants.kronrod_exactness_defect(nodes, wk, 46) < mp.mpf(10) ** -50
+        assert abs(nodes[-1] - mp.mpf(derive_constants.QUADPACK_XGK1)) < mp.mpf(10) ** -32
+    assert np.array_equal(_kernels.KRONROD_NODES, [float(v) for v in nodes])
+    assert np.array_equal(_kernels.KRONROD_WEIGHTS, [float(v) for v in wk])
+    assert np.array_equal(_kernels.GAUSS_WEIGHTS, [float(v) for v in wg])
 
 
 def test_error_estimates_positive():

@@ -122,7 +122,8 @@ def test_invalid_interval_and_hint():
             uniform_breaks(0.0, 1.0, rate)
     with pytest.raises(ValueError):
         integrate_oscillatory(None, uniform_breaks(0.0, 1.0, 1.0))
-    assert np.array_equal(uniform_breaks(-1.0, 1.0, 2.0 * math.pi), np.linspace(-1.0, 1.0, 5))
+    # one panel per wavelength of the rate, whatever the interval's length
+    assert np.array_equal(uniform_breaks(-1.0, 1.0, 8.0 * math.pi), np.linspace(-1.0, 1.0, 5))
     assert uniform_breaks(0.0, 1.0, 1e300, QuadConfig(max_panels=8)).size == 9
 
 

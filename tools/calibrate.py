@@ -98,6 +98,9 @@ _SPECS = (
     ("psi_split", 1.1, 5.0, 100.0, "grid"),
     ("poly", None, 10.0, 60.0, "generic"),
     ("poly", None, 200.0, 500.0, "generic"),
+    ("chi_hat_lp", 1.05, 4000.0, 6000.0, "generic"),
+    ("chi_hat_lp", 1.9, 4000.0, 6000.0, "generic"),
+    ("psi_split", 1.5, 4000.0, 6000.0, "witness"),
 )
 _STEEP = 0.25
 # default envelope-scan samples where the estimate once fell below the

@@ -1,15 +1,22 @@
-"""Regenerate the frozen arbitrary-precision test fixtures.
+"""Regenerate the frozen arbitrary-precision test fixtures and the K31 table.
 
 Every [derived] constant asserted in the test suite is computed here at
 30 significant digits with mpmath and printed to 17 digits for freezing.
+The 31-point Kronrod rule of ``lpfourier._kernels`` (and its embedded
+15-point Gauss rule) is derived at 60 digits: see ``kronrod_rule``.
 Not part of the package; requires the dev extra (mpmath).
 
 Usage: python tools/derive_constants.py
 """
 
+from fractions import Fraction
+
 import mpmath as mp
 
 mp.mp.dps = 30
+
+# QUADPACK's qk31 outermost Kronrod node xgk(1), the check on kronrod_rule
+QUADPACK_XGK1 = "0.998002298693397060285172840152271"
 
 
 def phi(p, x):
@@ -59,6 +66,78 @@ def ball_area(p):
     return 4 * mp.gamma(1 + 1 / p) ** 2 / mp.gamma(1 + 2 / p)
 
 
+def _legendre_monomials(n):
+    """Ascending monomial coefficients of P_0 .. P_n, as exact rationals."""
+    polys = [[Fraction(1)], [Fraction(0), Fraction(1)]]
+    for k in range(1, n):
+        # (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1}
+        x_pk = [Fraction(0)] + polys[k]
+        prev = polys[k - 1] + [Fraction(0), Fraction(0)]
+        polys.append([((2 * k + 1) * a - k * b) / (k + 1) for a, b in zip(x_pk, prev)])
+    return polys[: n + 1]
+
+
+def _moment(coeffs, power):
+    """int_{-1}^{1} x^power * sum_k coeffs[k] x^k dx, exactly."""
+    return sum(c * Fraction(2, k + power + 1) for k, c in enumerate(coeffs) if (k + power) % 2 == 0)
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _real_roots(ascending, dps):
+    # the roots are real and simple; polyroots iterates to the working precision
+    return [mp.re(z) for z in mp.polyroots(list(reversed(ascending)), maxsteps=400, extraprec=4 * dps)]
+
+
+def kronrod_rule(n=15, dps=60):
+    """(nodes, kronrod_weights, gauss_weights) of the (2n+1)-point Kronrod
+    extension of n-point Gauss-Legendre on [-1, 1], nodes ascending.
+
+    The n + 1 new nodes are the roots of the Stieltjes polynomial
+    E_{n+1} = P_{n+1} + sum_{j < n+1} c_j P_j, fixed by
+    int E_{n+1} P_n x^m dx = 0 for m = 0 .. n; by parity only the c_j with
+    j = n + 1 (mod 2) and the odd m are live, a square system.  The
+    Kronrod weights solve the moment system sum_i w_i P_k(x_i) = 2 [k = 0],
+    k = 0 .. 2n, in the Legendre basis; the rule is then exact to degree
+    3n + 1.  Gauss weights are 2 / ((1 - x^2) P_n'(x)^2), zero on the new
+    nodes.
+    """
+    with mp.workdps(dps):
+        polys = _legendre_monomials(n + 1)
+        to_mpf = lambda q: mp.mpf(q.numerator) / q.denominator  # noqa: E731
+        free = list(range((n + 1) % 2, n + 1, 2))
+        odd = range(1, n + 1, 2)
+        system = mp.matrix([[to_mpf(_moment(_poly_mul(polys[j], polys[n]), m)) for j in free] for m in odd])
+        rhs = mp.matrix([-to_mpf(_moment(_poly_mul(polys[n + 1], polys[n]), m)) for m in odd])
+        c = dict(zip(free, mp.lu_solve(system, rhs)))
+        c[n + 1] = mp.mpf(1)
+        stieltjes = [mp.fsum(v * to_mpf(polys[j][k]) for j, v in c.items() if k < len(polys[j])) for k in range(n + 2)]
+        new = _real_roots(stieltjes, dps)
+        gauss = _real_roots([to_mpf(q) for q in polys[n]], dps)
+        nodes = sorted(new + gauss)
+        moments = mp.matrix([[mp.legendre(k, x) for x in nodes] for k in range(2 * n + 1)])
+        kronrod = list(mp.lu_solve(moments, mp.matrix([2] + [0] * (2 * n))))
+
+        # P_n'(x) = n (x P_n(x) - P_{n-1}(x)) / (x^2 - 1)
+        dp = {x: n * (x * mp.legendre(n, x) - mp.legendre(n - 1, x)) / (x * x - 1) for x in gauss}
+        gauss_weights = {x: 2 / ((1 - x * x) * d * d) for x, d in dp.items()}
+        return nodes, kronrod, [gauss_weights.get(x, mp.mpf(0)) for x in nodes]
+
+
+def kronrod_exactness_defect(nodes, weights, degree):
+    """max over k <= degree of |sum_i w_i x_i^k - int_{-1}^{1} x^k dx|."""
+    return max(
+        abs(mp.fsum(w * x**k for w, x in zip(weights, nodes)) - (mp.mpf(2) / (k + 1) if k % 2 == 0 else 0))
+        for k in range(degree + 1)
+    )
+
+
 def show(label, value):
     print(f"{label:<28} = {mp.nstr(value, 17)}")
 
@@ -85,3 +164,13 @@ if __name__ == "__main__":
         show(f"J1({r})", mp.besselj(1, r))
     for m in ("0.5", "1", "2", "4", "10", "30", "100"):
         show(f"fresnel_symmetric({m})", fresnel_symmetric(mp.mpf(m)))
+    with mp.workdps(60):
+        nodes, wk, wg = kronrod_rule()
+        show("K31 defect to degree 46", kronrod_exactness_defect(nodes, wk, 46))
+        show("K31 defect to degree 48", kronrod_exactness_defect(nodes, wk, 48))
+        show("K31 xgk(1) - QUADPACK", nodes[-1] - mp.mpf(QUADPACK_XGK1))
+        # the half tables of _kernels: x >= 0, descending
+        half = range(len(nodes) - 1, len(nodes) // 2 - 1, -1)
+        print("_XGK_HALF =", [float(nodes[i]) for i in half])
+        print("_WGK_HALF =", [float(wk[i]) for i in half])
+        print("_WG_HALF =", [float(wg[i]) for i in half if wg[i] != 0])
