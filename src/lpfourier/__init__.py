@@ -15,6 +15,7 @@ from .convex_probe import (
     body_curvature_min,
     body_from_spec,
     chi_hat_body,
+    chi_hat_body_batch,
     conjecture_scan,
     disk_body,
     ellipse_body,
@@ -42,10 +43,9 @@ from .fourier import (
     bessel_j1_oracle,
     chi_hat_bruteforce,
     chi_hat_disk_oracle,
-    chi_hat_l1_bound,
     chi_hat_l1_closed,
     chi_hat_lp,
-    chi_hat_lp_polar,
+    chi_hat_lp_batch,
     chi_hat_lp_via_y,
     psi_split_integrals,
     reduce_symmetry,
@@ -70,8 +70,8 @@ from .oscquad import (
     QuadratureBudgetError,
     QuadResult,
     fresnel_symmetric,
+    integrate_batch,
     integrate_oscillatory,
-    stationary_phase_magnitude,
     vdc_bound_first,
     vdc_bound_second,
 )

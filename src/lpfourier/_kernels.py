@@ -4,7 +4,14 @@ The quadrature engine builds the (n, 31) Kronrod node array of its panels
 with ``_panel_nodes``, evaluates an integrand on it and reduces the values
 with ``panel_sums_from_values``.  The two lp integrands here compute into
 that node array in place, in a fixed operation order, so results are
-bit-reproducible.
+bit-reproducible.  Their frequency arguments may be scalars or (n, 1)
+columns, one entry per panel row, which broadcast against the nodes.
+
+Every step is row-independent: a panel's (value, error) is a function of
+that panel's row alone, whatever rows share its array.  The weighted row
+sums therefore go through ``np.einsum``, which sums each row on its own;
+BLAS matrix-vector products (``v @ w``) block rows together, so a row's
+bits would depend on its position in the array.
 
 The reduction maps node values to per-panel (value, error) pairs: the
 31-point Kronrod value and the rescaled Gauss/Kronrod discrepancy.  The
@@ -76,14 +83,22 @@ def scaled_errors(kronrod, gauss, resabs, resasc):
     return np.maximum(err, _EPS50 * resabs)
 
 
+def _row_sums(v, w):
+    # v @ w, row by row: the result of a row does not depend on the other rows
+    return np.einsum("ij,j->i", v, w)
+
+
 def panel_sums_from_values(v, half):
     """(value, error) per panel from integrand values at the 31 nodes."""
-    kronrod = (v @ KRONROD_WEIGHTS) * half
-    gauss = (v @ GAUSS_WEIGHTS) * half
-    resabs = (np.abs(v) @ KRONROD_WEIGHTS) * half
+    kronrod = _row_sums(v, KRONROD_WEIGHTS) * half
+    gauss = _row_sums(v, GAUSS_WEIGHTS) * half
+    dev = np.abs(v)
+    resabs = _row_sums(dev, KRONROD_WEIGHTS) * half
     width = 2.0 * half
     mean = np.where(width > 0.0, kronrod / width, 0.0)
-    resasc = (np.abs(v - mean[:, None]) @ KRONROD_WEIGHTS) * half
+    np.subtract(v, mean[:, None], out=dev)
+    np.abs(dev, out=dev)
+    resasc = _row_sums(dev, KRONROD_WEIGHTS) * half
     return kronrod, scaled_errors(kronrod, gauss, resabs, resasc)
 
 
@@ -97,7 +112,10 @@ def _panel_nodes(lefts, rights):
 
 
 def lp_cos_sin_values(x, p, alpha, beta):
-    """cos(alpha*x) * sin(beta * phi_p(x)), computed into the buffer x and returned."""
+    """cos(alpha*x) * sin(beta * phi_p(x)), computed into the buffer x and returned.
+
+    alpha and beta are scalars or (n, 1) columns, one entry per row of x.
+    """
     s = _phi_array(x, p)
     s *= beta
     np.sin(s, out=s)
@@ -108,7 +126,11 @@ def lp_cos_sin_values(x, p, alpha, beta):
 
 
 def lp_phase_sin_values(x, p, r, cos_t, sin_t, sign):
-    """sin(r * (sign*cos_t*x + sin_t*phi_p(x))), computed into the buffer x and returned."""
+    """sin(r * (sign*cos_t*x + sin_t*phi_p(x))), computed into the buffer x and returned.
+
+    Every argument but p may be a scalar or an (n, 1) column, as in
+    ``lp_cos_sin_values``.
+    """
     s = _phi_array(x, p)
     s *= sin_t
     x *= sign * cos_t

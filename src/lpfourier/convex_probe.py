@@ -24,9 +24,9 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import fourier, lpgeom
-from .decay import ENVELOPE_UPPER_COEFF, R_MIN_ALLOWED, _ordered_map
+from .decay import ENVELOPE_UPPER_COEFF, R_MIN_ALLOWED, _batches, _ordered_map
 from .fourier import TransformResult, _sin_over, as_frequency
-from .oscquad import QuadConfig, integrate_oscillatory, uniform_breaks
+from .oscquad import QuadConfig, QuadratureBudgetError, _raised, integrate_batch, uniform_breaks
 
 # phases built from body graphs inherit the slope blow-up at the endpoints;
 # steeper rates are left to adaptive bisection
@@ -255,19 +255,52 @@ def chi_hat_body_parts(body, omega, cfg=None):
     The sinc form is stable for every beta and covers beta = 0 and
     omega = 0 without special cases.
     """
-    cfg = cfg or QuadConfig()
-    omega = as_frequency(omega)
-    alpha, beta = omega.alpha, omega.beta
-    two_pi = 2.0 * math.pi
-    rate = abs(alpha) + abs(beta) * body._slope_scale
+    return _raised(_body_slices(body, [as_frequency(omega)], cfg or QuadConfig())[0])
 
-    def f(x):
-        u = body.upper(x)
-        return 2.0 * u * _sin_over(beta * u) * np.cos(alpha * x)
 
+def _body_slices(body, omegas, cfg):
+    # chi_hat_body_parts at each omega, in one engine batch; a failed entry is
+    # its QuadratureBudgetError
+    scale = body._slope_scale
     w = body.half_width
-    res = integrate_oscillatory(f, uniform_breaks(-w, w, rate, cfg), cfg)
-    return res.value / two_pi, res.err_estimate / two_pi
+    seeds = [uniform_breaks(-w, w, abs(o.alpha) + abs(o.beta) * scale, cfg) for o in omegas]
+    # one row per integral, picked per panel row by the engine's owner index
+    alpha = np.array([o.alpha for o in omegas], dtype=np.float64)[:, None]
+    beta = np.array([o.beta for o in omegas], dtype=np.float64)[:, None]
+
+    def f(x, owner):
+        u = body.upper(x)
+        return 2.0 * u * _sin_over(beta[owner] * u) * np.cos(alpha[owner] * x)
+
+    two_pi = 2.0 * math.pi
+    return [
+        res if isinstance(res, QuadratureBudgetError)
+        else (res.value / two_pi, res.err_estimate / two_pi)
+        for res in integrate_batch(f, seeds, cfg)
+    ]
+
+
+def chi_hat_body_batch(body, omegas, cfg=None):
+    """``chi_hat_body`` at each of omegas, integrated in one adaptive batch.
+
+    Returns one entry per frequency: its TransformResult, bitwise the one
+    ``chi_hat_body`` returns, or the QuadratureBudgetError that ended it.
+    """
+    cfg = cfg or QuadConfig()
+    omegas = [as_frequency(omega) for omega in omegas]
+    if body.superellipse is not None:
+        a, b, q = body.superellipse
+        scaled = fourier.chi_hat_lp_batch(q, [(a * o.alpha, b * o.beta) for o in omegas], cfg)
+        return [
+            res if isinstance(res, QuadratureBudgetError)
+            else TransformResult(a * b * res.value, a * b * res.err_estimate, res.method)
+            for res in scaled
+        ]
+    return [
+        part if isinstance(part, QuadratureBudgetError)
+        else TransformResult(*part, "zero-frequency" if o.r == 0.0 else "reduction-x")
+        for part, o in zip(_body_slices(body, omegas, cfg), omegas)
+    ]
 
 
 def chi_hat_body(body, omega, cfg=None):
@@ -276,16 +309,10 @@ def chi_hat_body(body, omega, cfg=None):
     A superellipse diag(a, b) B_q goes through the l^q reduction by the
     scaling identity chi_hat(alpha, beta) = a b chi_hat_{B_q}(a alpha, b beta),
     which scales the value and the error estimate by a b; every other
-    body is sliced vertically (``chi_hat_body_parts``).
+    body is sliced vertically (``chi_hat_body_parts``).  This is the batch
+    of one of ``chi_hat_body_batch``.
     """
-    cfg = cfg or QuadConfig()
-    omega = as_frequency(omega)
-    if body.superellipse is not None:
-        a, b, q = body.superellipse
-        res = fourier.chi_hat_lp(q, (a * omega.alpha, b * omega.beta), cfg)
-        return TransformResult(a * b * res.value, a * b * res.err_estimate, res.method)
-    value, err = chi_hat_body_parts(body, omega, cfg)
-    return TransformResult(value, err, "zero-frequency" if omega.r == 0.0 else "reduction-x")
+    return _raised(chi_hat_body_batch(body, [omega], cfg)[0])
 
 
 @dataclass(frozen=True)
@@ -314,12 +341,17 @@ def _witness_direction(body, x_min):
     return theta
 
 
-def _body_scaled_sample(task):
-    # (r^{3/2} |chi_hat|, r^{3/2} err_estimate)
-    body, r, theta, cfg = task
-    res = chi_hat_body(body, fourier.Frequency.from_polar(r, theta), cfg)
-    s = r**1.5
-    return s * abs(res.value), s * res.err_estimate
+def _body_scaled_batch(task):
+    # (r^{3/2} |chi_hat|, r^{3/2} err_estimate) per (r, theta); the first
+    # failure in task order raises
+    body, points, cfg = task
+    omegas = [fourier.Frequency.from_polar(r, theta) for r, theta in points]
+    out = []
+    for (r, _), res in zip(points, chi_hat_body_batch(body, omegas, cfg)):
+        res = _raised(res)
+        s = r**1.5
+        out.append((s * abs(res.value), s * res.err_estimate))
+    return out
 
 
 def conjecture_scan(body, r_grid=None, theta_grid=None, cfg=None, workers=1):
@@ -327,10 +359,11 @@ def conjecture_scan(body, r_grid=None, theta_grid=None, cfg=None, workers=1):
 
     The scan inserts the normal direction at the flattest boundary point
     (the analogue of the l^p witness direction); witness_max is the
-    largest sample along it.  upper_ok holds when every sample plus its
-    scaled error estimate stays within the bound.  A bound violation is
-    reported, never swallowed: upper_ok=False marks a counterexample
-    candidate.
+    largest sample along it.  The samples run in batches of
+    ``decay.BATCH_SAMPLES``, as envelope scans do.  upper_ok holds when
+    every sample plus its scaled error estimate stays within the bound.  A
+    bound violation is reported, never swallowed: upper_ok=False marks a
+    counterexample candidate.
     """
     cfg = cfg or QuadConfig()
     nu, (x_min, y_min) = body_curvature_min(body)
@@ -350,20 +383,16 @@ def conjecture_scan(body, r_grid=None, theta_grid=None, cfg=None, workers=1):
     theta_w = _witness_direction(body, x_min)
     theta_grid = np.unique(np.concatenate([theta_grid, [theta_w]]))
 
-    tasks = []
-    thetas = []
-    for r in r_grid:
-        for t in theta_grid:
-            tasks.append((body, float(r), float(t), cfg))
-            thetas.append(float(t))
-    samples = _ordered_map(_body_scaled_sample, tasks, workers)
+    points = [(float(r), float(t)) for r in r_grid for t in theta_grid]
+    tasks = [(body, batch, cfg) for batch in _batches(points)]
+    samples = [s for batch in _ordered_map(_body_scaled_batch, tasks, workers) for s in batch]
     c_est = max(v for v, _ in samples)
-    witness_max = max(v for (v, _), t in zip(samples, thetas) if t == theta_w)
+    witness_max = max(v for (v, _), (_, t) in zip(samples, points) if t == theta_w)
     bound = ENVELOPE_UPPER_COEFF / math.sqrt(nu)
     # the true value may be as large as the sample plus its error estimate
     ok = max(v + e for v, e in samples) <= bound
     notes = (
-        f"nu at ({x_min:.6g}, {y_min:.6g}); {len(tasks)} samples, "
+        f"nu at ({x_min:.6g}, {y_min:.6g}); {len(points)} samples, "
         f"r in [{np.min(r_grid):g}, {np.max(r_grid):g}], {len(theta_grid)} angles, "
         f"witness direction {theta_w:.6g}"
     )

@@ -29,6 +29,12 @@ SEQUENCE_LOWER_COEFF = 2.0**1.75 * math.sqrt(math.pi)
 
 R_MIN_ALLOWED = 5.0
 _MAX_FAILED_FRACTION = 0.01
+# samples per batch of a scan: one adaptive loop, and one pool task, each.
+# Scans cut their samples into batches in task order, never by the worker
+# count, and a sample's result does not depend on its batch, so outputs are
+# the same for any worker count.  Larger batches amortise more per-call cost
+# but hold more panels at once (peak memory).
+BATCH_SAMPLES = 32
 
 
 @dataclass(frozen=True)
@@ -89,36 +95,55 @@ def default_theta_grid(p, n=48):
     return np.unique(np.concatenate([grid, [lpgeom.theta_star(p), 0.5 * math.pi]]))
 
 
+def scaled_samples(p, points, cfg=None):
+    """Envelope samples r^{3/2}|chi_hat| at the polar frequencies (r, theta) of points.
+
+    The transforms run as one batch (``fourier.chi_hat_lp_batch``); a
+    sample whose integral fails is recorded with method 'budget-error'.
+    """
+    cfg = cfg or QuadConfig()
+    omegas = [fourier.Frequency.from_polar(r, theta) for r, theta in points]
+    out = []
+    for (r, theta), res in zip(points, fourier.chi_hat_lp_batch(p, omegas, cfg)):
+        if isinstance(res, QuadratureBudgetError):
+            out.append(EnvelopeSample(p, r, theta, float("nan"), float("inf"), "budget-error"))
+            continue
+        s = r**1.5
+        out.append(
+            EnvelopeSample(p, r, theta, s * abs(res.value), s * res.err_estimate, res.method)
+        )
+    return out
+
+
 def scaled_sample(p, r, theta, cfg=None):
     """One envelope sample r^{3/2}|chi_hat| at polar frequency (r, theta)."""
-    cfg = cfg or QuadConfig()
-    omega = fourier.Frequency.from_polar(r, theta)
-    try:
-        res = fourier.chi_hat_lp(p, omega, cfg)
-    except QuadratureBudgetError:
-        return EnvelopeSample(p, r, theta, float("nan"), float("inf"), "budget-error")
-    s = r**1.5
-    return EnvelopeSample(p, r, theta, s * abs(res.value), s * res.err_estimate, res.method)
+    return scaled_samples(p, [(r, theta)], cfg)[0]
 
 
-def _sample_worker(task):
-    p, r, theta, cfg = task
-    return scaled_sample(p, r, theta, cfg)
+def _sample_batch_worker(task):
+    p, points, cfg = task
+    return scaled_samples(p, points, cfg)
+
+
+def _batches(points):
+    """points cut into consecutive batches of BATCH_SAMPLES, in order."""
+    return [points[i : i + BATCH_SAMPLES] for i in range(0, len(points), BATCH_SAMPLES)]
 
 
 def _ordered_map(fn, tasks, workers):
     """[fn(t) for t in tasks], on a process pool when workers > 1.
 
     The pool uses the platform's default start method, so fn and the
-    tasks must pickle.  Its map keeps task order, so the downstream fold
-    is deterministic.  Raises ValueError when workers < 1.
+    tasks must pickle.  Each task goes to the pool on its own: scans hand
+    over batches of samples, so dispatch is paid once per batch.  The
+    map keeps task order, so the downstream fold is deterministic.
+    Raises ValueError when workers < 1.
     """
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     if workers > 1:
-        chunk = max(1, len(tasks) // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks, chunksize=chunk))
+            return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
 
 
@@ -151,6 +176,8 @@ def witness_r_values(p, r_min, r_max):
 def envelope_scan(p, r_grid=None, theta_grid=None, cfg=None, workers=1):
     """Scan the scaled transform over a polar grid plus the witness radii.
 
+    The samples run in batches of BATCH_SAMPLES, in task order, one
+    adaptive loop (and one pool task when workers > 1) per batch.
     Returns (c_est, samples) where c_est is the max of scaled_value over
     all successful samples, folded in deterministic grid order.  Failed
     samples are recorded with method 'budget-error' and excluded from the
@@ -173,12 +200,13 @@ def envelope_scan(p, r_grid=None, theta_grid=None, cfg=None, workers=1):
         if not np.any(np.abs(theta_grid - ts) < 1e-12):
             theta_grid = np.sort(np.append(theta_grid, ts))
 
-    tasks = [(p, float(r), float(t), cfg) for r in r_grid for t in theta_grid]
+    points = [(float(r), float(t)) for r in r_grid for t in theta_grid]
     t_star = lpgeom.theta_star(p)
     witness = witness_r_values(p, np.min(r_grid), np.max(r_grid))
-    tasks += [(p, float(rw), t_star, cfg) for rw in witness]
+    points += [(float(rw), t_star) for rw in witness]
 
-    samples = _ordered_map(_sample_worker, tasks, workers)
+    tasks = [(p, batch, cfg) for batch in _batches(points)]
+    samples = [s for batch in _ordered_map(_sample_batch_worker, tasks, workers) for s in batch]
     failed = sum(1 for s in samples if s.method == "budget-error")
     if failed > _MAX_FAILED_FRACTION * len(samples):
         raise QuadratureBudgetError(

@@ -22,14 +22,23 @@ engine.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import _kernels
 from .lpgeom import as_p
-from .oscquad import QuadConfig, QuadratureBudgetError, integrate_oscillatory, uniform_breaks
+from .oscquad import (
+    QuadConfig,
+    QuadratureBudgetError,
+    QuadResult,
+    _raised,
+    integrate_batch,
+    integrate_oscillatory,
+    uniform_breaks,
+    uniform_panel_counts,
+)
 
 _BRUTEFORCE_MAX_FREQ = 50.0
 # brute-force oracle: composite 8-point Gauss-Legendre on this many uniform
@@ -146,34 +155,69 @@ def lp_initial_breaks(p, alpha, beta, cfg):
     Raises QuadratureBudgetError naming |omega| = hypot(alpha, beta) when
     the phase rate alpha + beta overflows: no partition within
     ``cfg.max_panels`` resolves such a frequency.  A large finite rate
-    gets a seed capped at max_panels, which the engine rejects.
+    gets a seed capped at max_panels, which the engine rejects.  This is
+    the batch of one of ``lp_initial_breaks_batch``.
+    """
+    return _raised(lp_initial_breaks_batch(p, [alpha], [beta], cfg)[0])
+
+
+def lp_initial_breaks_batch(p, alphas, betas, cfg):
+    """``lp_initial_breaks`` for each pair (alphas[i], betas[i]), built together.
+
+    Returns one entry per pair: its breaks, bitwise those of
+    ``lp_initial_breaks``, or the QuadratureBudgetError of an overflowing
+    rate.  The uniform parts and the tail test of all pairs are array
+    operations over the batch: uniform_breaks(0, 1, rate) is
+    linspace(0, 1, n + 1), whose interior points are k (1/n), and the tail
+    candidates a <- (a + 1)/2 run from breaks[-2] = (n - 1)(1/n) until
+    1 - a <= 1e-13, at most 44 steps as 1 - a halves from below 1.
     """
     p = as_p(p)
-    rate = abs(alpha) + abs(beta)
-    if rate == math.inf:
-        raise QuadratureBudgetError(
-            f"the seed partition for |omega| = {math.hypot(alpha, beta):.3e} "
+    alphas = np.asarray(alphas, dtype=np.float64)
+    betas = np.asarray(betas, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        rates = np.abs(alphas) + np.abs(betas)
+    out = [None] * rates.size
+    for i in np.flatnonzero(rates == math.inf):
+        out[i] = QuadratureBudgetError(
+            f"the seed partition for |omega| = {math.hypot(alphas[i], betas[i]):.3e} "
             f"exceeds max_panels = {cfg.max_panels}",
             0.0, math.inf, 0,
         )
-    breaks = uniform_breaks(0.0, 1.0, rate, cfg)
-    # candidate tail points a_0 = breaks[-2], a <- (a + 1)/2 until 1 - a <= 1e-13;
-    # 1 - a halves from below 1, so that takes at most 44 steps
-    tail = [breaks[-2]]
-    while (1.0 - tail[-1]) > 1e-13:
-        tail.append(0.5 * (tail[-1] + 1.0))
-    tail = np.array(tail)
-    # test every candidate but the last at once; the first one meeting both
-    # conditions ends the grading, otherwise all candidates are kept
-    a = tail[:-1]
+    ok = np.flatnonzero(rates != math.inf)
+    if ok.size == 0:
+        return out
+    alphas, betas = alphas[ok], betas[ok]
+    n = uniform_panel_counts(0.0, 1.0, rates[ok], cfg)
+    step = 1.0 / n
+    # tail candidates, one row per pair; columns past a row's last candidate
+    # are computed but never used
+    cols = [(n - 1) * step]
+    while np.any(1.0 - cols[-1] > 1e-13):
+        cols.append(0.5 * (cols[-1] + 1.0))
+    tail = np.stack(cols, axis=1)
+    # test every candidate but a row's last at once; the first one meeting
+    # both conditions ends the grading, otherwise all candidates are kept
+    a = tail[:, :-1]
     rest = 1.0 - a
-    tail_phase = beta * _kernels._phi_array(a, p)
-    done = (tail_phase + alpha * rest <= 0.5 * math.pi) & (tail_phase * rest <= 0.1 * cfg.abs_tol)
-    n_extra = int(np.argmax(done)) if done.any() else a.size
-    if n_extra:
-        breaks = np.unique(np.concatenate([breaks, tail[1 : n_extra + 1]]))
-    head = lp_head_grading(p, abs(beta), breaks[1], cfg)
-    return np.concatenate([[0.0], head, breaks[1:]])
+    tail_phase = betas[:, None] * _kernels._phi_array(a, p)
+    live = rest > 1e-13
+    done = live & (tail_phase + alphas[:, None] * rest <= 0.5 * math.pi)
+    done &= tail_phase * rest <= 0.1 * cfg.abs_tol
+    n_extra = np.where(done.any(axis=1), np.argmax(done, axis=1), np.sum(live, axis=1))
+    # interior points k (1/n), k = 1..n-1, of all pairs in one array
+    counts = n - 1
+    firsts = np.cumsum(counts) - counts
+    k = np.arange(1, counts.sum() + 1, dtype=np.float64) - np.repeat(firsts, counts)
+    interior = k * np.repeat(step, counts)
+    zero, one = np.zeros(1), np.ones(1)
+    for j, i in enumerate(ok):
+        inner = interior[firsts[j] : firsts[j] + counts[j]]
+        extra = tail[j, 1 : n_extra[j] + 1]
+        h = inner[0] if inner.size else (extra[0] if extra.size else 1.0)
+        head = lp_head_grading(p, abs(betas[j]), h, cfg)
+        out[i] = np.concatenate([zero, head, inner, extra, one])
+    return out
 
 
 def _with_phase_floor(res, rate):
@@ -198,29 +242,47 @@ def _with_phase_floor(res, rate):
     never changes the refinement.
     """
     floor = _PHASE_ROUNDOFF_C * (1.0 + rate) * math.ulp(1.0)
-    return replace(res, err_estimate=res.err_estimate + floor)
+    return QuadResult(res.value, res.err_estimate + floor, res.panels_used)
 
 
-def _reduction_integral(p, alpha, beta, cfg):
-    # int_0^1 cos(alpha x) sin(beta phi_p(x)) dx on the graded partition
-    res = integrate_oscillatory(
-        lambda x: _kernels.lp_cos_sin_values(x, p, alpha, beta),
-        lp_initial_breaks(p, alpha, beta, cfg), cfg,
-    )
-    return _with_phase_floor(res, alpha + beta)
+def _slice_integrals(p, alphas, betas, cfg, sinc=False):
+    """int_0^1 cos(alpha x) sin(beta phi_p(x)) dx for each pair, in one engine batch.
+
+    Each entry is the engine's QuadResult with the phase floor at rate
+    alpha + beta, or the QuadratureBudgetError that ended it.  With
+    ``sinc`` the integrals are the sinc form int_0^1 phi_p sinc(beta phi_p)
+    cos(alpha x) dx, for beta < 2/pi, on the reduction's seed at beta = 1:
+    with under a radian of phase, its tail rule phi(a)(1 - a) <= 0.1 abs_tol
+    bounds the tail (|sinc| <= 1), and the head grading covers the x^p cusp
+    at x = 0.
+    """
+    seeds = lp_initial_breaks_batch(p, alphas, [1.0] * len(betas) if sinc else betas, cfg)
+    ok = [i for i, seed in enumerate(seeds) if not isinstance(seed, QuadratureBudgetError)]
+    # one row per integral, picked per panel row by the engine's owner index
+    a = np.array([alphas[i] for i in ok], dtype=np.float64)[:, None]
+    b = np.array([betas[i] for i in ok], dtype=np.float64)[:, None]
+    if sinc:
+
+        def f(x, owner):
+            ph = _kernels._phi_array(x, p)
+            return ph * _sin_over(b[owner] * ph) * np.cos(a[owner] * x)
+
+    else:
+
+        def f(x, owner):
+            return _kernels.lp_cos_sin_values(x, p, a[owner], b[owner])
+
+    results = integrate_batch(f, [seeds[i] for i in ok], cfg)
+    for i, res in zip(ok, results):
+        if not isinstance(res, QuadratureBudgetError):
+            res = _with_phase_floor(res, alphas[i] + betas[i])
+        seeds[i] = res
+    return seeds
 
 
 def _sinc_slice_integral(p, alpha, beta, cfg):
-    # int_0^1 phi_p sinc(beta phi_p) cos(alpha x) dx for beta < 2/pi, on the
-    # reduction's seed at beta = 1: with under a radian of phase, its tail rule
-    # phi(a)(1 - a) <= 0.1 abs_tol bounds the tail (|sinc| <= 1), and the head
-    # grading covers the x^p cusp at x = 0
-    def f(x):
-        ph = _kernels._phi_array(x, p)
-        return ph * _sin_over(beta * ph) * np.cos(alpha * x)
-
-    res = integrate_oscillatory(f, lp_initial_breaks(p, alpha, 1.0, cfg), cfg)
-    return _with_phase_floor(res, alpha + beta)
+    # the sinc-form slice integral of one pair; raises its budget error
+    return _raised(_slice_integrals(p, [alpha], [beta], cfg, sinc=True)[0])
 
 
 def ball_area(p, cfg=None):
@@ -228,48 +290,72 @@ def ball_area(p, cfg=None):
     return 4.0 * _sinc_slice_integral(as_p(p), 0.0, 0.0, cfg or QuadConfig()).value
 
 
-def _slice_transform(p, alpha, beta, cfg):
-    """(value, err_estimate) of (2/(pi beta)) int_0^1 cos(alpha x) sin(beta phi_p(x)) dx.
+def _slice_transforms(p, alphas, betas, cfg):
+    """(value, err_estimate) of (2/(pi beta)) int_0^1 cos(alpha x) sin(beta phi_p(x)) dx per pair.
 
     Below beta = 2/pi, zero included, the slice is integrated in its sinc
     form (2/pi) int_0^1 phi_p sinc(beta phi_p) cos(alpha x) dx: the factor
     2/(pi beta) of the sine form would magnify the integral's error there,
-    and overflow for subnormal beta.
+    and overflow for subnormal beta.  Each form runs as one engine batch; a
+    failed pair is its QuadratureBudgetError.
     """
-    if beta < 2.0 / math.pi:
-        res, scale = _sinc_slice_integral(p, alpha, beta, cfg), 2.0 / math.pi
-    else:
-        res, scale = _reduction_integral(p, alpha, beta, cfg), 2.0 / (math.pi * beta)
-    return scale * res.value, scale * res.err_estimate
+    out = [None] * len(betas)
+    small = [i for i, beta in enumerate(betas) if beta < 2.0 / math.pi]
+    large = [i for i, beta in enumerate(betas) if not beta < 2.0 / math.pi]
+    for group, sinc in ((small, True), (large, False)):
+        if not group:
+            continue
+        group_a = [alphas[i] for i in group]
+        group_b = [betas[i] for i in group]
+        for i, res in zip(group, _slice_integrals(p, group_a, group_b, cfg, sinc)):
+            if isinstance(res, QuadratureBudgetError):
+                out[i] = res
+                continue
+            scale = 2.0 / math.pi if sinc else 2.0 / (math.pi * betas[i])
+            out[i] = (scale * res.value, scale * res.err_estimate)
+    return out
+
+
+def chi_hat_lp_batch(p, omegas, cfg=None):
+    """``chi_hat_lp`` at each of omegas, integrated in one adaptive batch.
+
+    Returns one entry per frequency: its TransformResult, bitwise the one
+    ``chi_hat_lp`` returns, or the QuadratureBudgetError that ended it; a
+    failure does not touch the other entries.
+    """
+    p = as_p(p)
+    cfg = cfg or QuadConfig()
+    omegas = [reduce_symmetry(omega) for omega in omegas]
+    # beta >= alpha >= 0
+    parts = _slice_transforms(p, [w.alpha for w in omegas], [w.beta for w in omegas], cfg)
+    return [
+        part if isinstance(part, QuadratureBudgetError)
+        else TransformResult(*part, "zero-frequency" if w.r == 0.0 else "reduction-x")
+        for part, w in zip(parts, omegas)
+    ]
 
 
 def chi_hat_lp(p, omega, cfg=None):
     """chi_hat of the l^p ball at omega, by the 1-D x-slicing reduction.
 
     The result records the evaluation path and the propagated quadrature
-    error estimate; small beta takes the sinc form (``_slice_transform``).
+    error estimate; small beta takes the sinc form (``_slice_transforms``).
+    This is the batch of one of ``chi_hat_lp_batch``.
     """
-    p = as_p(p)
-    cfg = cfg or QuadConfig()
-    omega = reduce_symmetry(omega)
-    value, err = _slice_transform(p, omega.alpha, omega.beta, cfg)  # beta >= alpha >= 0
-    method = "zero-frequency" if omega.r == 0.0 else "reduction-x"
-    return TransformResult(value, err, method)
+    return _raised(chi_hat_lp_batch(p, [omega], cfg)[0])
 
 
 def chi_hat_lp_via_y(p, omega, cfg=None):
     """Same transform through the y-slicing form (2/(pi alpha)) int cos(beta y) sin(alpha phi).
 
-    Requires alpha > 0 after reduction; used as the cross-check route.
-    Below alpha = 2/pi it takes the sinc form, as ``chi_hat_lp`` does.
+    The cross-check route.  Below alpha = 2/pi, alpha = 0 included, it
+    takes the sinc form, as ``chi_hat_lp`` does.
     """
     p = as_p(p)
     cfg = cfg or QuadConfig()
     omega = reduce_symmetry(omega)
-    if omega.alpha == 0.0:
-        raise ValueError("y-slicing needs alpha != 0")
-    value, err = _slice_transform(p, omega.beta, omega.alpha, cfg)  # roles swapped
-    return TransformResult(value, err, "reduction-y")
+    (part,) = _slice_transforms(p, [omega.beta], [omega.alpha], cfg)  # roles swapped
+    return TransformResult(*_raised(part), "reduction-y")
 
 
 def psi_split_integrals(p, r, theta, cfg=None):
@@ -299,25 +385,6 @@ def psi_split_integrals(p, r, theta, cfg=None):
     )
 
 
-def chi_hat_lp_polar(p, r, theta, cfg=None):
-    """chi_hat via the split form (1/(pi r sin theta)) int [sin(r psi) + sin(r psi~)].
-
-    Differs from the reduction path only by a trig identity; agreement of
-    the two routes is a consistency invariant of the build.
-    """
-    cfg = cfg or QuadConfig()
-    st = math.sin(float(theta))
-    if st <= 0.0:
-        raise ValueError("polar path needs sin(theta) > 0")
-    res_psi, res_tilde = psi_split_integrals(p, r, theta, cfg)
-    scale = 1.0 / (math.pi * r * st)
-    return TransformResult(
-        scale * (res_psi.value + res_tilde.value),
-        scale * (res_psi.err_estimate + res_tilde.err_estimate),
-        "reduction-x",
-    )
-
-
 def _sin_over(x):
     x = np.asarray(x, dtype=np.float64)
     out = np.ones_like(x)
@@ -338,14 +405,6 @@ def chi_hat_l1_closed(omega):
     s = 0.5 * (omega.alpha + omega.beta)
     d = 0.5 * (omega.beta - omega.alpha)
     return float(_sin_over(s) * _sin_over(d) / math.pi)
-
-
-def chi_hat_l1_bound(omega):
-    """The coarse diamond bound (2/pi) / |omega|."""
-    omega = as_frequency(omega)
-    if omega.r == 0.0:
-        raise ValueError("bound needs |omega| > 0")
-    return 2.0 / (math.pi * omega.r)
 
 
 def _composite_gl_nodes(breaks):

@@ -19,11 +19,19 @@ refines wherever the estimate asks.
 ``tools/calibrate.py`` checks at this density that every reported
 estimate bounds the error against a 25-digit mpmath reference.
 
-Everything is deterministic: panels are kept sorted and summed in
-interval order, so repeated runs give bit-identical results.
+``integrate_batch`` runs one adaptive loop for a batch of integrals,
+each with its own seed partition, tolerance test, stagnation count and
+panel budget, and its own result or failure.  Each round builds, evaluates
+and reduces the panels of all its integrals together, in chunks of at
+most ``CHUNK_PANELS`` rows; ``integrate_oscillatory`` is the batch of one.
 
-Also provides evaluators for the two van der Corput bounds, the leading
-stationary-phase magnitude and the symmetric Fresnel sine integral.
+Everything is deterministic: panels are kept sorted and summed in
+interval order, and every panel's (value, error) depends on that panel
+alone, so repeated runs give bit-identical results, and an integral's
+result does not depend on which integrals share its batch or chunk.
+
+Also provides evaluators for the two van der Corput bounds and the
+symmetric Fresnel sine integral.
 """
 
 import math
@@ -37,6 +45,9 @@ from ._kernels import _panel_nodes, panel_sums_from_values
 _MIN_PANEL_WIDTH = 1e-14
 _STAGNANT_ROUNDS = 3
 PANELS_PER_WAVELENGTH = 1
+# rows per integrand call: 1024 panels of 31 float64 nodes are 254 KB, so the
+# node array and the integrand's temporaries stay in a core's L2 cache
+CHUNK_PANELS = 1024
 
 
 @dataclass(frozen=True)
@@ -89,117 +100,223 @@ def uniform_breaks(a, b, rate, cfg=None):
     """
     a = float(a)
     b = float(b)
+    (n,) = uniform_panel_counts(a, b, [rate], cfg)
+    return np.linspace(a, b, n + 1)
+
+
+def uniform_panel_counts(a, b, rates, cfg=None):
+    """The panel count of ``uniform_breaks(a, b, rate, cfg)`` for each of rates, as an int array."""
     if not (a < b):
         raise ValueError("need a < b")
-    if not (0.0 <= rate < math.inf):
+    rates = np.asarray(rates, dtype=np.float64)
+    if not np.all((0.0 <= rates) & (rates < math.inf)):
         raise ValueError("rate must be finite and >= 0")
     cfg = cfg or QuadConfig()
-    n0 = int(math.ceil(rate * PANELS_PER_WAVELENGTH / (2.0 * math.pi)))
     # no more panels than doubles in [a, b], so that the breaks stay distinct
-    n = int(min(n0, cfg.max_panels, (b - a) / math.ulp(max(abs(a), abs(b)))))
-    return np.linspace(a, b, max(1, n) + 1)
+    cap = min(cfg.max_panels, (b - a) / math.ulp(max(abs(a), abs(b))))
+    n = np.minimum(np.ceil(rates * PANELS_PER_WAVELENGTH / (2.0 * math.pi)), cap)
+    return np.maximum(1, n.astype(np.int64))
 
 
-def _panel_sums(f, lefts, rights):
+def _panel_sums(f, lefts, rights, owner):
     x, half = _panel_nodes(lefts, rights)
-    v = np.asarray(f(x), dtype=np.float64)
+    v = np.asarray(f(x, owner), dtype=np.float64)
     sums, err = panel_sums_from_values(v, half)
     if not (np.all(np.isfinite(sums)) and np.all(np.isfinite(err))):
-        raise NonFiniteIntegrandError(_locate_nonfinite(f, lefts, rights, sums, err))
+        raise NonFiniteIntegrandError(_locate_nonfinite(f, lefts, rights, owner, sums, err))
     return sums, err
 
 
-def _locate_nonfinite(f, lefts, rights, sums, err):
+def _locate_nonfinite(f, lefts, rights, owner, sums, err):
     bad = ~(np.isfinite(sums) & np.isfinite(err))
     i = int(np.argmax(bad))
     x, _ = _panel_nodes(lefts[i : i + 1], rights[i : i + 1])
     # f may overwrite its argument: evaluate a copy, read the abscissa from x
-    v = np.asarray(f(x.copy()), dtype=np.float64)
+    v = np.asarray(f(x.copy(), owner[i : i + 1]), dtype=np.float64)
     return float(x.flat[np.argmax(~np.isfinite(v))])
 
 
-def integrate_oscillatory(f: Callable, breaks, cfg: Optional[QuadConfig] = None) -> QuadResult:
-    """Integrate f over [breaks[0], breaks[-1]] to the configured tolerance.
+class _Integral:
+    """Adaptive state of one integral of a batch: its sorted panels and their sums."""
 
-    ``f`` maps an (n, 31) array of Kronrod abscissae, one row per panel,
-    to the integrand values at those abscissae, elementwise.  The array is
-    fresh in every call and owned by the engine: ``f`` may overwrite it
-    and return it as the values.  ``breaks`` is the seed partition, a
-    strictly increasing array of panel boundaries (``uniform_breaks``
-    builds a uniform one); the engine only refines it.
+    __slots__ = ("index", "lefts", "rights", "sums", "err", "prev_err", "stagnant", "bad")
 
-    Raises QuadratureBudgetError carrying the partial value when the
-    panel budget is exhausted or the estimate stalls at the roundoff
-    floor, and NonFiniteIntegrandError with the offending abscissa when
-    the integrand misbehaves.
-    """
-    cfg = cfg or QuadConfig()
-    if f is None:
-        raise ValueError("an integrand f is required")
-    breaks = np.asarray(breaks, dtype=np.float64)
-    # increasing breaks are all finite when their span is
-    ok = breaks.ndim == 1 and breaks.size >= 2 and np.all(np.diff(breaks) > 0.0)
-    if not (ok and math.isfinite(breaks[-1] - breaks[0])):
-        raise ValueError("breaks must be finite and strictly increasing with >= 2 entries")
-    if breaks.size - 1 > cfg.max_panels:
-        raise QuadratureBudgetError(
-            "initial partition exceeds max_panels", 0.0, np.inf, breaks.size - 1
-        )
+    def __init__(self, index, breaks):
+        self.index = index
+        self.lefts = breaks[:-1]
+        self.rights = breaks[1:]
+        self.prev_err = math.inf
+        self.stagnant = 0
 
-    lefts = breaks[:-1]
-    rights = breaks[1:]
-    sums, err = _panel_sums(f, lefts, rights)
-
-    prev_err = math.inf
-    stagnant = 0
-    while True:
-        total = float(np.sum(sums))
-        total_err = float(np.sum(err))
+    def settle(self, cfg):
+        """The QuadResult or QuadratureBudgetError that ends this integral, or
+        None after marking the panels to bisect in ``self.bad``."""
+        total = float(np.sum(self.sums))
+        total_err = float(np.sum(self.err))
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        n = len(self.lefts)
         if total_err <= tol:
-            return QuadResult(total, total_err, len(lefts))
+            return QuadResult(total, total_err, n)
 
         # no useful progress: the estimate sits at the roundoff floor
-        stagnant = stagnant + 1 if total_err > 0.98 * prev_err else 0
-        if stagnant >= _STAGNANT_ROUNDS:
-            raise QuadratureBudgetError(
+        self.stagnant = self.stagnant + 1 if total_err > 0.98 * self.prev_err else 0
+        if self.stagnant >= _STAGNANT_ROUNDS:
+            return QuadratureBudgetError(
                 f"error estimate stalled at {total_err:.3e} (tol {tol:.3e}); "
                 "the requested tolerance sits below the attainable floor",
                 total,
                 total_err,
-                len(lefts),
+                n,
             )
-        prev_err = total_err
+        self.prev_err = total_err
 
-        n = len(lefts)
-        bad = (err > tol / (2.0 * n)) & ((rights - lefts) > _MIN_PANEL_WIDTH)
+        bad = (self.err > tol / (2.0 * n)) & ((self.rights - self.lefts) > _MIN_PANEL_WIDTH)
         if not bad.any():
-            raise QuadratureBudgetError(
+            return QuadratureBudgetError(
                 "offending panels reached minimal width without meeting the tolerance",
                 total,
                 total_err,
                 n,
             )
         if n + int(bad.sum()) > cfg.max_panels:
-            raise QuadratureBudgetError(
+            return QuadratureBudgetError(
                 f"panel budget {cfg.max_panels} exhausted (err {total_err:.3e} > tol {tol:.3e})",
                 total,
                 total_err,
                 n,
             )
+        self.bad = bad
+        return None
 
-        bl, br = lefts[bad], rights[bad]
+    def halves(self):
+        """The two halves of each marked panel: (lefts, rights), left halves first."""
+        bl, br = self.lefts[self.bad], self.rights[self.bad]
         mids = 0.5 * (bl + br)
-        new_l = np.concatenate([bl, mids])
-        new_r = np.concatenate([mids, br])
-        nk, ne = _panel_sums(f, new_l, new_r)
+        return np.concatenate([bl, mids]), np.concatenate([mids, br])
 
-        lefts = np.concatenate([lefts[~bad], new_l])
-        rights = np.concatenate([rights[~bad], new_r])
-        sums = np.concatenate([sums[~bad], nk])
-        err = np.concatenate([err[~bad], ne])
+    def merge(self, new_l, new_r, nk, ne):
+        """Replace the marked panels by their halves, keeping interval order."""
+        keep = ~self.bad
+        lefts = np.concatenate([self.lefts[keep], new_l])
         order = np.argsort(lefts, kind="stable")
-        lefts, rights, sums, err = lefts[order], rights[order], sums[order], err[order]
+        self.lefts = lefts[order]
+        self.rights = np.concatenate([self.rights[keep], new_r])[order]
+        self.sums = np.concatenate([self.sums[keep], nk])[order]
+        self.err = np.concatenate([self.err[keep], ne])[order]
+
+
+def _evaluate(f, owners, lefts, rights):
+    """Panel sums of every integral's panels, in chunks of at most CHUNK_PANELS rows.
+
+    ``owners`` holds the batch index of each integral, ``lefts`` and
+    ``rights`` its panels; returns the (sums, err) pair of each integral.
+    """
+    counts = [len(l) for l in lefts]
+    all_l = np.concatenate(lefts)
+    all_r = np.concatenate(rights)
+    owner = np.repeat(np.asarray(owners, dtype=np.intp), counts)
+    sums = np.empty(all_l.size)
+    err = np.empty(all_l.size)
+    for s in range(0, all_l.size, CHUNK_PANELS):
+        e = s + CHUNK_PANELS
+        sums[s:e], err[s:e] = _panel_sums(f, all_l[s:e], all_r[s:e], owner[s:e])
+    ends = np.cumsum(counts).tolist()
+    return [(sums[e - c : e], err[e - c : e]) for c, e in zip(counts, ends)]
+
+
+def integrate_batch(f: Callable, breaks_list, cfg: Optional[QuadConfig] = None) -> list:
+    """Integrate a batch of integrals in one adaptive loop.
+
+    Integral i runs over [breaks_list[i][0], breaks_list[i][-1]] on its own
+    seed partition ``breaks_list[i]``, a strictly increasing array of panel
+    boundaries, which the loop only refines.  Each integral keeps its own
+    tolerance test, stagnation count and ``max_panels`` budget.
+
+    ``f(x, owner)`` maps an (n, 31) array of Kronrod abscissae, one row per
+    panel, and the (n,) array ``owner`` of the index i of each row's
+    integral, to the integrand values at those abscissae, elementwise.  The
+    array x is fresh in every call and owned by the engine: ``f`` may
+    overwrite it and return it as the values.  Rows of all integrals share
+    the calls, at most ``CHUNK_PANELS`` rows each.
+
+    Returns one entry per integral: its QuadResult, or the
+    QuadratureBudgetError (with the partial value) that ended it when its
+    budget ran out or its estimate stalled at the roundoff floor; the other
+    integrals go on.  A result does not depend on which integrals share the
+    batch.  Raises ValueError for a malformed partition and
+    NonFiniteIntegrandError with the offending abscissa when the integrand
+    misbehaves.
+    """
+    cfg = cfg or QuadConfig()
+    if f is None:
+        raise ValueError("an integrand f is required")
+    seeds = [np.asarray(b, dtype=np.float64) for b in breaks_list]
+    for b in seeds:
+        # increasing breaks are all finite when their span is
+        ok = b.ndim == 1 and b.size >= 2 and np.all(b[1:] > b[:-1])
+        if not (ok and math.isfinite(b[-1] - b[0])):
+            raise ValueError("breaks must be finite and strictly increasing with >= 2 entries")
+    out = [None] * len(seeds)
+    live = []
+    for i, b in enumerate(seeds):
+        if b.size - 1 > cfg.max_panels:
+            out[i] = QuadratureBudgetError(
+                "initial partition exceeds max_panels", 0.0, np.inf, b.size - 1
+            )
+        else:
+            live.append(_Integral(i, b))
+    if not live:
+        return out
+    seed_sums = _evaluate(
+        f, [q.index for q in live], [q.lefts for q in live], [q.rights for q in live]
+    )
+    for q, (sums, err) in zip(live, seed_sums):
+        q.sums, q.err = sums, err
+    while live:
+        refining = []
+        for q in live:
+            done = q.settle(cfg)
+            if done is None:
+                refining.append(q)
+            else:
+                out[q.index] = done
+        if not refining:
+            break
+        halves = [q.halves() for q in refining]
+        sums = _evaluate(
+            f, [q.index for q in refining], [h[0] for h in halves], [h[1] for h in halves]
+        )
+        for q, (new_l, new_r), (nk, ne) in zip(refining, halves, sums):
+            q.merge(new_l, new_r, nk, ne)
+        live = refining
+    return out
+
+
+def integrate_oscillatory(f: Callable, breaks, cfg: Optional[QuadConfig] = None) -> QuadResult:
+    """Integrate f over [breaks[0], breaks[-1]] to the configured tolerance.
+
+    ``f`` maps an (n, 31) array of Kronrod abscissae, one row per panel, to
+    the integrand values at those abscissae, elementwise; it may overwrite
+    the array and return it.  ``breaks`` is the seed partition, a strictly
+    increasing array of panel boundaries (``uniform_breaks`` builds a
+    uniform one); the engine only refines it.  This is the batch of one of
+    ``integrate_batch``.
+
+    Raises QuadratureBudgetError carrying the partial value when the
+    panel budget is exhausted or the estimate stalls at the roundoff
+    floor, and NonFiniteIntegrandError with the offending abscissa when
+    the integrand misbehaves.
+    """
+    if f is None:
+        raise ValueError("an integrand f is required")
+    return _raised(integrate_batch(lambda x, owner: f(x), [breaks], cfg)[0])
+
+
+def _raised(entry):
+    """A batch entry, raised when it is the QuadratureBudgetError of a failed integral."""
+    if isinstance(entry, QuadratureBudgetError):
+        raise entry
+    return entry
 
 
 def vdc_bound_first(r, lam):
@@ -214,17 +331,6 @@ def vdc_bound_second(r, lam):
     if not (r > 0.0 and lam > 0.0):
         raise ValueError("r and lambda must be positive")
     return 6.0 / math.sqrt(r * lam)
-
-
-def stationary_phase_magnitude(r, lam):
-    """Leading magnitude sqrt(pi)/sqrt(r*lambda) of int sin(r*psi).
-
-    Valid when psi and psi' vanish at the stationary point and
-    lambda = |psi''| there is also the minimum of |psi''|.
-    """
-    if not (r > 0.0 and lam > 0.0):
-        raise ValueError("r and lambda must be positive")
-    return math.sqrt(math.pi) / math.sqrt(r * lam)
 
 
 _FRESNEL_SPLIT = 4.0

@@ -151,17 +151,18 @@ def test_envelope_verdict_counts_error_estimate(tmp_path, monkeypatch, capsys):
             "--theta-points", "2", "--out", str(tmp_path / "env.csv"), "--no-timestamp"]
     assert run_cli(args + ["--summary", str(tmp_path / "plain.json")]) == 0
     plain = json.loads((tmp_path / "plain.json").read_text())
-    chi_hat_lp = fourier.chi_hat_lp
+    chi_hat_lp_batch = fourier.chi_hat_lp_batch
     calls = []
 
-    def widened(p, omega, cfg=None):
-        res = chi_hat_lp(p, omega, cfg)
-        calls.append(omega)
-        if len(calls) == 2:
-            res = fourier.TransformResult(res.value, 1e3, res.method)
-        return res
+    def widened(p, omegas, cfg=None):
+        out = chi_hat_lp_batch(p, omegas, cfg)
+        for i, res in enumerate(out):
+            calls.append(omegas[i])
+            if len(calls) == 2:
+                out[i] = fourier.TransformResult(res.value, 1e3, res.method)
+        return out
 
-    monkeypatch.setattr(fourier, "chi_hat_lp", widened)
+    monkeypatch.setattr(fourier, "chi_hat_lp_batch", widened)
     assert run_cli(args + ["--summary", str(tmp_path / "wide.json")]) == 1
     wide = json.loads((tmp_path / "wide.json").read_text())
     assert plain["upper_ok"] and not wide["upper_ok"]

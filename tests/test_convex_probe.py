@@ -216,16 +216,17 @@ def test_conjecture_verdict_counts_error_estimate(monkeypatch):
     body = disk_body()
     clean = conjecture_scan(body, r_grid, th_grid)
     assert clean.upper_ok
-    exact_chi_hat_body = convex_probe.chi_hat_body
+    exact_chi_hat_body_batch = convex_probe.chi_hat_body_batch
 
-    def chi_hat_wide_at_last_radius(body, omega, cfg=None):
+    def chi_hat_wide_at_last_radius(body, omegas, cfg=None):
         # the samples at the last radius carry an estimate that alone reaches the bound
-        res = exact_chi_hat_body(body, omega, cfg)
-        if omega.r == r_grid[-1]:
-            res = dataclasses.replace(res, err_estimate=clean.bound / omega.r**1.5)
-        return res
+        out = exact_chi_hat_body_batch(body, omegas, cfg)
+        for i, omega in enumerate(omegas):
+            if omega.r == r_grid[-1]:
+                out[i] = dataclasses.replace(out[i], err_estimate=clean.bound / omega.r**1.5)
+        return out
 
-    monkeypatch.setattr(convex_probe, "chi_hat_body", chi_hat_wide_at_last_radius)
+    monkeypatch.setattr(convex_probe, "chi_hat_body_batch", chi_hat_wide_at_last_radius)
     report = conjecture_scan(body, r_grid, th_grid)
     assert not report.upper_ok
     assert "counterexample" in report.notes
@@ -252,10 +253,11 @@ def test_conjecture_tasks_run_under_spawn():
     # scan tasks carry their body, so workers need no state inherited by fork
     body = poly_body([1.0, 0.0, -0.5, 0.0, -0.5], 1.0)
     cfg = QuadConfig()
-    tasks = [(body, r, t, cfg) for r in (5.0, 11.0, 23.0) for t in (0.0, 0.7, math.pi / 2)]
-    serial = [convex_probe._body_scaled_sample(t) for t in tasks]
+    points = [(r, t) for r in (5.0, 11.0, 23.0) for t in (0.0, 0.7, math.pi / 2)]
+    tasks = [(body, points[i : i + 3], cfg) for i in range(0, len(points), 3)]
+    serial = [convex_probe._body_scaled_batch(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=2, mp_context=get_context("spawn")) as pool:
-        pooled = list(pool.map(convex_probe._body_scaled_sample, tasks, chunksize=3))
+        pooled = list(pool.map(convex_probe._body_scaled_batch, tasks))
     assert pooled == serial
 
 
@@ -272,3 +274,14 @@ def test_slope_sample_once_per_orientation():
     counted_body = dataclasses.replace(body, upper_d1=counted)
     conjecture_scan(counted_body, np.geomspace(5.0, 40.0, 4), np.linspace(0.0, math.pi / 2, 5))
     assert calls == 1
+
+
+@pytest.mark.parametrize(
+    "body", [poly_body([1.0, 0.0, -0.5, 0.0, -0.5], 1.0), superellipse_body(1.5, 1.0, 1.3)],
+    ids=lambda body: body.label,
+)
+def test_body_batch_entries_match_chi_hat_body_bitwise(body):
+    omegas = [(3.0, 4.0), (0.0, 0.0), (-70.0, 20.0), (0.0, 150.0), (0.3, 0.0)]
+    alone = [chi_hat_body(body, omega) for omega in omegas]
+    assert convex_probe.chi_hat_body_batch(body, omegas) == alone
+    assert convex_probe.chi_hat_body_batch(body, omegas[::-1]) == alone[::-1]

@@ -233,3 +233,31 @@ def test_scans_reject_nonpositive_workers():
             decay._ordered_map(abs, [1.0], workers)
         with pytest.raises(ValueError, match="workers"):
             decay.envelope_scan(1.5, [5.0], [1.0], workers=workers)
+
+
+def test_envelope_samples_do_not_depend_on_batching(monkeypatch):
+    r_grid = np.geomspace(5.0, 300.0, 7)
+    th = [0.9, 1.2, math.pi / 2]
+    _, want = decay.envelope_scan(1.3, r_grid, th)
+    for size in (1, 5, 1000):
+        monkeypatch.setattr(decay, "BATCH_SAMPLES", size)
+        _, got = decay.envelope_scan(1.3, r_grid, th)
+        assert got == want, size
+    # a sample alone is the sample in its batch
+    for s in want[::5]:
+        assert decay.scaled_sample(1.3, s.r, s.theta) == s
+
+
+def test_budget_error_marks_only_its_sample():
+    # the seeds of r <= 100 at this angle hold at most 57 panels, those of
+    # r = 900 and 5000 hold 225 and 1101: the larger radii fail, alone
+    cfg = QuadConfig(max_panels=100)
+    points = [(r, 1.1) for r in (20.0, 900.0, 60.0, 5000.0, 100.0)]
+    batch = decay.scaled_samples(1.5, points, cfg)
+    assert [s.method for s in batch] == ["reduction-x", "budget-error"] * 2 + ["reduction-x"]
+    for (r, t), s in zip(points, batch):
+        alone = decay.scaled_sample(1.5, r, t, cfg)
+        if s.method == "budget-error":
+            assert alone.method == "budget-error" and math.isnan(s.scaled_value)
+        else:
+            assert alone == s

@@ -20,7 +20,8 @@ J1_FIXTURES = {
 def _lp_initial_breaks_loop(p, alpha, beta, cfg):
     # reference for the uniform and tail points: the scalar tail-grading loop
     rate = abs(alpha) + abs(beta)
-    n0 = max(1, min(int(math.ceil(rate * PANELS_PER_WAVELENGTH / (2.0 * math.pi))), 2**18))
+    n0 = int(math.ceil(rate * PANELS_PER_WAVELENGTH / (2.0 * math.pi)))
+    n0 = max(1, min(n0, cfg.max_panels))
     breaks = list(np.linspace(0.0, 1.0, n0 + 1))
     extra = []
     a = breaks[-2]
@@ -47,6 +48,15 @@ def _head_count_loop(p, beta, h, abs_tol):
     while not _head_done(p, beta, h, k, abs_tol):
         k += 1
     return k
+
+
+def _lp_initial_breaks_reference(p, alpha, beta, cfg):
+    # the whole seed from the scalar loops: uniform and tail points, then the
+    # head points h 2^-k, k = K..1, inside the first panel [0, h]
+    breaks = _lp_initial_breaks_loop(p, alpha, beta, cfg)
+    h = breaks[1]
+    k = _head_count_loop(p, beta, h, cfg.abs_tol) if 1.0 < p < 2.0 and beta > 0.0 else 0
+    return np.concatenate([[0.0], h * 2.0 ** -np.arange(k, 0.0, -1.0), breaks[1:]])
 
 
 def test_lp_initial_breaks_match_scalar_loop():
@@ -167,15 +177,23 @@ def test_chi_hat_l1_diagonal_limit():
     assert fourier.chi_hat_l1_closed((0.0, 0.0)) == pytest.approx(1 / math.pi, rel=1e-15)
 
 
+def _chi_hat_l1_bound(omega):
+    # the coarse diamond bound (2/pi) / |omega|
+    omega = as_frequency(omega)
+    if omega.r == 0.0:
+        raise ValueError("bound needs |omega| > 0")
+    return 2.0 / (math.pi * omega.r)
+
+
 def test_chi_hat_l1_bound():
     rng = np.random.default_rng(17)
     for _ in range(100):
         omega = tuple(rng.uniform(-60.0, 60.0, 2))
         if math.hypot(*omega) < 1e-6:
             continue
-        assert abs(fourier.chi_hat_l1_closed(omega)) <= fourier.chi_hat_l1_bound(omega)
+        assert abs(fourier.chi_hat_l1_closed(omega)) <= _chi_hat_l1_bound(omega)
     with pytest.raises(ValueError):
-        fourier.chi_hat_l1_bound((0.0, 0.0))
+        _chi_hat_l1_bound((0.0, 0.0))
 
 
 def test_chi_hat_l1_sharpness_pair():
@@ -199,14 +217,14 @@ def test_disk_bessel_oracle(monkeypatch):
     assert fourier.chi_hat_disk_oracle(10.0) == pytest.approx(
         0.0043472746168861437, abs=1e-12
     )
-    # J1(r)/r -> 1/2 at r = 0, where the integrand is sin(t)^2; the K31 sum
-    # lands 1.7e-16 below 1/2, inside the oracle's own estimate
+    # J1(r)/r -> 1/2 at r = 0, where the integrand is sin(t)^2; the K31 sum,
+    # reduced row by row, lands on 1/2, inside the oracle's own estimate
     results = []
     integrate = fourier.integrate_oscillatory
     monkeypatch.setattr(
         fourier, "integrate_oscillatory", lambda *a: results.append(integrate(*a)) or results[-1]
     )
-    assert fourier.chi_hat_disk_oracle(0.0) == 0.49999999999999983
+    assert fourier.chi_hat_disk_oracle(0.0) == 0.5
     (res,) = results
     assert abs(res.value / math.pi - 0.5) <= res.err_estimate / math.pi
 
@@ -263,26 +281,42 @@ def test_x_and_y_slicing_agree():
         v2 = fourier.chi_hat_lp_via_y(p, omega)
         assert v1.value == pytest.approx(v2.value, abs=1e-8)
         assert v2.method == "reduction-y"
-    with pytest.raises(ValueError):
-        fourier.chi_hat_lp_via_y(1.5, (0.0, 3.0))
+    # alpha = 0 takes the y-slice's sinc form, like any alpha below 2/pi
+    v1 = fourier.chi_hat_lp(1.5, (0.0, 3.0))
+    v2 = fourier.chi_hat_lp_via_y(1.5, (0.0, 3.0))
+    assert abs(v1.value - v2.value) <= v1.err_estimate + v2.err_estimate
 
 
 def test_y_slicing_small_alpha_takes_sinc_form():
     # below alpha = 2/pi the y-slice is integrated in its sinc form: the sine
     # form's factor 2/(pi alpha) made the value -inf at a subnormal alpha
     for p in (1.5, 2.0):
-        for alpha in (1e-310, 1e-10, 1e-2, 0.6):
+        for alpha in (0.0, 1e-310, 1e-10, 1e-2, 0.6):
             x = fourier.chi_hat_lp(p, (alpha, 5.0))
             y = fourier.chi_hat_lp_via_y(p, (alpha, 5.0))
             assert abs(x.value - y.value) <= x.err_estimate + y.err_estimate, (p, alpha)
             assert y.err_estimate < 1e-13, (p, alpha)
 
 
+def _chi_hat_polar(p, r, theta):
+    # chi_hat via the split form (1/(pi r sin theta)) int [sin(r psi) + sin(r psi~)]
+    st = math.sin(float(theta))
+    if st <= 0.0:
+        raise ValueError("polar path needs sin(theta) > 0")
+    res_psi, res_tilde = fourier.psi_split_integrals(p, r, theta)
+    scale = 1.0 / (math.pi * r * st)
+    return fourier.TransformResult(
+        scale * (res_psi.value + res_tilde.value),
+        scale * (res_psi.err_estimate + res_tilde.err_estimate),
+        "reduction-x",
+    )
+
+
 def test_polar_split_consistency():
     # the polar split differs from the direct product form by a trig identity
     for (p, r, th) in ((1.5, 20.0, 1.0), (1.2, 7.0, math.pi / 2), (1.9, 100.0, 0.9)):
         direct = fourier.chi_hat_lp(p, Frequency.from_polar(r, th))
-        split = fourier.chi_hat_lp_polar(p, r, th)
+        split = _chi_hat_polar(p, r, th)
         assert split.value == pytest.approx(direct.value, abs=1e-9)
         res_psi, res_tilde = fourier.psi_split_integrals(p, r, th)
         recon = (res_psi.value + res_tilde.value) / (math.pi * r * math.sin(th))
@@ -294,7 +328,7 @@ def test_polar_rejects_bad_angle_before_integrating(monkeypatch):
     monkeypatch.setattr(fourier, "integrate_oscillatory", lambda *a, **k: calls.append(a))
     for theta in (0.0, -0.7, -math.pi / 2):
         with pytest.raises(ValueError, match="sin"):
-            fourier.chi_hat_lp_polar(1.5, 5e4, theta)
+            _chi_hat_polar(1.5, 5e4, theta)
     assert calls == []
 
 
@@ -329,3 +363,35 @@ def test_routes_agree_within_phase_floor_at_high_frequency(p, r):
     split = scale * (res_psi.value + res_tilde.value)
     allowed = direct.err_estimate + scale * (res_psi.err_estimate + res_tilde.err_estimate)
     assert abs(direct.value - split) <= allowed
+
+
+def _bits(res):
+    return res.value.hex(), res.err_estimate.hex(), res.method
+
+
+def test_batch_entries_match_chi_hat_lp_bitwise():
+    # sine and sinc forms, zero frequency and a refining sample, alone and at
+    # different positions among other samples
+    omegas = [(3.0, 4.0), (0.0, 0.0), (0.3, 0.5), (-250.0, 1200.0), (0.0, 12.0), (1e-310, 5.0),
+              (Frequency.from_polar(1700.0, 1.2).alpha, Frequency.from_polar(1700.0, 1.2).beta)]
+    for p in (1.0, 1.1, 1.5, 2.0):
+        alone = [_bits(fourier.chi_hat_lp(p, omega)) for omega in omegas]
+        assert [_bits(r) for r in fourier.chi_hat_lp_batch(p, omegas)] == alone
+        assert [_bits(r) for r in fourier.chi_hat_lp_batch(p, omegas[::-1])] == alone[::-1]
+        for omega, want in zip(omegas, alone):
+            (got,) = fourier.chi_hat_lp_batch(p, [omega])
+            assert _bits(got) == want
+            mixed = fourier.chi_hat_lp_batch(p, [(40.0, 41.0), omega, (7.0, 0.1)])
+            assert _bits(mixed[1]) == want
+
+
+def test_batch_failure_stays_with_its_sample():
+    # an overflowing rate fails its own entry; the other entries are unchanged
+    out = fourier.chi_hat_lp_batch(1.5, [(3.0, 4.0), (1e308, 1e308), (0.2, 0.4)])
+    assert isinstance(out[1], fourier.QuadratureBudgetError)
+    assert "|omega| = 1.414e+308" in str(out[1])
+    assert _bits(out[0]) == _bits(fourier.chi_hat_lp(1.5, (3.0, 4.0)))
+    assert _bits(out[2]) == _bits(fourier.chi_hat_lp(1.5, (0.2, 0.4)))
+    seeds = fourier.lp_initial_breaks_batch(1.5, [3.0, 1e308], [4.0, 1e308], QuadConfig())
+    assert isinstance(seeds[1], fourier.QuadratureBudgetError)
+    assert np.array_equal(seeds[0], fourier.lp_initial_breaks(1.5, 3.0, 4.0, QuadConfig()))

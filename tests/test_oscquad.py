@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from lpfourier import oscquad
 from lpfourier.oscquad import (
     NonFiniteIntegrandError,
     QuadConfig,
     QuadratureBudgetError,
     fresnel_symmetric,
+    integrate_batch,
     integrate_oscillatory,
-    stationary_phase_magnitude,
     uniform_breaks,
     vdc_bound_first,
     vdc_bound_second,
@@ -146,12 +147,23 @@ def test_quadconfig_validation():
         QuadConfig(max_panels=0)
 
 
+def _stationary_phase_magnitude(r, lam):
+    """Leading magnitude sqrt(pi)/sqrt(r*lambda) of int sin(r*psi).
+
+    Valid when psi and psi' vanish at the stationary point and
+    lambda = |psi''| there is also the minimum of |psi''|.
+    """
+    if not (r > 0.0 and lam > 0.0):
+        raise ValueError("r and lambda must be positive")
+    return math.sqrt(math.pi) / math.sqrt(r * lam)
+
+
 def test_vdc_bound_values():
     assert vdc_bound_first(10.0, 1.0) == pytest.approx(0.2)
     assert vdc_bound_first(1.0, 2.0) == pytest.approx(1.0)
     assert vdc_bound_second(36.0, 1.0) == pytest.approx(1.0)
     assert vdc_bound_second(100.0, 4.0) == pytest.approx(0.3)
-    for f in (vdc_bound_first, vdc_bound_second, stationary_phase_magnitude):
+    for f in (vdc_bound_first, vdc_bound_second, _stationary_phase_magnitude):
         with pytest.raises(ValueError):
             f(-1.0, 1.0)
         with pytest.raises(ValueError):
@@ -193,8 +205,8 @@ def test_vdc_second_bound_randomized():
 
 
 def test_stationary_phase_magnitude_values():
-    assert stationary_phase_magnitude(math.pi, 1.0) == pytest.approx(1.0, abs=1e-15)
-    assert stationary_phase_magnitude(100.0, 0.25) == pytest.approx(
+    assert _stationary_phase_magnitude(math.pi, 1.0) == pytest.approx(1.0, abs=1e-15)
+    assert _stationary_phase_magnitude(100.0, 0.25) == pytest.approx(
         0.35449077018110317, abs=1e-14
     )
 
@@ -204,7 +216,7 @@ def test_stationary_phase_quadratic_agreement():
     for r, tol in ((1e4, 0.02), (1e5, 0.05)):
         res = integrate_oscillatory(lambda x: np.sin(r * (x - 0.5) ** 2), uniform_breaks(0.0, 1.0, r))
         assert abs(res.value) == pytest.approx(
-            stationary_phase_magnitude(r, 2.0), rel=tol
+            _stationary_phase_magnitude(r, 2.0), rel=tol
         )
 
 
@@ -249,3 +261,71 @@ def test_fresnel_edges():
 def test_fresnel_tail_bound():
     for m in np.linspace(10.0, 100.0, 19):
         assert abs(fresnel_symmetric(float(m)) - SQRT_PI_OVER_2) <= 2.0 / m
+
+
+def _batch_cases():
+    # (f(x), breaks) pairs: smooth, oscillatory, and one that needs refinement
+    return [
+        (lambda x: np.sin(10.0 * x), uniform_breaks(0.0, 1.0, 10.0)),
+        (lambda x: np.sin(137.0 * x * x), uniform_breaks(0.0, 1.0, 274.0)),
+        (lambda x: np.sqrt(np.abs(x - 0.3)), uniform_breaks(0.0, 1.0, 1.0)),
+        (lambda x: np.cos(3000.0 * x), uniform_breaks(-1.0, 2.0, 3000.0)),
+    ]
+
+
+def _batched(cases):
+    fs = [f for f, _ in cases]
+
+    def f(x, owner):
+        out = np.empty_like(x)
+        for i in np.unique(owner):
+            rows = owner == i
+            out[rows] = fs[i](x[rows])
+        return out
+
+    return f, [b for _, b in cases]
+
+
+def test_batch_entries_match_single_integrals_bitwise():
+    cases = _batch_cases()
+    alone = [integrate_oscillatory(f, b) for f, b in cases]
+    f, breaks = _batched(cases)
+    assert integrate_batch(f, breaks) == alone
+    # the same integral at another position, and in batches of one
+    f, breaks = _batched(cases[::-1])
+    assert integrate_batch(f, breaks) == alone[::-1]
+    for case, want in zip(cases, alone):
+        f, breaks = _batched([case])
+        assert integrate_batch(f, breaks) == [want]
+    assert integrate_batch(f, []) == []
+
+
+def test_batch_results_do_not_depend_on_chunking(monkeypatch):
+    f, breaks = _batched(_batch_cases())
+    want = integrate_batch(f, breaks)
+    for chunk in (1, 7, 100):
+        monkeypatch.setattr(oscquad, "CHUNK_PANELS", chunk)
+        assert integrate_batch(f, breaks) == want, chunk
+
+
+def test_budget_failure_stays_with_its_integral():
+    cfg = QuadConfig(max_panels=40)
+    cases = _batch_cases()
+    alone = []
+    for f, b in cases:
+        try:
+            alone.append(integrate_oscillatory(f, b, cfg))
+        except QuadratureBudgetError as exc:
+            alone.append(exc)
+    # sin(137 x^2) exhausts the budget refining, the cos(3000 x) seed exceeds it
+    failed = [isinstance(r, QuadratureBudgetError) for r in alone]
+    assert failed == [False, True, False, True]
+    f, breaks = _batched(cases)
+    for g, a, fail in zip(integrate_batch(f, breaks, cfg), alone, failed):
+        if not fail:
+            assert g == a
+            continue
+        assert isinstance(g, QuadratureBudgetError)
+        assert (str(g), g.partial_value, g.err_estimate, g.panels_used) == (
+            str(a), a.partial_value, a.err_estimate, a.panels_used
+        )

@@ -1,4 +1,4 @@
-"""Property tests of chi_hat_lp over generated exponents and frequencies.
+"""Property tests of chi_hat_lp, its seeds and chi_hat_body over generated inputs.
 
 Runs are derandomized, so every run draws the same examples; example
 counts are bounded to keep the file fast.
@@ -12,8 +12,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from lpfourier import cli, fourier  # noqa: E402
-from lpfourier.oscquad import QuadratureBudgetError  # noqa: E402
+from lpfourier import cli, convex_probe, fourier  # noqa: E402
+from lpfourier.oscquad import QuadConfig, QuadratureBudgetError  # noqa: E402
+from test_fourier import _lp_initial_breaks_reference  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 
@@ -76,3 +77,75 @@ def test_huge_frequency_exceeds_panel_budget(p, beta, share):
     # from |omega| ~ 1e7 the uniform seed alone fills the 2^20-panel budget
     with pytest.raises(QuadratureBudgetError):
         fourier.chi_hat_lp(p, (share * beta, beta))
+
+
+def _seed_inputs():
+    # (cfg, pairs): alpha = 0, beta below 2/pi and, with a small budget that
+    # caps the uniform part, a huge rate
+    small = st.floats(0.0, 2.0 / math.pi)
+    wide = st.floats(0.0, 1e4)
+    default = st.tuples(st.one_of(st.just(0.0), wide), st.one_of(small, wide))
+    capped = st.tuples(st.one_of(st.just(0.0), wide), st.one_of(small, wide, st.just(1e300)))
+    return st.one_of(
+        st.tuples(st.just(QuadConfig()), st.lists(default, min_size=1, max_size=6)),
+        st.tuples(
+            st.just(QuadConfig(abs_tol=1e-14, max_panels=64)), st.lists(capped, min_size=1, max_size=6)
+        ),
+    )
+
+
+@PROPERTY
+@given(exponents, _seed_inputs())
+def test_batched_seeds_are_the_single_seeds_bitwise(p, inputs):
+    cfg, pairs = inputs
+    alphas, betas = zip(*pairs)
+    for (alpha, beta), got in zip(pairs, fourier.lp_initial_breaks_batch(p, alphas, betas, cfg)):
+        want = fourier.lp_initial_breaks(p, alpha, beta, cfg)
+        assert got.tobytes() == want.tobytes(), (alpha, beta)
+        assert got.tobytes() == _lp_initial_breaks_reference(p, alpha, beta, cfg).tobytes()
+
+
+# the quartic poly body of the benchmark, and its area int 2u = 44/15
+QUARTIC = [1.0, 0.0, -0.5, 0.0, -0.5]
+semiaxes = st.floats(0.25, 4.0)
+body_frequencies = st.floats(-60.0, 60.0)
+
+
+@PROPERTY
+@given(
+    st.one_of(
+        st.builds(convex_probe.superellipse_body, semiaxes, semiaxes, st.floats(1.05, 2.0)),
+        st.just(convex_probe.poly_body(QUARTIC, 1.0)),
+    ),
+    body_frequencies,
+    body_frequencies,
+)
+def test_body_transform_is_even_in_alpha_and_beta(body, alpha, beta):
+    # bit for bit: the lp route reduces signs away, and the slicing integrand
+    # 2u sinc(beta u) cos(alpha x) and its seed are even in each argument
+    omegas = [(alpha, beta), (-alpha, beta), (alpha, -beta), (-alpha, -beta)]
+    ref, *flips = convex_probe.chi_hat_body_batch(body, omegas)
+    for res in flips:
+        assert res == ref
+
+
+@PROPERTY
+@given(semiaxes, semiaxes, st.floats(1.05, 2.0), body_frequencies, body_frequencies)
+def test_superellipse_body_is_scaled_lp_transform(a, b, q, alpha, beta):
+    (got,) = convex_probe.chi_hat_body_batch(convex_probe.superellipse_body(a, b, q), [(alpha, beta)])
+    ref = fourier.chi_hat_lp(q, (a * alpha, b * beta))
+    assert abs(got.value - a * b * ref.value) <= got.err_estimate + a * b * ref.err_estimate
+
+
+@settings(PROPERTY, max_examples=10)
+@given(st.floats(0.25, 4.0))
+def test_quartic_body_zero_frequency_is_area_over_two_pi(w):
+    # u(x) = 1 - (x/w)^2/2 - (x/w)^4/2 on [-w, w]
+    mp = pytest.importorskip("mpmath")
+    body = convex_probe.poly_body([1.0, 0.0, -0.5 / w**2, 0.0, -0.5 / w**4], w)
+    with mp.workdps(30):
+        t = mp.mpf(w)
+        area = float(mp.quad(lambda x: 2 * (1 - (x / t) ** 2 / 2 - (x / t) ** 4 / 2), [-t, t]))
+    (res,) = convex_probe.chi_hat_body_batch(body, [(0.0, 0.0)])
+    assert res.method == "zero-frequency"
+    assert abs(res.value - area / (2.0 * math.pi)) <= res.err_estimate
