@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 assertion/bound failure, 2 usage error,
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -110,6 +111,8 @@ def cmd_envelope(args):
     }
     if args.p < 2.0:
         summary["v_of_p"] = decay.v_of_p(args.p)
+        # the peaks between the aligned witnesses approach sqrt(2) v_of_p
+        summary["peak_asymptote"] = math.sqrt(2.0) * summary["v_of_p"]
         summary["theta_star"] = lpgeom.theta_star(args.p)
     _write_json(args.summary, args, summary)
     return EXIT_OK if upper_ok else EXIT_FAILURE

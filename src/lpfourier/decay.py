@@ -8,6 +8,10 @@ direction theta* it converges to the stationary-phase asymptote
     v_of_p(p) = 1 / (sqrt(pi) * sin(theta*)^{3/2} * sqrt((p-1) m(p))),
 
 whose (p-1)^{-1/2} blow-up is the quantity the blow-up fit extracts.
+Between the r_n the scaled value oscillates along theta* with period
+2 pi / psi(x*, theta*); its peaks, at r_n + 3 pi / (4 psi(x*, theta*)),
+approach the peak asymptote sqrt(2) v_of_p.  Envelope scans sample both
+the r_n and these peaks (``witness_r_values``).
 """
 
 import math
@@ -155,9 +159,9 @@ def _base_phase(prof):
 
 
 def witness_r_values(p, r_min, r_max):
-    """Witness radii inside [r_min, r_max]: the aligned r_n plus the
-    quarter-period offset r_n + pi/(4 base_phase) that maximises the
-    stationary contribution."""
+    """Witness radii inside [r_min, r_max]: the aligned r_n plus the offset
+    r_n + 3 pi/(4 base_phase), where the scaled value along theta* peaks
+    near sqrt(2) v_of_p (the aligned r_n sit near v_of_p itself)."""
     p = as_p(p)
     if not (1.0 < p < 2.0):
         return np.empty(0)
@@ -168,7 +172,7 @@ def witness_r_values(p, r_min, r_max):
         return np.empty(0)
     ns = np.arange(n_lo, n_hi + 1, dtype=np.float64)
     aligned = 2.0 * math.pi * ns / base
-    offset = aligned + math.pi / (4.0 * base)
+    offset = aligned + 3.0 * math.pi / (4.0 * base)
     rs = np.concatenate([aligned, offset])
     return np.sort(rs[(rs >= r_min) & (rs <= r_max)])
 

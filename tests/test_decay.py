@@ -211,9 +211,22 @@ def test_witness_r_values_offsets():
     aligned = [r for r in spec.r_values if 5.0 <= r <= 100.0]
     for r in aligned:
         assert np.any(np.abs(rs - r) < 1e-12)
-        # quarter-period offset companion maximises the stationary term
-        assert np.any(np.abs(rs - (r + math.pi / (4 * spec.base_phase))) < 1e-12)
+        # the companion at three eighths of a period sits at the peak of the oscillation
+        assert np.any(np.abs(rs - (r + 3.0 * math.pi / (4 * spec.base_phase))) < 1e-12)
     assert decay.witness_r_values(2.0, 5.0, 100.0).size == 0
+
+
+def test_witness_offset_reads_the_peak():
+    # the offset companion of r_n reads near the peak asymptote sqrt(2) v_of_p
+    # (the companion at r_n + pi/(4 base) read 0.0044 v_of_p at n = 116)
+    p = 1.5
+    spec = decay.stationary_sequence(p, 100, 116)
+    for n in (100, 116):
+        r_n = spec.r_values[n - 100]
+        r = r_n + 3.0 * math.pi / (4.0 * spec.base_phase)
+        assert r in decay.witness_r_values(p, r_n, r + 1.0).tolist()
+        s = decay.scaled_sample(p, r, spec.theta_star)
+        assert s.scaled_value >= 1.3 * decay.v_of_p(p), n
 
 
 def test_default_workers_rejects_bad_values(monkeypatch):
