@@ -191,9 +191,12 @@ def lp_initial_breaks_batch(p, alphas, betas, cfg):
     n = uniform_panel_counts(0.0, 1.0, rates[ok], cfg)
     step = 1.0 / n
     # tail candidates, one row per pair; columns past a row's last candidate
-    # are computed but never used
+    # are computed but never used.  The rounded map a -> (a + 1)/2 keeps the
+    # order of the rows, so the row of the smallest start needs the most steps
     cols = [(n - 1) * step]
-    while np.any(1.0 - cols[-1] > 1e-13):
+    lowest = float(cols[0].min())
+    while 1.0 - lowest > 1e-13:
+        lowest = 0.5 * (lowest + 1.0)
         cols.append(0.5 * (cols[-1] + 1.0))
     tail = np.stack(cols, axis=1)
     # test every candidate but a row's last at once; the first one meeting
@@ -211,12 +214,12 @@ def lp_initial_breaks_batch(p, alphas, betas, cfg):
     k = np.arange(1, counts.sum() + 1, dtype=np.float64) - np.repeat(firsts, counts)
     interior = k * np.repeat(step, counts)
     zero, one = np.zeros(1), np.ones(1)
-    for j, i in enumerate(ok):
-        inner = interior[firsts[j] : firsts[j] + counts[j]]
-        extra = tail[j, 1 : n_extra[j] + 1]
-        h = inner[0] if inner.size else (extra[0] if extra.size else 1.0)
-        head = lp_head_grading(p, abs(betas[j]), h, cfg)
-        out[i] = np.concatenate([zero, head, inner, extra, one])
+    rows = zip(ok.tolist(), firsts.tolist(), counts.tolist(), n_extra.tolist(), tail)
+    for (i, first, count, n_tail, cands), beta in zip(rows, np.abs(betas).tolist()):
+        inner = interior[first : first + count]
+        extra = cands[1 : n_tail + 1]
+        h = inner[0] if count else (extra[0] if n_tail else 1.0)
+        out[i] = np.concatenate([zero, lp_head_grading(p, beta, h, cfg), inner, extra, one])
     return out
 
 
