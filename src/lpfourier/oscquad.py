@@ -151,8 +151,9 @@ class _Integral:
     def settle(self, cfg):
         """The QuadResult or QuadratureBudgetError that ends this integral, or
         None after marking the panels to bisect in ``self.bad``."""
-        total = float(np.sum(self.sums))
-        total_err = float(np.sum(self.err))
+        # np.sum's pairwise reduction, called without its dispatch layer
+        total = float(np.add.reduce(self.sums))
+        total_err = float(np.add.reduce(self.err))
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
         n = len(self.lefts)
         if total_err <= tol:
@@ -251,11 +252,15 @@ def integrate_batch(f: Callable, breaks_list, cfg: Optional[QuadConfig] = None) 
     if f is None:
         raise ValueError("an integrand f is required")
     seeds = [np.asarray(b, dtype=np.float64) for b in breaks_list]
-    for b in seeds:
-        # increasing breaks are all finite when their span is
-        ok = b.ndim == 1 and b.size >= 2 and np.all(b[1:] > b[:-1])
-        if not (ok and math.isfinite(b[-1] - b[0])):
-            raise ValueError("breaks must be finite and strictly increasing with >= 2 entries")
+    ok = all(b.ndim == 1 and b.size >= 2 for b in seeds)
+    if ok and seeds:
+        # breaks increase when every panel of every seed has right > left,
+        # and increasing breaks are all finite when their spans are
+        rights = np.concatenate([b[1:] for b in seeds])
+        ok = np.all(rights > np.concatenate([b[:-1] for b in seeds]))
+        ok = ok and np.all(np.isfinite([b[-1] - b[0] for b in seeds]))
+    if not ok:
+        raise ValueError("breaks must be finite and strictly increasing with >= 2 entries")
     out = [None] * len(seeds)
     live = []
     for i, b in enumerate(seeds):

@@ -89,7 +89,8 @@ def _seed_inputs():
     return st.one_of(
         st.tuples(st.just(QuadConfig()), st.lists(default, min_size=1, max_size=6)),
         st.tuples(
-            st.just(QuadConfig(abs_tol=1e-14, max_panels=64)), st.lists(capped, min_size=1, max_size=6)
+            st.just(QuadConfig(abs_tol=1e-14, max_panels=64)),
+            st.lists(capped, min_size=1, max_size=6),
         ),
     )
 
@@ -132,7 +133,8 @@ def test_body_transform_is_even_in_alpha_and_beta(body, alpha, beta):
 @PROPERTY
 @given(semiaxes, semiaxes, st.floats(1.05, 2.0), body_frequencies, body_frequencies)
 def test_superellipse_body_is_scaled_lp_transform(a, b, q, alpha, beta):
-    (got,) = convex_probe.chi_hat_body_batch(convex_probe.superellipse_body(a, b, q), [(alpha, beta)])
+    body = convex_probe.superellipse_body(a, b, q)
+    (got,) = convex_probe.chi_hat_body_batch(body, [(alpha, beta)])
     ref = fourier.chi_hat_lp(q, (a * alpha, b * beta))
     assert abs(got.value - a * b * ref.value) <= got.err_estimate + a * b * ref.err_estimate
 
