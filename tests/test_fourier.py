@@ -370,8 +370,8 @@ def _bits(res):
 
 
 def test_batch_entries_match_chi_hat_lp_bitwise():
-    # sine and sinc forms, zero frequency and a refining sample, alone and at
-    # different positions among other samples
+    # sine and sinc forms, zero frequency and, at p = 2, two samples that take
+    # an adaptive round, alone and at different positions among other samples
     omegas = [(3.0, 4.0), (0.0, 0.0), (0.3, 0.5), (-250.0, 1200.0), (0.0, 12.0), (1e-310, 5.0),
               (Frequency.from_polar(1700.0, 1.2).alpha, Frequency.from_polar(1700.0, 1.2).beta)]
     for p in (1.0, 1.1, 1.5, 2.0):
