@@ -135,9 +135,17 @@ def lp_head_grading(p, beta, h, cfg):
 def lp_initial_breaks(p, alpha, beta, cfg):
     """Panel boundaries for int_0^1 cos(alpha x) sin(beta phi_p(x)) dx.
 
-    The uniform seed ``uniform_breaks(0, 1, alpha + beta, cfg)`` for the
-    interior phase rate, graded geometrically toward both ends of [0, 1],
-    where phi_p is not smooth.
+    The seed steps the phase bound V(x) = alpha x + beta (1 - phi_p(x)),
+    which grows from 0 to alpha + beta and bounds the phase change of
+    both factors (and of the polar-split phases): its interior breaks are
+    the points with V(x_k) = k V(1)/n, k = 1..n-1, for the panel count
+    n = ceil((alpha + beta) / 4 pi) of ``uniform_breaks(0, 1, alpha + beta,
+    cfg)`` (``lp_v_points``).  Every seed panel therefore spans at most two
+    wavelengths of the integrand's fastest phase, also near x = 1, where
+    |phi_p'| > 1 and equal steps in x would under-resolve.  When V is
+    linear (p = 1 or beta = 0) the breaks are uniform, k/n.  The seed is
+    then graded geometrically toward both ends of [0, 1], where phi_p is
+    not smooth, starting from the first and last V-breaks.
 
     Toward x = 1 (slope blow-up of phi_p): halve the last panel until the
     remaining phase variation beta*phi(a) + alpha*(1-a) over it drops
@@ -161,22 +169,83 @@ def lp_initial_breaks(p, alpha, beta, cfg):
     return _raised(lp_initial_breaks_batch(p, [alpha], [beta], cfg)[0])
 
 
+# Newton steps of the V-point solve: from the start in _v_roots, 3 steps
+# leave up to 5e-10 relative in x at p near 2, 4 reach roundoff
+_V_NEWTON_STEPS = 4
+
+
+def _v_roots(p, a, b, t):
+    """x in (0, d] with a x + b (1 - phi_p(x)) = t, elementwise; d = 2^(-1/p).
+
+    Needs 1 < p, a, b >= 0 with a + b > 0, and 0 < t <= a d + b (1 - d).
+    On [0, d] the left side V is convex and increasing, with slope
+    a + b (x / phi_p)^(p-1) <= a + b.  The start is the larger of two lower
+    bounds of the root: the chord point d t / V(d), and x with
+    1/x = a/t + 1/x_b, where x_b <= d solves b (1 - phi_p(x_b)) = t or is
+    d (1 - phi_p is convex and 0 at 0, so V(x) <= t there).  From a lower
+    bound the first Newton step lands above the root and the later ones
+    fall onto it; each step is capped at d.  The count is fixed, so a
+    point depends on its own inputs only.
+    """
+    d = 2.0 ** (-1.0 / p)
+    one_minus_d = 1.0 - d
+    with np.errstate(divide="ignore", over="ignore"):
+        s = np.minimum(t / b, one_minus_d)
+        # the inverse of 1 - phi_p is phi_p(1 - s) = (1 - (1 - s)^p)^(1/p)
+        x_b = (-np.expm1(p * np.log1p(-s))) ** (1.0 / p)
+    x = np.maximum(1.0 / (a / t + 1.0 / x_b), d * t / (a * d + b * one_minus_d))
+    for _ in range(_V_NEWTON_STEPS):
+        u = x**p
+        g = -np.expm1(np.log1p(-u) / p)  # 1 - phi_p(x), accurate near 0
+        slope = a + b * u * (1.0 - g) / (x * (1.0 - u))
+        x = np.minimum(x - (a * x + b * g - t) / slope, d)
+    return x
+
+
+def lp_v_points(p, alpha, beta, k, n):
+    """x_k in (0, 1) with V(x_k) = k V(1)/n, elementwise, for V(x) = alpha x + beta (1 - phi_p(x)).
+
+    Every argument but p is an array of one entry per point, with
+    0 < k < n, alpha, beta >= 0 and alpha + beta > 0; a point depends on
+    its own entries only.  Linear V (p = 1 or beta = 0) gives the uniform
+    k (1/n).  Otherwise the points at or below the diagonal
+    x = d = 2^(-1/p), where |phi_p'| <= 1, solve for x (``_v_roots``); the
+    ones above it solve for y = phi_p(x) <= d, where
+    V(1) - V(x) = beta y + alpha (1 - phi_p(y)) has the same form with the
+    roles swapped, and map back with x = phi_p(y), as phi_p is its own
+    inverse.  Either way Newton steps on a slope that stays bounded, where
+    steps in x would crawl along the blow-up of phi_p' at x = 1.
+    """
+    x = k * (1.0 / n)
+    if p == 1.0:
+        return x
+    step = (alpha + beta) / n
+    t = k * step
+    d = 2.0 ** (-1.0 / p)
+    below = (beta > 0.0) & (t <= alpha * d + beta * (1.0 - d))
+    above = (beta > 0.0) & ~below
+    x[below] = _v_roots(p, alpha[below], beta[below], t[below])
+    # alpha = 0 makes the swapped V linear in y, and its start the exact root
+    y = _v_roots(p, beta[above], alpha[above], (n[above] - k[above]) * step[above])
+    x[above] = _kernels._phi_array(y, p)
+    return x
+
+
 def lp_initial_breaks_batch(p, alphas, betas, cfg):
     """``lp_initial_breaks`` for each pair (alphas[i], betas[i]), built together.
 
     Returns one entry per pair: its breaks, bitwise those of
-    ``lp_initial_breaks``, or the QuadratureBudgetError of an overflowing
-    rate.  The uniform parts and the tail test of all pairs are array
-    operations over the batch: uniform_breaks(0, 1, rate) is
-    linspace(0, 1, n + 1), whose interior points are k (1/n), and the tail
-    candidates a <- (a + 1)/2 run from breaks[-2] = (n - 1)(1/n) until
-    1 - a <= 1e-13, at most 44 steps as 1 - a halves from below 1.
+    ``lp_initial_breaks`` whatever the batch, or the QuadratureBudgetError
+    of an overflowing rate.  The V-points of all pairs are one
+    ``lp_v_points`` call, and the tail test runs over the batch as array
+    operations: the candidates a <- (a + 1)/2 run from the last V-point
+    until 1 - a <= 1e-13, at most 44 steps as 1 - a halves from below 1.
     """
     p = as_p(p)
-    alphas = np.asarray(alphas, dtype=np.float64)
-    betas = np.asarray(betas, dtype=np.float64)
+    alphas = np.abs(np.asarray(alphas, dtype=np.float64))
+    betas = np.abs(np.asarray(betas, dtype=np.float64))
     with np.errstate(over="ignore"):
-        rates = np.abs(alphas) + np.abs(betas)
+        rates = alphas + betas
     out = [None] * rates.size
     for i in np.flatnonzero(rates == math.inf):
         out[i] = QuadratureBudgetError(
@@ -189,11 +258,19 @@ def lp_initial_breaks_batch(p, alphas, betas, cfg):
         return out
     alphas, betas = alphas[ok], betas[ok]
     n = uniform_panel_counts(0.0, 1.0, rates[ok], cfg)
-    step = 1.0 / n
+    # V-points k = 1..n-1 of all pairs in one array
+    counts = n - 1
+    firsts = np.cumsum(counts) - counts
+    k = np.arange(1, counts.sum() + 1, dtype=np.float64) - np.repeat(firsts, counts)
+    interior = lp_v_points(
+        p, np.repeat(alphas, counts), np.repeat(betas, counts), k, np.repeat(n, counts)
+    )
     # tail candidates, one row per pair; columns past a row's last candidate
     # are computed but never used.  The rounded map a -> (a + 1)/2 keeps the
     # order of the rows, so the row of the smallest start needs the most steps
-    cols = [(n - 1) * step]
+    start = np.zeros(counts.size)  # the last V-point, or 0 without one
+    start[counts > 0] = interior[(firsts + counts - 1)[counts > 0]]
+    cols = [start]
     lowest = float(cols[0].min())
     while 1.0 - lowest > 1e-13:
         lowest = 0.5 * (lowest + 1.0)
@@ -208,14 +285,9 @@ def lp_initial_breaks_batch(p, alphas, betas, cfg):
     done = live & (tail_phase + alphas[:, None] * rest <= 0.5 * math.pi)
     done &= tail_phase * rest <= 0.1 * cfg.abs_tol
     n_extra = np.where(done.any(axis=1), np.argmax(done, axis=1), np.sum(live, axis=1))
-    # interior points k (1/n), k = 1..n-1, of all pairs in one array
-    counts = n - 1
-    firsts = np.cumsum(counts) - counts
-    k = np.arange(1, counts.sum() + 1, dtype=np.float64) - np.repeat(firsts, counts)
-    interior = k * np.repeat(step, counts)
     zero, one = np.zeros(1), np.ones(1)
     rows = zip(ok.tolist(), firsts.tolist(), counts.tolist(), n_extra.tolist(), tail)
-    for (i, first, count, n_tail, cands), beta in zip(rows, np.abs(betas).tolist()):
+    for (i, first, count, n_tail, cands), beta in zip(rows, betas.tolist()):
         inner = interior[first : first + count]
         extra = cands[1 : n_tail + 1]
         h = inner[0] if count else (extra[0] if n_tail else 1.0)

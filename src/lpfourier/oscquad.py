@@ -6,16 +6,21 @@ caller hands it and only refines it: panels whose error estimate
 exceeds their share of the tolerance are bisected until the summed
 estimate meets the target.
 ``uniform_breaks`` builds the uniform seed from the largest phase rate
-r*max|psi'|, at ``PANELS_PER_WAVELENGTH`` panels per 2*pi of phase; the
-l^p reduction grades that seed toward the endpoint singularities of
-phi_p (``fourier.lp_initial_breaks``).
+r*max|psi'| and the interval's length, at ``WAVELENGTHS_PER_PANEL``
+wavelengths (2*pi of phase each) per panel; the l^p reduction places its
+seed at equal steps of a phase bound instead and grades it toward the
+endpoint singularities of phi_p (``fourier.lp_initial_breaks``).
 
-The seed density is the constant 1 panel per wavelength.  A panel
-spanning a full wavelength sees a phase half-width of pi, so its G15
-value carries a Gauss error of about pi^30/30! ~ 3e-18 relative, and the
-K31 value less; denser seeds spend nodes the rule does not need and only
-feed the pessimism of the QUADPACK estimate.  The adaptive loop still
-refines wherever the estimate asks.
+The seed density is the constant 2 wavelengths per panel.  On one panel
+of sin(omega x + c), the G15 error relative to the integral of |f| over
+the panel stays near roundoff up to 2.5 wavelengths, and the QUADPACK
+estimate stays at its 50 eps floor through 3:
+
+    wavelengths per panel   2         2.5       3
+    G15 error (relative)    <= 9e-17  4.7e-15   9.1e-13
+
+(K31 is better still), so denser seeds spend nodes the rule does not
+need.  The adaptive loop still refines wherever the estimate asks.
 ``tools/calibrate.py`` checks at this density that every reported
 estimate bounds the error against a 25-digit mpmath reference.
 
@@ -44,7 +49,7 @@ from ._kernels import _panel_nodes, panel_sums_from_values
 
 _MIN_PANEL_WIDTH = 1e-14
 _STAGNANT_ROUNDS = 3
-PANELS_PER_WAVELENGTH = 1
+WAVELENGTHS_PER_PANEL = 2
 # rows per integrand call: 1024 panels of 31 float64 nodes are 254 KB, so the
 # node array and the integrand's temporaries stay in a core's L2 cache
 CHUNK_PANELS = 1024
@@ -91,12 +96,11 @@ class NonFiniteIntegrandError(RuntimeError):
 
 
 def uniform_breaks(a, b, rate, cfg=None):
-    """ceil(rate * PANELS_PER_WAVELENGTH / 2 pi) equal panels on [a, b], within [1, max_panels].
+    """ceil(rate (b - a) / 4 pi) equal panels on [a, b], within [1, max_panels].
 
-    The count ignores b - a, so the density per wavelength holds on unit
-    intervals only (density / (2 w) on [-w, w]).  Sizing it by
-    rate * (b - a) nearly doubles the time of a body-conjecture scan of
-    the quartic poly body; that belongs with a performance change.
+    ``rate`` bounds the phase derivative on [a, b], so each panel spans
+    at most WAVELENGTHS_PER_PANEL = 2 wavelengths of phase, on an
+    interval of any length.
     """
     a = float(a)
     b = float(b)
@@ -114,7 +118,7 @@ def uniform_panel_counts(a, b, rates, cfg=None):
     cfg = cfg or QuadConfig()
     # no more panels than doubles in [a, b], so that the breaks stay distinct
     cap = min(cfg.max_panels, (b - a) / math.ulp(max(abs(a), abs(b))))
-    n = np.minimum(np.ceil(rates * PANELS_PER_WAVELENGTH / (2.0 * math.pi)), cap)
+    n = np.minimum(np.ceil(rates * (b - a) / (2.0 * math.pi * WAVELENGTHS_PER_PANEL)), cap)
     return np.maximum(1, n.astype(np.int64))
 
 

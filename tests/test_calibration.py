@@ -52,7 +52,7 @@ def test_points_cover_paths_and_range():
     assert probe.poly_body(*calibrate._POLY_BODY).superellipse is None
     lp_ps = {point[2] for point in POINTS.values() if point[1] == "chi_hat_lp"}
     assert lp_ps == {1.05, 1.1, 1.3, 1.5, 1.9, 2.0}
-    assert max(point[3] for point in POINTS.values()) > 4000.0
+    assert max(point[3] for point in POINTS.values()) > 2e4
     assert min(point[3] for point in POINTS.values()) < 15.0
     # "grid" points are samples of the default envelope scan near theta = pi/2
     grid = [point for label, point in POINTS.items() if label.endswith("-grid")]

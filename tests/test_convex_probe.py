@@ -165,6 +165,27 @@ def test_superellipse_bodies_take_scaling_route_bitwise(body):
         assert got == fourier.TransformResult(a * b * ref.value, a * b * ref.err_estimate, ref.method)
 
 
+def test_wide_poly_body_finishes_on_its_seed(monkeypatch):
+    # the slicing seed is sized by the rate times the width 2w, so a body
+    # with w = 4 gets the same density per wavelength as one with w = 1
+    # and needs no adaptive round
+    seen = []
+    batch = convex_probe.integrate_batch
+
+    def recording(f, breaks_list, cfg=None):
+        results = batch(f, breaks_list, cfg)
+        seen.extend((len(b) - 1, res.panels_used) for b, res in zip(breaks_list, results))
+        return results
+
+    monkeypatch.setattr(convex_probe, "integrate_batch", recording)
+    body = poly_body([4.0, 0.0, -0.25], 4.0)
+    for r in (50.0, 200.0, 800.0):
+        seen.clear()
+        chi_hat_body(body, fourier.Frequency.from_polar(r, 0.7))
+        ((seed_panels, panels_used),) = seen
+        assert panels_used == seed_panels, r
+
+
 def test_ellipse_scaling_identity():
     # chi_hat of the (a,b)-ellipse is a*b*J1(rho)/rho at rho = |(a alpha, b beta)|
     a, b = 2.0, 1.0

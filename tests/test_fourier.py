@@ -5,7 +5,7 @@ import pytest
 
 from lpfourier import fourier, lpgeom
 from lpfourier.fourier import Frequency, as_frequency, reduce_symmetry
-from lpfourier.oscquad import PANELS_PER_WAVELENGTH, QuadConfig
+from lpfourier.oscquad import QuadConfig
 
 CHI_L1_PI_2PI = -0.043002045910932652  # -4/(3 pi^3)
 AREA_15 = 2.7378536239189029  # 4 Gamma(1+1/p)^2 / Gamma(1+2/p) at p = 1.5
@@ -17,24 +17,45 @@ J1_FIXTURES = {
 }
 
 
-def _lp_initial_breaks_loop(p, alpha, beta, cfg):
-    # reference for the uniform and tail points: the scalar tail-grading loop
-    rate = abs(alpha) + abs(beta)
-    n0 = int(math.ceil(rate * PANELS_PER_WAVELENGTH / (2.0 * math.pi)))
-    n0 = max(1, min(n0, cfg.max_panels))
-    breaks = list(np.linspace(0.0, 1.0, n0 + 1))
+# the V-point reference is bisection in float64.  Its x and the Newton x
+# each carry the rounding of V: x V' >= V on the convex V with V(0) = 0,
+# so a relative error in V moves x by no more, relative, below the
+# diagonal, and by a few absolute ulps near x = 1; this bound has room
+_V_POINT_RTOL = 1e-13
+_V_POINT_ATOL = 64.0 * np.finfo(np.float64).eps
+
+
+def _v_of(p, alpha, beta, x):
+    # V(x) = alpha x + beta (1 - phi_p(x)), with 1 - phi_p by expm1 and log1p
+    return alpha * x - beta * np.expm1(np.log1p(-(x**p)) / p)
+
+
+def _lp_v_points_reference(p, alpha, beta, n):
+    # the n - 1 points of one pair with V(x_k) = k V(1)/n, by bisection of
+    # the increasing V on [0, 1] until the brackets stop moving
+    targets = np.arange(1.0, n) * ((alpha + beta) / n)
+    lo, hi = np.zeros(n - 1), np.ones(n - 1)
+    while True:
+        mid = 0.5 * (lo + hi)
+        below = _v_of(p, alpha, beta, mid) < targets
+        new_lo, new_hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            return 0.5 * (lo + hi)
+        lo, hi = new_lo, new_hi
+
+
+def _tail_loop(p, alpha, beta, start, cfg):
+    # the scalar tail-grading loop from the last V-point (0 without one)
     extra = []
-    a = breaks[-2]
+    a = start
     tail_target = 0.1 * cfg.abs_tol
-    while len(extra) < 200 and (1.0 - a) > 1e-13:
+    while (1.0 - a) > 1e-13:
         tail_phase = beta * lpgeom.phi(p, a)
         if tail_phase + alpha * (1.0 - a) <= 0.5 * math.pi and tail_phase * (1.0 - a) <= tail_target:
             break
         a = 0.5 * (a + 1.0)
         extra.append(a)
-    if extra:
-        breaks = np.unique(np.concatenate([breaks, extra]))
-    return np.asarray(breaks, dtype=np.float64)
+    return np.array(extra)
 
 
 def _head_done(p, beta, h, k, abs_tol):
@@ -50,50 +71,82 @@ def _head_count_loop(p, beta, h, abs_tol):
     return k
 
 
-def _lp_initial_breaks_reference(p, alpha, beta, cfg):
-    # the whole seed from the scalar loops: uniform and tail points, then the
-    # head points h 2^-k, k = K..1, inside the first panel [0, h]
-    breaks = _lp_initial_breaks_loop(p, alpha, beta, cfg)
-    h = breaks[1]
+def check_lp_seed(p, alpha, beta, cfg, got):
+    """Check one lp seed against per-pair references; returns (head, V-points, tail).
+
+    The V-points match the bisection reference within the fixed tolerance
+    (bitwise k/n when V is linear); head and tail are bitwise the scalar
+    gradings started from the seed's own first and last V-points.
+    """
+    rate = alpha + beta
+    n = max(1, min(math.ceil(rate / (4.0 * math.pi)), cfg.max_panels))
+    assert got.dtype == np.float64 and got[0] == 0.0 and got[-1] == 1.0
+    assert np.all(np.diff(got) > 0.0)
+    if n > 1:
+        if p == 1.0 or beta == 0.0:
+            want = np.arange(1.0, n) * (1.0 / n)
+        else:
+            want = _lp_v_points_reference(p, alpha, beta, n)
+        # head points are h 2^-k <= h/2, so they sit below 3/4 of the first V-point
+        k = int(np.sum((got > 0.0) & (got < 0.75 * want[0])))
+        v_points = got[1 + k : k + n]
+        if p == 1.0 or beta == 0.0:
+            assert np.array_equal(v_points, want), (p, alpha, beta, cfg)
+        else:
+            np.testing.assert_allclose(v_points, want, rtol=_V_POINT_RTOL, atol=_V_POINT_ATOL)
+        start = v_points[-1]
+    else:
+        v_points, start = got[1:1], 0.0
+    tail = _tail_loop(p, alpha, beta, start, cfg)
+    assert np.array_equal(got[len(got) - 1 - tail.size : -1], tail), (p, alpha, beta, cfg)
+    h = v_points[0] if v_points.size else (tail[0] if tail.size else 1.0)
+    head = got[1 : len(got) - 1 - tail.size - v_points.size]
     k = _head_count_loop(p, beta, h, cfg.abs_tol) if 1.0 < p < 2.0 and beta > 0.0 else 0
-    return np.concatenate([[0.0], h * 2.0 ** -np.arange(k, 0.0, -1.0), breaks[1:]])
+    assert np.array_equal(head, h * 2.0 ** -np.arange(k, 0.0, -1.0)), (p, alpha, beta, cfg)
+    return head, v_points, tail
 
 
-def test_lp_initial_breaks_match_scalar_loop():
+def test_lp_initial_breaks_match_references():
     rng = np.random.default_rng(20221)
     cases = [(1.0, 0.0, 0.1), (2.0, 0.0, 0.1), (1.0, 3.0, 5.0), (1.5, 1e5, 1e5), (2.0, 0.0, 1e5),
-             (1.5, 3.0, 0.0)]
-    for _ in range(2000):
+             (1.5, 3.0, 0.0), (2.0, 40.0, 0.0), (1.5, 0.0, 4e4), (2.0, 4e3, 4e4), (1.3, 0.0, 0.0)]
+    for _ in range(1000):
         p = float(rng.choice([1.0, 2.0, rng.uniform(1.0, 2.0)], p=[0.1, 0.1, 0.8]))
         rate = 10.0 ** rng.uniform(-1.0, 5.0)
         share = 0.0 if rng.random() < 0.15 else rng.uniform(0.0, 0.5)
         cases.append((p, share * rate, (1.0 - share) * rate))
     # abs_tol 1e-14 grades some tails, (2, 0, 1e5) among them, down to the
-    # 1e-13 floor; the 200-extras cap cannot bind, as 1 - a halves from below 1
+    # 1e-13 floor
     floor_hits = 0
     graded_heads = 0
     for cfg in (QuadConfig(), QuadConfig(abs_tol=1e-14)):
         for p, alpha, beta in cases:
             got = fourier.lp_initial_breaks(p, alpha, beta, cfg)
-            want = _lp_initial_breaks_loop(p, alpha, beta, cfg)
-            assert got.dtype == want.dtype, (p, alpha, beta, cfg)
+            head, _, _ = check_lp_seed(p, alpha, beta, cfg, got)
             floor_hits += bool(1.0 - got[-2] <= 1e-13)
-            h = want[1]
-            head = got[(got > 0.0) & (got < h)]
+            graded_heads += bool(head.size)
             if not (1.0 < p < 2.0 and beta > 0.0):
                 # p = 1 (linear phi), p = 2 (smooth at 0) and beta = 0: no head points
                 assert head.size == 0, (p, alpha, beta, cfg)
-            # uniform and tail points are bitwise those of the loop
-            assert np.array_equal(got[(got == 0.0) | (got >= h)], want), (p, alpha, beta, cfg)
-            # head points are exactly h 2^-k, k = 1..K, and K is where the rule first holds
-            k = head.size
-            assert np.array_equal(head, h * 2.0 ** -np.arange(k, 0.0, -1.0)), (p, alpha, beta, cfg)
-            if k:
-                assert _head_done(p, beta, h, k, cfg.abs_tol), (p, alpha, beta, cfg)
-                assert not _head_done(p, beta, h, k - 1, cfg.abs_tol), (p, alpha, beta, cfg)
-                graded_heads += 1
     assert floor_hits > 0
-    assert graded_heads > 1000
+    assert graded_heads > 500
+
+
+def test_lp_v_points_span_two_wavelengths_near_x_1():
+    # uniform steps in x would put up to (rate / 4 pi) |phi_p'| wavelengths
+    # into a panel near x = 1; the V-points hold every seed panel to 4 pi of
+    # V, so the panels crowd toward x = 1
+    seed = fourier.lp_initial_breaks(1.5, 0.0, 4e4, QuadConfig())
+    n = math.ceil(4e4 / (4.0 * math.pi))
+    _, v_points, _ = check_lp_seed(1.5, 0.0, 4e4, QuadConfig(), seed)
+    assert v_points.size == n - 1
+    assert np.sum(v_points > 0.9) > 0.2 * n
+    # V linear: uniform points, bitwise k/n, also at p = 2 with beta = 0
+    for p, alpha, beta in ((1.0, 300.0, 500.0), (2.0, 800.0, 0.0)):
+        n = math.ceil((alpha + beta) / (4.0 * math.pi))
+        seed = fourier.lp_initial_breaks(p, alpha, beta, QuadConfig())
+        _, v_points, _ = check_lp_seed(p, alpha, beta, QuadConfig(), seed)
+        assert np.array_equal(v_points, np.arange(1.0, n) * (1.0 / n))
 
 
 def test_lp_head_grading_closed_form_matches_loop():

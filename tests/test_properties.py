@@ -6,15 +6,16 @@ counts are bounded to keep the file fast.
 
 import math
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from lpfourier import cli, convex_probe, fourier  # noqa: E402
+from lpfourier import cli, convex_probe, fourier, lpgeom  # noqa: E402
 from lpfourier.oscquad import QuadConfig, QuadratureBudgetError  # noqa: E402
-from test_fourier import _lp_initial_breaks_reference  # noqa: E402
+from test_fourier import check_lp_seed  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 
@@ -72,9 +73,10 @@ def test_zero_frequency_is_area_over_two_pi_within_estimate(p):
 
 
 @settings(PROPERTY, max_examples=10)
-@given(exponents, st.floats(1e7, 1e300), st.floats(-1.0, 1.0))
+@given(exponents, st.floats(2e7, 1e300), st.floats(-1.0, 1.0))
 def test_huge_frequency_exceeds_panel_budget(p, beta, share):
-    # from |omega| ~ 1e7 the uniform seed alone fills the 2^20-panel budget
+    # from a rate of 4 pi 2^20 ~ 1.3e7 the V-points alone fill the
+    # 2^20-panel budget, and the gradings add to them
     with pytest.raises(QuadratureBudgetError):
         fourier.chi_hat_lp(p, (share * beta, beta))
 
@@ -103,7 +105,32 @@ def test_batched_seeds_are_the_single_seeds_bitwise(p, inputs):
     for (alpha, beta), got in zip(pairs, fourier.lp_initial_breaks_batch(p, alphas, betas, cfg)):
         want = fourier.lp_initial_breaks(p, alpha, beta, cfg)
         assert got.tobytes() == want.tobytes(), (alpha, beta)
-        assert got.tobytes() == _lp_initial_breaks_reference(p, alpha, beta, cfg).tobytes()
+        check_lp_seed(p, alpha, beta, cfg, got)
+
+
+_EPS = 2.0**-52
+
+
+@PROPERTY
+@given(
+    exponents,
+    st.one_of(st.floats(0.0, 1e5), st.integers(1, 8000).map(lambda m: 4.0 * math.pi * m)),
+    st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+)
+def test_lp_seed_panels_span_at_most_4pi_of_v(p, rate, share):
+    # V(x) = alpha x + beta (1 - phi_p(x)) bounds the phase change of the lp
+    # integrands; rates 4 pi m leave no slack between the V-steps and 4 pi.
+    # Up to rounding: a double x pins V(x) only to within x V'(x) eps, with
+    # V' = alpha + beta (x / phi_p)^(p-1) (the phi_p term is 0 at x = 1)
+    alpha = share * rate
+    beta = rate - alpha
+    x = fourier.lp_initial_breaks(p, alpha, beta, QuadConfig())
+    phi = lpgeom.phi(p, x)
+    spans = alpha * np.diff(x) + beta * (phi[:-1] - phi[1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pinned = np.where(x < 1.0, x * (x / phi) ** (p - 1.0), 0.0)
+    slack = 16.0 * _EPS * (rate + beta * (pinned[:-1] + pinned[1:]))
+    assert np.all(spans <= 4.0 * math.pi + slack), np.max(spans - 4.0 * math.pi - slack)
 
 
 # the quartic poly body of the benchmark, and its area int 2u = 44/15
