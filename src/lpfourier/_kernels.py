@@ -1,11 +1,13 @@
-"""G15/K31 panel rule, its reduction, and the lp integrands with phi_p at the nodes.
+"""G15/K31 panel rule, its reduction, the slice integrands and phi_p at the nodes.
 
 The quadrature engine builds the (n, 31) Kronrod node array of its panels
 with ``_panel_nodes``, evaluates an integrand on it and reduces the values
-with ``panel_sums_from_values``.  The two lp integrands here compute into
-that node array in place, in a fixed operation order, so results are
-bit-reproducible.  Their frequency arguments may be scalars or (n, 1)
-columns, one entry per panel row, which broadcast against the nodes.
+with ``panel_sums_from_values``.  The two integrands here, the vertical
+slice cos(alpha x) sin(beta u(x)) of any body and the polar split of the
+l^p ball, compute into that node array in place, in a fixed operation
+order, so results are bit-reproducible.  Their frequency arguments may
+be scalars or (n, 1) columns, one entry per panel row, which broadcast
+against the nodes.
 
 Every step is row-independent: a panel's (value, error) is a function of
 that panel's row alone, whatever rows share its array.  The weighted row
@@ -111,12 +113,13 @@ def _panel_nodes(lefts, rights):
     return x, half
 
 
-def lp_cos_sin_values(x, p, alpha, beta):
-    """cos(alpha*x) * sin(beta * phi_p(x)), computed into the buffer x and returned.
+def cos_sin_values(x, s, alpha, beta):
+    """cos(alpha*x) * sin(beta*s), computed into the buffers x and s and returning x.
 
-    alpha and beta are scalars or (n, 1) columns, one entry per row of x.
+    s holds a graph at the nodes, u(x), in an array of its own (phi_p(x)
+    for the l^p ball).  alpha and beta are scalars or (n, 1) columns, one
+    entry per row of x.
     """
-    s = _phi_array(x, p)
     s *= beta
     np.sin(s, out=s)
     x *= alpha
@@ -129,7 +132,7 @@ def lp_phase_sin_values(x, p, r, cos_t, sin_t, sign):
     """sin(r * (sign*cos_t*x + sin_t*phi_p(x))), computed into the buffer x and returned.
 
     Every argument but p may be a scalar or an (n, 1) column, as in
-    ``lp_cos_sin_values``.
+    ``cos_sin_values``.
     """
     s = _phi_array(x, p)
     s *= sin_t

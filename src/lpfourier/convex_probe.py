@@ -2,14 +2,16 @@
 
 Generalises the l^p pipeline: a body is the region |y| <= u(x) over
 [-w, w] for an even, concave upper graph u that vanishes at +-w.  Such a
-body is symmetric in both axes, its transform is real, and the same
-vertical slicing gives
+body is symmetric in both axes, its transform is real and even, and the
+vertical slicing of B_p carries over with phi_p replaced by u:
 
-    2 pi chi_hat(alpha, beta) = int_{-w}^{w} 2u sinc(beta u) cos(alpha x) dx,
+    chi_hat(alpha, beta) = (2/(pi beta)) int_0^w sin(beta u) cos(alpha x) dx,
 
-with sinc(t) = sin(t)/t.  A superellipse (ellipse, disk and l^p ball
-included) is a linear image of an l^q ball and is transformed through the
-l^q reduction instead.  The measured envelope sup r^{3/2}|chi_hat| is
+integrated by the same path as the l^p reduction (``fourier``), in its
+sinc form (2/pi) int_0^w u sinc(beta u) cos(alpha x) dx below
+beta = 2/pi.  A superellipse (ellipse, disk and l^p ball included) is a
+linear image of an l^q ball and is transformed through the l^q reduction
+instead.  The measured envelope sup r^{3/2}|chi_hat| is
 compared against the curvature bound C / sqrt(nu), nu = min boundary
 curvature.
 """
@@ -23,10 +25,10 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from . import fourier, lpgeom
+from . import fourier, lpgeom, oscquad
 from .decay import ENVELOPE_UPPER_COEFF, R_MIN_ALLOWED, _batches, _ordered_map
-from .fourier import TransformResult, _sin_over, as_frequency
-from .oscquad import QuadConfig, QuadratureBudgetError, _raised, integrate_batch, uniform_breaks
+from .fourier import TransformResult, as_frequency
+from .oscquad import QuadConfig, QuadratureBudgetError, _raised, uniform_breaks
 
 # phases built from body graphs inherit the slope blow-up at the endpoints;
 # steeper rates are left to adaptive bisection
@@ -45,10 +47,11 @@ class ConvexBody:
 
     upper is the even, concave graph u on [-w, w], positive inside and
     zero at +-w (checked by sampling); upper_d1 and upper_d2 are its
-    derivatives.  The body is symmetric in both axes, so its transform is
-    real:
+    derivatives.  Given an array, upper returns a new float array, which
+    the slice integrand may overwrite.  The body is symmetric in both
+    axes, so its transform is real and even, one integral over [0, w]:
 
-        2 pi chi_hat(alpha, beta) = int_{-w}^{w} 2u sinc(beta u) cos(alpha x) dx.
+        chi_hat(alpha, beta) = (2/(pi beta)) int_0^w sin(beta u) cos(alpha x) dx.
 
     superellipse is (a, b, q) when the body is the superellipse
     |x/a|^q + |y/b|^q <= 1, the linear image diag(a, b) B_q of an l^q
@@ -248,36 +251,42 @@ def chi_hat_body_parts(body, omega, cfg=None):
     """(value, err_estimate) of the real transform by vertical slicing.
 
     The vertical slice |y| <= u(x) integrates exactly to
-    e^{-i alpha x} 2 sin(beta u)/beta, and the odd part in x cancels, so
+    e^{-i alpha x} 2 sin(beta u)/beta; the odd part in x cancels, and the
+    even rest folds onto [0, w]:
 
-        2 pi chi_hat(alpha, beta) = int_{-w}^{w} 2u sinc(beta u) cos(alpha x) dx.
+        chi_hat(alpha, beta) = (2/(pi beta)) int_0^w sin(beta u) cos(alpha x) dx,
 
-    The sinc form is stable for every beta and covers beta = 0 and
-    omega = 0 without special cases.
+    the l^p reduction with phi_p replaced by u, integrated by the same
+    path (``fourier._slice_transforms``, in its sinc form below
+    beta = 2/pi).  This slices any body, a superellipse too, which
+    ``chi_hat_body`` sends through the l^q reduction instead.
     """
-    return _raised(_body_slices(body, [as_frequency(omega)], cfg or QuadConfig())[0])
+    res = _raised(_body_slices(body, [as_frequency(omega)], cfg or QuadConfig())[0])
+    return res.value, res.err_estimate
+
+
+def _body_seed(body, alpha, beta, cfg):
+    # uniform on [0, w] at the phase rate alpha + beta * (bulk slope); a rate
+    # whose uniform seed would need more than max_panels panels (an overflow
+    # included) fails here, before any panel is evaluated
+    w = body.half_width
+    rate = alpha + beta * body._slope_scale
+    if not rate * w / (2.0 * math.pi * oscquad.WAVELENGTHS_PER_PANEL) <= cfg.max_panels:
+        return fourier._seed_budget_error(alpha, beta, cfg)
+    return uniform_breaks(0.0, w, rate, cfg)
 
 
 def _body_slices(body, omegas, cfg):
-    # chi_hat_body_parts at each omega, in one engine batch; a failed entry is
-    # its QuadratureBudgetError
-    scale = body._slope_scale
-    w = body.half_width
-    seeds = [uniform_breaks(-w, w, abs(o.alpha) + abs(o.beta) * scale, cfg) for o in omegas]
-    # one row per integral, picked per panel row by the engine's owner index
-    alpha = np.array([o.alpha for o in omegas], dtype=np.float64)[:, None]
-    beta = np.array([o.beta for o in omegas], dtype=np.float64)[:, None]
+    # chi_hat_body_parts at each omega as a TransformResult, in one engine
+    # batch per slice form; a failed entry is its QuadratureBudgetError.  The
+    # transform is even in alpha and beta, so it runs at |alpha|, |beta|
+    def seeds(alphas, betas, sinc):
+        return [_body_seed(body, alpha, beta, cfg) for alpha, beta in zip(alphas, betas)]
 
-    def f(x, owner):
-        u = body.upper(x)
-        return 2.0 * u * _sin_over(beta[owner] * u) * np.cos(alpha[owner] * x)
-
-    two_pi = 2.0 * math.pi
-    return [
-        res if isinstance(res, QuadratureBudgetError)
-        else (res.value / two_pi, res.err_estimate / two_pi)
-        for res in integrate_batch(f, seeds, cfg)
-    ]
+    alphas = [abs(o.alpha) for o in omegas]
+    betas = [abs(o.beta) for o in omegas]
+    # no phase floor: its derivation counts the roundings of phi_p
+    return fourier._slice_transforms(body.upper, seeds, alphas, betas, cfg, 0.0)
 
 
 def chi_hat_body_batch(body, omegas, cfg=None):
@@ -296,11 +305,7 @@ def chi_hat_body_batch(body, omegas, cfg=None):
             else TransformResult(a * b * res.value, a * b * res.err_estimate, res.method)
             for res in scaled
         ]
-    return [
-        part if isinstance(part, QuadratureBudgetError)
-        else TransformResult(*part, "zero-frequency" if o.r == 0.0 else "reduction-x")
-        for part, o in zip(_body_slices(body, omegas, cfg), omegas)
-    ]
+    return _body_slices(body, omegas, cfg)
 
 
 def chi_hat_body(body, omega, cfg=None):

@@ -22,7 +22,8 @@ engine.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -248,11 +249,7 @@ def lp_initial_breaks_batch(p, alphas, betas, cfg):
         rates = alphas + betas
     out = [None] * rates.size
     for i in np.flatnonzero(rates == math.inf):
-        out[i] = QuadratureBudgetError(
-            f"the seed partition for |omega| = {math.hypot(alphas[i], betas[i]):.3e} "
-            f"exceeds max_panels = {cfg.max_panels}",
-            0.0, math.inf, 0,
-        )
+        out[i] = _seed_budget_error(alphas[i], betas[i], cfg)
     ok = np.flatnonzero(rates != math.inf)
     if ok.size == 0:
         return out
@@ -295,8 +292,8 @@ def lp_initial_breaks_batch(p, alphas, betas, cfg):
     return out
 
 
-def _with_phase_floor(res, rate):
-    """``res`` with c (1 + rate) eps added to its estimate, c = 8.
+def _with_phase_floor(res, rate, c=_PHASE_ROUNDOFF_C):
+    """``res`` with c (1 + rate) eps added to its estimate, c = 8 for the lp integrands.
 
     The engine's floor 50 eps resabs covers errors relative to the
     integrand's values.  The lp integrands are trig functions of a phase
@@ -316,62 +313,62 @@ def _with_phase_floor(res, rate):
     the integral.  The floor is added after the engine returns, so it
     never changes the refinement.
     """
-    floor = _PHASE_ROUNDOFF_C * (1.0 + rate) * math.ulp(1.0)
+    floor = c * (1.0 + rate) * math.ulp(1.0)
     return QuadResult(res.value, res.err_estimate + floor, res.panels_used)
 
 
-def _slice_integrals(p, alphas, betas, cfg, sinc=False):
-    """int_0^1 cos(alpha x) sin(beta phi_p(x)) dx for each pair, in one engine batch.
+def _seed_budget_error(alpha, beta, cfg):
+    # the failure of a frequency whose seed partition cannot fit the budget
+    return QuadratureBudgetError(
+        f"the seed partition for |omega| = {math.hypot(alpha, beta):.3e} "
+        f"exceeds max_panels = {cfg.max_panels}",
+        0.0, math.inf, 0,
+    )
 
-    Each entry is the engine's QuadResult with the phase floor at rate
-    alpha + beta, or the QuadratureBudgetError that ended it.  With
-    ``sinc`` the integrals are the sinc form int_0^1 phi_p sinc(beta phi_p)
-    cos(alpha x) dx, for beta < 2/pi, on the reduction's seed at beta = 1:
-    with under a radian of phase, its tail rule phi(a)(1 - a) <= 0.1 abs_tol
-    bounds the tail (|sinc| <= 1), and the head grading covers the x^p cusp
-    at x = 0.
+
+def _slice_integrals(u, seeds, alphas, betas, cfg, sinc, roundoff_c=_PHASE_ROUNDOFF_C):
+    """int_0^w cos(alpha x) sin(beta u(x)) dx for each pair, in one engine batch.
+
+    ``u`` evaluates the graph at the nodes into a new array, and
+    ``seeds(alphas, betas, sinc)`` returns the seed partition of [0, w] of
+    each pair, or the QuadratureBudgetError of a pair it cannot seed.  With
+    ``sinc`` the integrals are the sinc form int_0^w u sinc(beta u)
+    cos(alpha x) dx.  Each entry is the engine's QuadResult plus the phase
+    floor ``roundoff_c`` (1 + alpha + beta) eps, or the
+    QuadratureBudgetError that ended it.
     """
-    seeds = lp_initial_breaks_batch(p, alphas, [1.0] * len(betas) if sinc else betas, cfg)
-    ok = [i for i, seed in enumerate(seeds) if not isinstance(seed, QuadratureBudgetError)]
+    out = seeds(alphas, betas, sinc)
+    ok = [i for i, seed in enumerate(out) if not isinstance(seed, QuadratureBudgetError)]
     # one row per integral, picked per panel row by the engine's owner index
     a = np.array([alphas[i] for i in ok], dtype=np.float64)[:, None]
     b = np.array([betas[i] for i in ok], dtype=np.float64)[:, None]
     if sinc:
 
         def f(x, owner):
-            ph = _kernels._phi_array(x, p)
-            return ph * _sin_over(b[owner] * ph) * np.cos(a[owner] * x)
+            s = u(x)
+            return s * _sin_over(b[owner] * s) * np.cos(a[owner] * x)
 
     else:
 
         def f(x, owner):
-            return _kernels.lp_cos_sin_values(x, p, a[owner], b[owner])
+            return _kernels.cos_sin_values(x, u(x), a[owner], b[owner])
 
-    results = integrate_batch(f, [seeds[i] for i in ok], cfg)
-    for i, res in zip(ok, results):
+    for i, res in zip(ok, integrate_batch(f, [out[i] for i in ok], cfg)):
         if not isinstance(res, QuadratureBudgetError):
-            res = _with_phase_floor(res, alphas[i] + betas[i])
-        seeds[i] = res
-    return seeds
+            res = _with_phase_floor(res, alphas[i] + betas[i], roundoff_c)
+        out[i] = res
+    return out
 
 
-def _sinc_slice_integral(p, alpha, beta, cfg):
-    # the sinc-form slice integral of one pair; raises its budget error
-    return _raised(_slice_integrals(p, [alpha], [beta], cfg, sinc=True)[0])
+def _slice_transforms(u, seeds, alphas, betas, cfg, roundoff_c=_PHASE_ROUNDOFF_C):
+    """TransformResult of (2/(pi beta)) int_0^w cos(alpha x) sin(beta u(x)) dx per pair.
 
-
-def ball_area(p, cfg=None):
-    """Area of the l^p ball as 4 int_0^1 phi_p, by graded quadrature."""
-    return 4.0 * _sinc_slice_integral(as_p(p), 0.0, 0.0, cfg or QuadConfig()).value
-
-
-def _slice_transforms(p, alphas, betas, cfg):
-    """(value, err_estimate) of (2/(pi beta)) int_0^1 cos(alpha x) sin(beta phi_p(x)) dx per pair.
-
-    Below beta = 2/pi, zero included, the slice is integrated in its sinc
-    form (2/pi) int_0^1 phi_p sinc(beta phi_p) cos(alpha x) dx: the factor
-    2/(pi beta) of the sine form would magnify the integral's error there,
-    and overflow for subnormal beta.  Each form runs as one engine batch; a
+    The transform of the body |y| <= u(|x|), |x| <= w, by vertical slices,
+    for alpha, beta >= 0; B_p is u = phi_p, w = 1.  Below beta = 2/pi, zero
+    included, the slice is integrated in its sinc form
+    (2/pi) int_0^w u sinc(beta u) cos(alpha x) dx: the factor 2/(pi beta)
+    of the sine form would magnify the integral's error there, and overflow
+    for subnormal beta.  Each form is one ``_slice_integrals`` batch; a
     failed pair is its QuadratureBudgetError.
     """
     out = [None] * len(betas)
@@ -382,13 +379,36 @@ def _slice_transforms(p, alphas, betas, cfg):
             continue
         group_a = [alphas[i] for i in group]
         group_b = [betas[i] for i in group]
-        for i, res in zip(group, _slice_integrals(p, group_a, group_b, cfg, sinc)):
+        parts = _slice_integrals(u, seeds, group_a, group_b, cfg, sinc, roundoff_c)
+        for i, res in zip(group, parts):
             if isinstance(res, QuadratureBudgetError):
                 out[i] = res
                 continue
             scale = 2.0 / math.pi if sinc else 2.0 / (math.pi * betas[i])
-            out[i] = (scale * res.value, scale * res.err_estimate)
+            method = "zero-frequency" if alphas[i] == 0.0 and betas[i] == 0.0 else "reduction-x"
+            out[i] = TransformResult(scale * res.value, scale * res.err_estimate, method)
     return out
+
+
+def _lp_slices(p, cfg):
+    """(u, seeds) of B_p: phi_p and ``lp_initial_breaks_batch``.
+
+    The sinc form (beta < 2/pi) seeds at beta = 1: with under a radian of
+    phase, the seed's tail rule phi(a)(1 - a) <= 0.1 abs_tol bounds the
+    tail (|sinc| <= 1), and the head grading covers the x^p cusp at x = 0.
+    """
+
+    def seeds(alphas, betas, sinc):
+        return lp_initial_breaks_batch(p, alphas, [1.0] * len(betas) if sinc else betas, cfg)
+
+    return partial(_kernels._phi_array, p=p), seeds
+
+
+def ball_area(p, cfg=None):
+    """Area of the l^p ball as 4 int_0^1 phi_p, by graded quadrature."""
+    cfg = cfg or QuadConfig()
+    (res,) = _slice_integrals(*_lp_slices(as_p(p), cfg), [0.0], [0.0], cfg, sinc=True)
+    return 4.0 * _raised(res).value
 
 
 def chi_hat_lp_batch(p, omegas, cfg=None):
@@ -402,12 +422,8 @@ def chi_hat_lp_batch(p, omegas, cfg=None):
     cfg = cfg or QuadConfig()
     omegas = [reduce_symmetry(omega) for omega in omegas]
     # beta >= alpha >= 0
-    parts = _slice_transforms(p, [w.alpha for w in omegas], [w.beta for w in omegas], cfg)
-    return [
-        part if isinstance(part, QuadratureBudgetError)
-        else TransformResult(*part, "zero-frequency" if w.r == 0.0 else "reduction-x")
-        for part, w in zip(parts, omegas)
-    ]
+    alphas, betas = [w.alpha for w in omegas], [w.beta for w in omegas]
+    return _slice_transforms(*_lp_slices(p, cfg), alphas, betas, cfg)
 
 
 def chi_hat_lp(p, omega, cfg=None):
@@ -429,8 +445,8 @@ def chi_hat_lp_via_y(p, omega, cfg=None):
     p = as_p(p)
     cfg = cfg or QuadConfig()
     omega = reduce_symmetry(omega)
-    (part,) = _slice_transforms(p, [omega.beta], [omega.alpha], cfg)  # roles swapped
-    return TransformResult(*_raised(part), "reduction-y")
+    (part,) = _slice_transforms(*_lp_slices(p, cfg), [omega.beta], [omega.alpha], cfg)  # swapped
+    return replace(_raised(part), method="reduction-y")
 
 
 def psi_split_integrals(p, r, theta, cfg=None):

@@ -1,13 +1,16 @@
 """Named acceptance suites: one callable per criterion, pinned tolerances.
 
-Each criterion function returns a CriterionResult; run_suite prints one
-pass/fail line per criterion.  All randomness is seeded, so a suite is a
-deterministic measurement.
+``CRITERIA`` is the one table of criteria: id -> (name, check, time
+budget).  A check returns (passed, detail); ``run_criterion`` times it,
+applies the budget and builds the CriterionResult, and run_suite prints
+one pass/fail line per criterion.  All randomness is seeded, so a suite
+is a deterministic measurement.
 """
 
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -28,17 +31,8 @@ class CriterionResult:
     seconds: float
 
 
-def _result(cid, name, t0, passed, detail, budget_s=None):
-    elapsed = time.time() - t0
-    if budget_s is not None and elapsed > budget_s:
-        passed = False
-        detail += f"; RUNTIME {elapsed:.0f}s exceeded budget {budget_s:.0f}s"
-    return CriterionResult(cid, name, bool(passed), detail, elapsed)
-
-
 def criterion_oracle_triangle(workers=1):
     """50 random (p, omega): reduction vs brute force 1e-6, x- vs y-slicing 1e-8."""
-    t0 = time.time()
     rng = np.random.default_rng(20240811)
     worst_brute = 0.0
     worst_pair = 0.0
@@ -53,17 +47,14 @@ def criterion_oracle_triangle(workers=1):
         worst_brute = max(worst_brute, abs(v_main - v_brute))
         worst_pair = max(worst_pair, abs(v_main - v_swap))
     ok = worst_brute <= 1e-6 and worst_pair <= 1e-8
-    return _result(
-        "c1", "oracle-triangle", t0, ok,
+    return ok, (
         f"max |reduction - brute| = {worst_brute:.2e} (tol 1e-6), "
-        f"max |x-slice - y-slice| = {worst_pair:.2e} (tol 1e-8)",
-        budget_s=120.0,
+        f"max |x-slice - y-slice| = {worst_pair:.2e} (tol 1e-8)"
     )
 
 
 def criterion_closed_forms(workers=1):
     """Diamond value at (pi, 2pi) to 1e-9; disk values vs the J1 route to 1e-8."""
-    t0 = time.time()
     target = -4.0 / (3.0 * math.pi**3)
     got = fourier.chi_hat_lp(1.0, (math.pi, 2.0 * math.pi)).value
     err_l1 = abs(got - target)
@@ -72,15 +63,13 @@ def criterion_closed_forms(workers=1):
         v = fourier.chi_hat_lp(2.0, (0.0, r)).value
         worst_disk = max(worst_disk, abs(v - fourier.chi_hat_disk_oracle(r)))
     ok = err_l1 <= 1e-9 and worst_disk <= 1e-8
-    return _result(
-        "c2", "closed-forms", t0, ok,
-        f"diamond error {err_l1:.2e} (tol 1e-9), disk vs J1 route {worst_disk:.2e} (tol 1e-8)",
+    return ok, (
+        f"diamond error {err_l1:.2e} (tol 1e-9), disk vs J1 route {worst_disk:.2e} (tol 1e-8)"
     )
 
 
 def criterion_geometry(workers=1):
     """m endpoints exact, m decreasing, flat-point identity, curvature minimum."""
-    t0 = time.time()
     checks = []
     checks.append(("m(1) == 4", lpgeom.m_of_p(1.0) == 4.0))
     checks.append(("m(2) == 1", lpgeom.m_of_p(2.0) == 1.0))
@@ -99,10 +88,9 @@ def criterion_geometry(workers=1):
     checks.append(("flat-point identity 1e-10", worst_flat <= 1e-10))
     checks.append(("curvature minimum 1e-6", worst_curv <= 1e-6))
     failed = [name for name, ok in checks if not ok]
-    return _result(
-        "c3", "geometry", t0, not failed,
+    return not failed, (
         f"flat-point rel err {worst_flat:.2e}, curvature-min rel err {worst_curv:.2e}"
-        + (f"; FAILED: {failed}" if failed else ""),
+        + (f"; FAILED: {failed}" if failed else "")
     )
 
 
@@ -134,7 +122,6 @@ def _osc_integral_of_poly_phase(psi, r, a, b):
 
 def criterion_van_der_corput(workers=1):
     """100 randomized phases per bound; zero violations allowed."""
-    t0 = time.time()
     rng = np.random.default_rng(7071067)
     violations = 0
     worst_ratio = 0.0
@@ -158,17 +145,14 @@ def criterion_van_der_corput(workers=1):
             violations += 1
         worst_ratio2 = max(worst_ratio2, abs(res.value) / bound)
     ok = violations == 0
-    return _result(
-        "c4", "van-der-corput", t0, ok,
+    return ok, (
         f"{violations} violations; tightest first-bound ratio {worst_ratio:.3f}, "
-        f"second-bound ratio {worst_ratio2:.3f}",
-        budget_s=60.0,
+        f"second-bound ratio {worst_ratio2:.3f}"
     )
 
 
 def criterion_stationary_fresnel(workers=1):
     """Fresnel remainder <= 2/m on [10, 100]; quadratic-phase ratio in [0.95, 1.05]."""
-    t0 = time.time()
     worst_c = 0.0
     ok = True
     for m in np.linspace(10.0, 100.0, 46):
@@ -180,10 +164,7 @@ def criterion_stationary_fresnel(workers=1):
     res = integrate_oscillatory(lambda x: np.sin(r * (x - 0.5) ** 2), uniform_breaks(0.0, 1.0, r))
     ratio = abs(res.value) * math.sqrt(2.0 * r) / math.sqrt(math.pi)
     ok = ok and (0.95 <= ratio <= 1.05)
-    return _result(
-        "c5", "stationary-fresnel", t0, ok,
-        f"fitted Fresnel constant {worst_c:.3f} (<= 2), quadratic-phase ratio {ratio:.4f}",
-    )
+    return ok, f"fitted Fresnel constant {worst_c:.3f} (<= 2), quadratic-phase ratio {ratio:.4f}"
 
 
 _UPPER_BOUND_PS = (1.1, 1.3, 1.5, 2.0)
@@ -191,7 +172,6 @@ _UPPER_BOUND_PS = (1.1, 1.3, 1.5, 2.0)
 
 def criterion_upper_bound(workers=1):
     """Default-grid envelope scans stay below the (p-1)^{-1/2} bound, samplewise."""
-    t0 = time.time()
     details = []
     ok = True
     for p in _UPPER_BOUND_PS:
@@ -206,12 +186,11 @@ def criterion_upper_bound(workers=1):
             f"p={p}: C_est={c_est:.4f} bound={check.bound:.3f} "
             f"slack={check.bound / max(highs, default=math.nan):.2f} viol={violations}"
         )
-    return _result("c6", "upper-bound", t0, ok, "; ".join(details), budget_s=600.0)
+    return ok, "; ".join(details)
 
 
 def criterion_sequence_convergence(workers=1):
     """Witness values approach the asymptote; disk envelope hits sqrt(2/pi)."""
-    t0 = time.time()
     p = 1.5
     v_ref = decay.v_of_p(p)
     ns = (25, 50, 100, 200)
@@ -227,29 +206,22 @@ def criterion_sequence_convergence(workers=1):
     c_disk, _ = decay.envelope_scan(2.0, workers=workers)
     disk_ok = abs(c_disk - DISK_ENVELOPE) <= 0.02 * DISK_ENVELOPE
     ok = close and tail_monotone and disk_ok
-    return _result(
-        "c7", "sequence-convergence", t0, ok,
+    return ok, (
         f"devs {['%.2e' % d for d in devs]} (final tol {0.05 * v_ref:.2e}), "
-        f"disk C_est {c_disk:.4f} vs {DISK_ENVELOPE:.4f}",
+        f"disk C_est {c_disk:.4f} vs {DISK_ENVELOPE:.4f}"
     )
 
 
 def criterion_blowup_exponent(workers=1):
     """Log-log slope of witness values against p-1 lands in [-0.56, -0.44]."""
-    t0 = time.time()
     fit = decay.blowup_fit((1.05, 1.1, 1.2, 1.3, 1.4), 200)
     ref = decay.fit_asymptote_reference((1.05, 1.1, 1.2, 1.3, 1.4))
     ok = -0.56 <= fit.slope <= -0.44
-    return _result(
-        "c8", "blowup-exponent", t0, ok,
-        f"slope {fit.slope:.4f} (asymptote reference {ref.slope:.4f})",
-        budget_s=900.0,
-    )
+    return ok, f"slope {fit.slope:.4f} (asymptote reference {ref.slope:.4f})"
 
 
 def criterion_l1_sharpness(workers=1):
     """Near-diagonal diamond frequencies realise the 1/(pi |omega|) floor."""
-    t0 = time.time()
     eps = 1e-2
     ok = True
     details = []
@@ -262,12 +234,11 @@ def criterion_l1_sharpness(workers=1):
         floor = 1.0 / (math.pi * math.hypot(alpha, beta))
         ok = ok and abs(closed) >= floor and abs(closed - quad) <= 1e-8
         details.append(f"n={n}: |chi|={abs(closed):.3e} floor={floor:.3e}")
-    return _result("c9", "l1-sharpness", t0, ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
 def criterion_conjecture_probe(workers=1):
     """Disk and (2,1)-ellipse obey the curvature bound; ellipse = scaled disk."""
-    t0 = time.time()
     disk = convex_probe.conjecture_scan(convex_probe.disk_body(), workers=workers)
     ellipse_body = convex_probe.ellipse_body(2.0, 1.0)
     ellipse = convex_probe.conjecture_scan(ellipse_body, workers=workers)
@@ -282,17 +253,15 @@ def criterion_conjecture_probe(workers=1):
         got = convex_probe.chi_hat_body(ellipse_body, (alpha, beta)).value
         worst = max(worst, abs(got - ref))
     ok = disk.upper_ok and ellipse.upper_ok and worst <= 1e-6
-    return _result(
-        "c10", "conjecture-probe", t0, ok,
+    return ok, (
         f"disk C_est={disk.c_est:.4f}/{disk.bound:.2f}, "
         f"ellipse C_est={ellipse.c_est:.4f}/{ellipse.bound:.2f}, "
-        f"scaling identity err {worst:.2e}",
+        f"scaling identity err {worst:.2e}"
     )
 
 
 def criterion_determinism(workers=1):
     """Envelope CSVs are byte-identical across worker counts 1, 4, 8."""
-    t0 = time.time()
     import tempfile
     from pathlib import Path
 
@@ -318,42 +287,47 @@ def criterion_determinism(workers=1):
             identical = blobs[0] == blobs[1] == blobs[2]
             ok = ok and identical
             details.append(f"p={p}: {'identical' if identical else 'MISMATCH'}")
-    return _result("c11", "determinism", t0, ok, "; ".join(details))
+    return ok, "; ".join(details)
+
+
+class Criterion(NamedTuple):
+    name: str
+    check: Callable  # check(workers) -> (passed, detail)
+    budget_s: Optional[float]  # wall time beyond which the criterion fails
 
 
 CRITERIA = {
-    "c1": criterion_oracle_triangle,
-    "c2": criterion_closed_forms,
-    "c3": criterion_geometry,
-    "c4": criterion_van_der_corput,
-    "c5": criterion_stationary_fresnel,
-    "c6": criterion_upper_bound,
-    "c7": criterion_sequence_convergence,
-    "c8": criterion_blowup_exponent,
-    "c9": criterion_l1_sharpness,
-    "c10": criterion_conjecture_probe,
-    "c11": criterion_determinism,
+    "c1": Criterion("oracle-triangle", criterion_oracle_triangle, 120.0),
+    "c2": Criterion("closed-forms", criterion_closed_forms, None),
+    "c3": Criterion("geometry", criterion_geometry, None),
+    "c4": Criterion("van-der-corput", criterion_van_der_corput, 60.0),
+    "c5": Criterion("stationary-fresnel", criterion_stationary_fresnel, None),
+    "c6": Criterion("upper-bound", criterion_upper_bound, 600.0),
+    "c7": Criterion("sequence-convergence", criterion_sequence_convergence, None),
+    "c8": Criterion("blowup-exponent", criterion_blowup_exponent, 900.0),
+    "c9": Criterion("l1-sharpness", criterion_l1_sharpness, None),
+    "c10": Criterion("conjecture-probe", criterion_conjecture_probe, None),
+    "c11": Criterion("determinism", criterion_determinism, None),
 }
 
+# "all", one suite per criterion under its name, and "quick"
 SUITES = {
     "all": list(CRITERIA),
-    "oracle-triangle": ["c1"],
-    "closed-forms": ["c2"],
-    "geometry": ["c3"],
-    "van-der-corput": ["c4"],
-    "stationary-fresnel": ["c5"],
-    "upper-bound": ["c6"],
-    "sequence-convergence": ["c7"],
-    "blowup-exponent": ["c8"],
-    "l1-sharpness": ["c9"],
-    "conjecture-probe": ["c10"],
-    "determinism": ["c11"],
+    **{c.name: [cid] for cid, c in CRITERIA.items()},
     "quick": ["c2", "c3", "c5", "c9"],
 }
 
 
 def run_criterion(cid, workers=1):
-    return CRITERIA[cid](workers=workers)
+    """Run criterion cid, timed; it fails when it overruns its budget."""
+    name, check, budget_s = CRITERIA[cid]
+    t0 = time.time()
+    passed, detail = check(workers=workers)
+    elapsed = time.time() - t0
+    if budget_s is not None and elapsed > budget_s:
+        passed = False
+        detail += f"; RUNTIME {elapsed:.0f}s exceeded budget {budget_s:.0f}s"
+    return CriterionResult(cid, name, bool(passed), detail, elapsed)
 
 
 def run_suite(suite="all", workers=1):

@@ -11,24 +11,12 @@ from lpfourier import decay, verify
 
 WORKERS = decay.default_workers()
 
-CRITERIA = [
-    ("c1", "oracle-triangle"),
-    ("c2", "closed-forms"),
-    ("c3", "geometry"),
-    ("c4", "van-der-corput"),
-    ("c5", "stationary-fresnel"),
-    ("c6", "upper-bound"),
-    ("c7", "sequence-convergence"),
-    ("c8", "blowup-exponent"),
-    ("c9", "l1-sharpness"),
-    ("c10", "conjecture-probe"),
-    ("c11", "determinism"),
-]
 
-
-@pytest.mark.parametrize("cid,name", CRITERIA, ids=[f"{c}-{n}" for c, n in CRITERIA])
-def test_acceptance_criterion(cid, name):
+@pytest.mark.parametrize(
+    "cid", verify.CRITERIA, ids=[f"{cid}-{c.name}" for cid, c in verify.CRITERIA.items()]
+)
+def test_acceptance_criterion(cid):
     result = verify.run_criterion(cid, workers=WORKERS)
     status = "PASS" if result.passed else "FAIL"
-    print(f"{status}  {cid:<4} {name:<22} {result.seconds:7.1f}s  {result.detail}")
-    assert result.passed, f"{cid} {name}: {result.detail}"
+    print(f"{status}  {cid:<4} {result.name:<22} {result.seconds:7.1f}s  {result.detail}")
+    assert result.passed, f"{cid} {result.name}: {result.detail}"

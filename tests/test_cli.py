@@ -230,6 +230,20 @@ def test_conjecture_reproducible_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_conjecture_huge_radii_exit_code(tmp_path, capsys):
+    # alpha + beta * slope overflows at the top radius, and every seed at
+    # these radii outgrows the panel budget: exit 3 naming |omega|, not a
+    # usage error about the rate
+    body = tmp_path / "body.json"
+    params = {"coeffs": [1, 0, -0.5, 0, -0.5], "half_width": 1}
+    body.write_text(json.dumps({"kind": "custom-poly-coeffs", "params": params}))
+    out = tmp_path / "r.json"
+    args = ["conjecture", "--body-file", str(body), "--r-min", "1e307", "--r-max", "1e308"]
+    assert run_cli(args + ["--r-points", "2", "--theta-points", "3", "--out", str(out)]) == 3
+    assert "exceeds max_panels" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_conjecture_counterexample_exit_code(tmp_path, monkeypatch):
     from lpfourier import convex_probe
 
@@ -277,7 +291,7 @@ def test_verify_propagates_criterion_key_error(monkeypatch):
     def broken(workers=1):
         raise KeyError("inside c2")
 
-    monkeypatch.setitem(verify.CRITERIA, "c2", broken)
+    monkeypatch.setitem(verify.CRITERIA, "c2", verify.CRITERIA["c2"]._replace(check=broken))
     with pytest.raises(KeyError, match="inside c2"):
         run_cli(["verify", "closed-forms"])
 

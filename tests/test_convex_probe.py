@@ -20,7 +20,12 @@ from lpfourier.convex_probe import (
     poly_body,
     superellipse_body,
 )
-from lpfourier.oscquad import QuadConfig
+from lpfourier.oscquad import (
+    QuadConfig,
+    QuadratureBudgetError,
+    integrate_oscillatory,
+    uniform_breaks,
+)
 
 
 def _disk_chi(r):
@@ -166,24 +171,79 @@ def test_superellipse_bodies_take_scaling_route_bitwise(body):
 
 
 def test_wide_poly_body_finishes_on_its_seed(monkeypatch):
-    # the slicing seed is sized by the rate times the width 2w, so a body
-    # with w = 4 gets the same density per wavelength as one with w = 1
-    # and needs no adaptive round
+    # the slicing seed on [0, w] is sized by the rate times the width w, so
+    # a body with w = 4 gets the same density per wavelength as one with
+    # w = 1 and needs no adaptive round
     seen = []
-    batch = convex_probe.integrate_batch
+    batch = fourier.integrate_batch
 
     def recording(f, breaks_list, cfg=None):
         results = batch(f, breaks_list, cfg)
         seen.extend((len(b) - 1, res.panels_used) for b, res in zip(breaks_list, results))
         return results
 
-    monkeypatch.setattr(convex_probe, "integrate_batch", recording)
+    monkeypatch.setattr(fourier, "integrate_batch", recording)
     body = poly_body([4.0, 0.0, -0.25], 4.0)
     for r in (50.0, 200.0, 800.0):
         seen.clear()
         chi_hat_body(body, fourier.Frequency.from_polar(r, 0.7))
         ((seed_panels, panels_used),) = seen
         assert panels_used == seed_panels, r
+
+
+def _full_interval_slices(body, omega, cfg):
+    # reference: the vertical slicing over the whole of [-w, w],
+    # (1/2 pi) int_{-w}^{w} 2u sinc(beta u) cos(alpha x) dx, at every beta in
+    # its sinc form, on the uniform seed of the bulk slope over 2w
+    alpha, beta = omega
+    w = body.half_width
+    breaks = uniform_breaks(-w, w, abs(alpha) + abs(beta) * body._slope_scale, cfg)
+
+    def f(x):
+        u = body.upper(x)
+        return 2.0 * u * np.sinc(beta * u / math.pi) * np.cos(alpha * x)
+
+    res = integrate_oscillatory(f, breaks, cfg)
+    return res.value / (2.0 * math.pi), res.err_estimate / (2.0 * math.pi)
+
+
+_FOLD_BODIES = (
+    poly_body([1.0, 0.0, -0.5, 0.0, -0.5], 1.0),
+    poly_body([4.0, 0.0, -0.25], 4.0),
+    superellipse_body(1.5, 1.0, 1.3),
+)
+
+
+@pytest.mark.parametrize("body", _FOLD_BODIES, ids=lambda body: body.label)
+def test_folded_slices_match_full_interval_sinc_form(body):
+    # the slices on [0, w] against the full-interval form, within both
+    # estimates; a superellipse is sliced through chi_hat_body_parts, as
+    # chi_hat_body_batch sends it through the l^q reduction
+    cfg = QuadConfig()
+    rng = np.random.default_rng(1414)
+    omegas = [(0.0, 0.0), (3.0, 0.2), (0.0, 0.5), (0.0, 40.0), (-25.0, 0.0), (7.0, -0.6)]
+    omegas += [tuple(v) for v in rng.uniform(-150.0, 150.0, (8, 2))]
+    if body.superellipse is None:
+        results = convex_probe.chi_hat_body_batch(body, omegas)
+        got = [(res.value, res.err_estimate) for res in results]
+    else:
+        got = [convex_probe.chi_hat_body_parts(body, omega) for omega in omegas]
+    for omega, (value, err) in zip(omegas, got):
+        ref, ref_err = _full_interval_slices(body, omega, cfg)
+        assert abs(value - ref) <= err + ref_err, omega
+
+
+def test_overflowing_body_rate_is_budget_error():
+    # alpha + beta * slope overflows: the seed fails naming |omega|, as the
+    # lp seed does, instead of a ValueError about the rate
+    body = poly_body([1.0, 0.0, -0.5, 0.0, -0.5], 1.0)
+    with pytest.raises(QuadratureBudgetError, match=r"\|omega\| = 1\.000e\+308"):
+        chi_hat_body(body, (0.0, 1e308))
+    # a finite rate past the budget fails before any panel is evaluated
+    out = convex_probe.chi_hat_body_batch(body, [(3.0, 4.0), (1e10, 0.0)])
+    assert out[0] == chi_hat_body(body, (3.0, 4.0))
+    assert isinstance(out[1], QuadratureBudgetError)
+    assert "|omega| = 1.000e+10 exceeds max_panels" in str(out[1])
 
 
 def test_ellipse_scaling_identity():
@@ -210,9 +270,9 @@ def test_lp_body_matches_reduction():
     # the generic vertical slicing of B_p against the lp reduction
     body = lp_ball_body(1.5)
     for omega in ((3.0, 4.0), (0.0, 12.0), (9.0, 2.0)):
-        got, _ = convex_probe.chi_hat_body_parts(body, omega)
-        ref = fourier.chi_hat_lp(1.5, omega).value
-        assert got == pytest.approx(ref, abs=1e-8)
+        got, err = convex_probe.chi_hat_body_parts(body, omega)
+        ref = fourier.chi_hat_lp(1.5, omega)
+        assert abs(got - ref.value) <= err + ref.err_estimate, omega
 
 
 def test_conjecture_scan_disk_small():

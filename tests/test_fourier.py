@@ -205,7 +205,9 @@ def test_zero_frequency_area():
 @pytest.mark.parametrize("p", [1.05, 1.1, 1.5, 1.9])
 def test_ball_area_gamma_closed_form_within_estimate(p):
     exact = 4.0 * math.gamma(1.0 + 1.0 / p) ** 2 / math.gamma(1.0 + 2.0 / p)
-    estimate = 4.0 * fourier._sinc_slice_integral(p, 0.0, 0.0, QuadConfig()).err_estimate
+    cfg = QuadConfig()
+    (res,) = fourier._slice_integrals(*fourier._lp_slices(p, cfg), [0.0], [0.0], cfg, sinc=True)
+    estimate = 4.0 * res.err_estimate
     assert abs(fourier.ball_area(p) - exact) <= estimate
 
 

@@ -44,6 +44,11 @@ def _integrand_panel_sums(lefts, rights, integrand, *args):
     return _kernels.panel_sums_from_values(integrand(x, *args), half)
 
 
+def _lp_cos_sin(x, p, alpha, beta):
+    # the x-slice integrand of the l^p ball: the graph phi_p at the nodes
+    return _kernels.cos_sin_values(x, _kernels._phi_array(x, p), alpha, beta)
+
+
 def _same_bits(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -83,7 +88,7 @@ def test_lp_kernels_match_masked_formulas_bitwise():
             lefts, rights = edge_panels if trial == 0 else _random_panels(rng, 200)
             p = [1.0, 2.0][trial] if trial < 2 else rng.uniform(1.0, 2.0)
             alpha, beta = rng.uniform(0.0, 200.0, 2)
-            got = _integrand_panel_sums(lefts, rights, _kernels.lp_cos_sin_values, p, alpha, beta)
+            got = _integrand_panel_sums(lefts, rights, _lp_cos_sin, p, alpha, beta)
             want = _masked_panel_sums(
                 lefts, rights, lambda x: np.cos(alpha * x) * np.sin(beta * _phi_masked(x, p))
             )
@@ -139,5 +144,5 @@ def test_kronrod_table_is_the_rounded_derivation():
 def test_error_estimates_positive():
     rng = np.random.default_rng(2)
     lefts, rights = _random_panels(rng, 16)
-    _, err = _integrand_panel_sums(lefts, rights, _kernels.lp_cos_sin_values, 1.5, 3.0, 4.0)
+    _, err = _integrand_panel_sums(lefts, rights, _lp_cos_sin, 1.5, 3.0, 4.0)
     assert np.all(err >= 0.0)

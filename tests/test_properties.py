@@ -149,8 +149,8 @@ body_frequencies = st.floats(-60.0, 60.0)
     body_frequencies,
 )
 def test_body_transform_is_even_in_alpha_and_beta(body, alpha, beta):
-    # bit for bit: the lp route reduces signs away, and the slicing integrand
-    # 2u sinc(beta u) cos(alpha x) and its seed are even in each argument
+    # bit for bit: the lp route reduces signs away, and the slicing route
+    # takes |alpha| and |beta| before it builds its seed and integrand
     omegas = [(alpha, beta), (-alpha, beta), (alpha, -beta), (-alpha, -beta)]
     ref, *flips = convex_probe.chi_hat_body_batch(body, omegas)
     for res in flips:

@@ -10,8 +10,10 @@ Paths covered: ``fourier.chi_hat_lp`` (x-slicing reduction),
 of ``convex_probe.chi_hat_body`` (the scaling route through
 ``chi_hat_lp`` on the (2,1) ellipse, vertical slicing on the benchmark's
 quartic poly body) and ``convex_probe.chi_hat_body_parts`` on two
-superellipses, which keeps the generic slicing checked on a graph with a
-slope blow-up.  Besides the seeded points, four fixed ``chi_hat_lp``
+superellipses.  Vertical slicing is the x-slicing reduction of
+``chi_hat_lp`` with phi_p replaced by the body's graph u on [0, w], on a
+uniform seed and without the lp phase floor; the superellipse points keep
+it checked on a graph with a slope blow-up.  Besides the seeded points, four fixed ``chi_hat_lp``
 samples of the default envelope scan are kept as regression points: the
 estimate once failed there.
 
@@ -32,7 +34,9 @@ References:
   cos(alpha x) dx, the vertical-slice form, by the same composite rule on
   breaks at equal steps of 2 pi in alpha x + beta (u(0) - u(x)), again
   self-checked by bisecting every panel.  The polynomial graph is smooth,
-  so no end grading is needed.
+  so no end grading is needed.  The package integrates the same formula
+  (in its sinc form below beta = 2/pi); the reference differs in its
+  partition and its 25-digit arithmetic.
 
 Every reference is computed at the exact double frequency the package
 receives; on the scaling route that is the rounded pair (a alpha, b beta)
