@@ -25,10 +25,10 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from . import fourier, lpgeom, oscquad
+from . import fourier, lpgeom
 from .decay import ENVELOPE_UPPER_COEFF, R_MIN_ALLOWED, _batches, _ordered_map
 from .fourier import TransformResult, as_frequency
-from .oscquad import QuadConfig, QuadratureBudgetError, _raised, uniform_breaks
+from .oscquad import QuadConfig, QuadratureBudgetError, _raised, seed_fits_budget, uniform_breaks
 
 # phases built from body graphs inherit the slope blow-up at the endpoints;
 # steeper rates are left to adaptive bisection
@@ -271,7 +271,7 @@ def _body_seed(body, alpha, beta, cfg):
     # included) fails here, before any panel is evaluated
     w = body.half_width
     rate = alpha + beta * body._slope_scale
-    if not rate * w / (2.0 * math.pi * oscquad.WAVELENGTHS_PER_PANEL) <= cfg.max_panels:
+    if not seed_fits_budget(w, rate, cfg):
         return fourier._seed_budget_error(alpha, beta, cfg)
     return uniform_breaks(0.0, w, rate, cfg)
 

@@ -37,6 +37,7 @@ from .oscquad import (
     _raised,
     integrate_batch,
     integrate_oscillatory,
+    seed_fits_budget,
     uniform_breaks,
     uniform_panel_counts,
 )
@@ -140,13 +141,14 @@ def lp_initial_breaks(p, alpha, beta, cfg):
     which grows from 0 to alpha + beta and bounds the phase change of
     both factors (and of the polar-split phases): its interior breaks are
     the points with V(x_k) = k V(1)/n, k = 1..n-1, for the panel count
-    n = ceil((alpha + beta) / 4 pi) of ``uniform_breaks(0, 1, alpha + beta,
-    cfg)`` (``lp_v_points``).  Every seed panel therefore spans at most two
-    wavelengths of the integrand's fastest phase, also near x = 1, where
-    |phi_p'| > 1 and equal steps in x would under-resolve.  When V is
-    linear (p = 1 or beta = 0) the breaks are uniform, k/n.  The seed is
-    then graded geometrically toward both ends of [0, 1], where phi_p is
-    not smooth, starting from the first and last V-breaks.
+    n = ceil((alpha + beta) / 6 pi) of ``uniform_breaks(0, 1, alpha + beta,
+    cfg)`` (``lp_v_points``).  Every seed panel therefore spans at most
+    ``oscquad.WAVELENGTHS_PER_PANEL`` = 3 wavelengths of the integrand's
+    fastest phase, also near x = 1, where |phi_p'| > 1 and equal steps in
+    x would under-resolve.  When V is linear (p = 1 or beta = 0) the
+    breaks are uniform, k/n.  The seed is then graded geometrically toward
+    both ends of [0, 1], where phi_p is not smooth, starting from the
+    first and last V-breaks.
 
     Toward x = 1 (slope blow-up of phi_p): halve the last panel until the
     remaining phase variation beta*phi(a) + alpha*(1-a) over it drops
@@ -162,10 +164,9 @@ def lp_initial_breaks(p, alpha, beta, cfg):
     tolerance outright, so no adaptive round has to find it.
 
     Raises QuadratureBudgetError naming |omega| = hypot(alpha, beta) when
-    the phase rate alpha + beta overflows: no partition within
-    ``cfg.max_panels`` resolves such a frequency.  A large finite rate
-    gets a seed capped at max_panels, which the engine rejects.  This is
-    the batch of one of ``lp_initial_breaks_batch``.
+    n would exceed ``cfg.max_panels`` (an overflowing rate included): the
+    V-steps alone would not fit the budget, so the seed fails before any
+    point is built.  This is the batch of one of ``lp_initial_breaks_batch``.
     """
     return _raised(lp_initial_breaks_batch(p, [alpha], [beta], cfg)[0])
 
@@ -237,20 +238,24 @@ def lp_initial_breaks_batch(p, alphas, betas, cfg):
 
     Returns one entry per pair: its breaks, bitwise those of
     ``lp_initial_breaks`` whatever the batch, or the QuadratureBudgetError
-    of an overflowing rate.  The V-points of all pairs are one
-    ``lp_v_points`` call, and the tail test runs over the batch as array
-    operations: the candidates a <- (a + 1)/2 run from the last V-point
-    until 1 - a <= 1e-13, at most 44 steps as 1 - a halves from below 1.
+    of a rate it cannot seed within ``cfg.max_panels``.  The V-points of
+    all pairs are one ``lp_v_points`` call, and the tail test runs over the
+    batch as array operations: the candidates a <- (a + 1)/2 run from the
+    last V-point until 1 - a <= 1e-13, at most 44 steps as 1 - a halves
+    from below 1.
     """
     p = as_p(p)
     alphas = np.abs(np.asarray(alphas, dtype=np.float64))
     betas = np.abs(np.asarray(betas, dtype=np.float64))
     with np.errstate(over="ignore"):
         rates = alphas + betas
+    # a rate whose V-steps alone would need more than max_panels panels (an
+    # overflow included) fails here, before its V-points are built
+    seedable = seed_fits_budget(1.0, rates, cfg)
     out = [None] * rates.size
-    for i in np.flatnonzero(rates == math.inf):
+    for i in np.flatnonzero(~seedable):
         out[i] = _seed_budget_error(alphas[i], betas[i], cfg)
-    ok = np.flatnonzero(rates != math.inf)
+    ok = np.flatnonzero(seedable)
     if ok.size == 0:
         return out
     alphas, betas = alphas[ok], betas[ok]

@@ -11,18 +11,23 @@ wavelengths (2*pi of phase each) per panel; the l^p reduction places its
 seed at equal steps of a phase bound instead and grades it toward the
 endpoint singularities of phi_p (``fourier.lp_initial_breaks``).
 
-The seed density is the constant 2 wavelengths per panel.  On one panel
-of sin(omega x + c), the G15 error relative to the integral of |f| over
-the panel stays near roundoff up to 2.5 wavelengths, and the QUADPACK
-estimate stays at its 50 eps floor through 3:
+The seed density is the constant 3 wavelengths per panel, the widest at
+which the QUADPACK estimate of a sinusoid panel stays at its floor
+50 eps resabs.  On one panel of sin(omega x + c), largest over 12
+phases c and relative to the integral of |f| over the panel
+(``tools/derive_constants.py`` derives it at 60 digits):
 
-    wavelengths per panel   2         2.5       3
-    G15 error (relative)    <= 9e-17  4.7e-15   9.1e-13
+    wavelengths per panel   2        2.5      3        3.5      4
+    G15 error               5.5e-18  3.7e-15  7.2e-13  5.6e-11  2.3e-9
+    K31 error               5.5e-40  2.2e-35  1.2e-31  1.6e-28  8.2e-26
+    reported estimate       1.1e-14  1.1e-14  1.1e-14  1.2e-12  3.1e-10
 
-(K31 is better still), so denser seeds spend nodes the rule does not
-need.  The adaptive loop still refines wherever the estimate asks.
-``tools/calibrate.py`` checks at this density that every reported
-estimate bounds the error against a 25-digit mpmath reference.
+Up to 3 the estimate is the floor, so a denser seed spends nodes the
+rule does not need; beyond it the estimate leaves the floor and tight
+tolerances (1e-12 and below) would bisect every panel.  The adaptive
+loop still refines wherever the estimate asks.  ``tools/calibrate.py``
+checks at this density that every reported estimate bounds the error
+against a 25-digit mpmath reference.
 
 ``integrate_batch`` runs one adaptive loop for a batch of integrals,
 each with its own seed partition, tolerance test, stagnation count and
@@ -49,7 +54,7 @@ from ._kernels import _panel_nodes, panel_sums_from_values
 
 _MIN_PANEL_WIDTH = 1e-14
 _STAGNANT_ROUNDS = 3
-WAVELENGTHS_PER_PANEL = 2
+WAVELENGTHS_PER_PANEL = 3
 # rows per integrand call: 1024 panels of 31 float64 nodes are 254 KB, so the
 # node array and the integrand's temporaries stay in a core's L2 cache
 CHUNK_PANELS = 1024
@@ -96,10 +101,10 @@ class NonFiniteIntegrandError(RuntimeError):
 
 
 def uniform_breaks(a, b, rate, cfg=None):
-    """ceil(rate (b - a) / 4 pi) equal panels on [a, b], within [1, max_panels].
+    """ceil(rate (b - a) / 6 pi) equal panels on [a, b], within [1, max_panels].
 
     ``rate`` bounds the phase derivative on [a, b], so each panel spans
-    at most WAVELENGTHS_PER_PANEL = 2 wavelengths of phase, on an
+    at most WAVELENGTHS_PER_PANEL = 3 wavelengths of phase, on an
     interval of any length.
     """
     a = float(a)
@@ -118,8 +123,24 @@ def uniform_panel_counts(a, b, rates, cfg=None):
     cfg = cfg or QuadConfig()
     # no more panels than doubles in [a, b], so that the breaks stay distinct
     cap = min(cfg.max_panels, (b - a) / math.ulp(max(abs(a), abs(b))))
-    n = np.minimum(np.ceil(rates * (b - a) / (2.0 * math.pi * WAVELENGTHS_PER_PANEL)), cap)
+    n = np.minimum(np.ceil(_panel_spans(b - a, rates)), cap)
     return np.maximum(1, n.astype(np.int64))
+
+
+def _panel_spans(length, rate):
+    # the phase rate length over the interval, in panels of
+    # WAVELENGTHS_PER_PANEL wavelengths (2 pi each)
+    return rate * length / (2.0 * math.pi * WAVELENGTHS_PER_PANEL)
+
+
+def seed_fits_budget(length, rate, cfg):
+    """Whether the uniform count ceil(rate length / 6 pi) fits ``cfg.max_panels``.
+
+    Elementwise for an array of rates; False for an infinite rate.  A rate
+    that fails it cannot be seeded at WAVELENGTHS_PER_PANEL within the
+    budget, so the seed builders fail it before building any breaks.
+    """
+    return _panel_spans(length, rate) <= cfg.max_panels
 
 
 def _panel_sums(f, lefts, rights, owner):

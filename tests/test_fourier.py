@@ -5,10 +5,12 @@ import pytest
 
 from lpfourier import fourier, lpgeom
 from lpfourier.fourier import Frequency, as_frequency, reduce_symmetry
-from lpfourier.oscquad import QuadConfig
+from lpfourier.oscquad import WAVELENGTHS_PER_PANEL, QuadConfig, QuadratureBudgetError
 
 CHI_L1_PI_2PI = -0.043002045910932652  # -4/(3 pi^3)
 AREA_15 = 2.7378536239189029  # 4 Gamma(1+1/p)^2 / Gamma(1+2/p) at p = 1.5
+# the phase, V or r psi, that one seed panel spans at most
+PANEL_PHASE = 2.0 * math.pi * WAVELENGTHS_PER_PANEL
 J1_FIXTURES = {
     1.0: 0.44005058574493352,
     10.0: 0.043472746168861437,
@@ -79,7 +81,8 @@ def check_lp_seed(p, alpha, beta, cfg, got):
     gradings started from the seed's own first and last V-points.
     """
     rate = alpha + beta
-    n = max(1, min(math.ceil(rate / (4.0 * math.pi)), cfg.max_panels))
+    n = max(1, math.ceil(rate / PANEL_PHASE))
+    assert n <= cfg.max_panels, (p, alpha, beta, cfg)
     assert got.dtype == np.float64 and got[0] == 0.0 and got[-1] == 1.0
     assert np.all(np.diff(got) > 0.0)
     if n > 1:
@@ -132,21 +135,48 @@ def test_lp_initial_breaks_match_references():
     assert graded_heads > 500
 
 
-def test_lp_v_points_span_two_wavelengths_near_x_1():
-    # uniform steps in x would put up to (rate / 4 pi) |phi_p'| wavelengths
-    # into a panel near x = 1; the V-points hold every seed panel to 4 pi of
-    # V, so the panels crowd toward x = 1
+def test_lp_v_points_hold_the_panel_density_near_x_1():
+    # uniform steps in x would put up to (rate / PANEL_PHASE) |phi_p'|
+    # panel spans of phase into a panel near x = 1; the V-points hold every
+    # seed panel to PANEL_PHASE of V, so the panels crowd toward x = 1
     seed = fourier.lp_initial_breaks(1.5, 0.0, 4e4, QuadConfig())
-    n = math.ceil(4e4 / (4.0 * math.pi))
+    n = math.ceil(4e4 / PANEL_PHASE)
     _, v_points, _ = check_lp_seed(1.5, 0.0, 4e4, QuadConfig(), seed)
     assert v_points.size == n - 1
     assert np.sum(v_points > 0.9) > 0.2 * n
     # V linear: uniform points, bitwise k/n, also at p = 2 with beta = 0
     for p, alpha, beta in ((1.0, 300.0, 500.0), (2.0, 800.0, 0.0)):
-        n = math.ceil((alpha + beta) / (4.0 * math.pi))
+        n = math.ceil((alpha + beta) / PANEL_PHASE)
         seed = fourier.lp_initial_breaks(p, alpha, beta, QuadConfig())
         _, v_points, _ = check_lp_seed(p, alpha, beta, QuadConfig(), seed)
         assert np.array_equal(v_points, np.arange(1.0, n) * (1.0 / n))
+
+
+def test_unseedable_pair_fails_before_its_v_points(monkeypatch):
+    # a rate whose V-steps alone exceed max_panels fails with |omega| named,
+    # and lp_v_points never sees its points; the other pairs stay bitwise
+    cfg = QuadConfig()
+    limit = PANEL_PHASE * cfg.max_panels
+    pairs = [(3.0, 40.0), (0.0, 1e9), (1e4, 2e4), (0.5 * limit, 0.6 * limit)]
+    want = {i: fourier.lp_initial_breaks(1.5, *pairs[i], cfg) for i in (0, 2)}
+    seen = []
+    v_points = fourier.lp_v_points
+
+    def spy(p, alpha, beta, k, n):
+        seen.append(alpha + beta)
+        return v_points(p, alpha, beta, k, n)
+
+    monkeypatch.setattr(fourier, "lp_v_points", spy)
+    alphas, betas = zip(*pairs)
+    got = fourier.lp_initial_breaks_batch(1.5, alphas, betas, cfg)
+    assert set(np.concatenate(seen).tolist()) == {43.0, 3e4}
+    for i in (0, 2):
+        assert got[i].tobytes() == want[i].tobytes()
+    for i in (1, 3):
+        assert isinstance(got[i], QuadratureBudgetError)
+        assert f"|omega| = {math.hypot(*pairs[i]):.3e} exceeds max_panels" in str(got[i])
+        with pytest.raises(QuadratureBudgetError, match="omega"):
+            fourier.lp_initial_breaks(1.5, *pairs[i], cfg)
 
 
 def test_lp_head_grading_closed_form_matches_loop():
@@ -418,6 +448,30 @@ def test_routes_agree_within_phase_floor_at_high_frequency(p, r):
     split = scale * (res_psi.value + res_tilde.value)
     allowed = direct.err_estimate + scale * (res_psi.err_estimate + res_tilde.err_estimate)
     assert abs(direct.value - split) <= allowed
+
+
+def test_high_frequency_integrals_finish_on_their_seed(monkeypatch):
+    # at three wavelengths per panel every seed panel already meets its share
+    # of the tolerance along theta*, far out: no adaptive round is needed
+    p, r = 1.5, 1e5
+    theta = lpgeom.theta_star(p)
+    omega = Frequency.from_polar(r, theta)
+    results = []
+    batch = fourier.integrate_batch
+
+    def spy(f, breaks_list, cfg=None):
+        out = batch(f, breaks_list, cfg)
+        results.extend(out)
+        return out
+
+    monkeypatch.setattr(fourier, "integrate_batch", spy)
+    fourier.chi_hat_lp(p, omega)
+    (res,) = results
+    low, high = sorted((abs(omega.alpha), abs(omega.beta)))
+    assert res.panels_used == fourier.lp_initial_breaks(p, low, high, QuadConfig()).size - 1
+    seed = fourier.lp_initial_breaks(p, abs(omega.alpha), abs(omega.beta), QuadConfig())
+    for part in fourier.psi_split_integrals(p, r, theta):
+        assert part.panels_used == seed.size - 1
 
 
 def _bits(res):

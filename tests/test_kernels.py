@@ -1,3 +1,4 @@
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from lpfourier import _kernels, lpgeom
+from lpfourier.oscquad import WAVELENGTHS_PER_PANEL
 
 # QUADPACK's qk31 outermost Kronrod node xgk(1)
 QUADPACK_XGK1 = 0.998002298693397060285172840152271
@@ -146,3 +148,26 @@ def test_error_estimates_positive():
     lefts, rights = _random_panels(rng, 16)
     _, err = _integrand_panel_sums(lefts, rights, _lp_cos_sin, 1.5, 3.0, 4.0)
     assert np.all(err >= 0.0)
+
+
+def _sine_panel(wavelengths, c):
+    # K31 value, reported error and resabs on [-1, 1] of sin(omega x + c),
+    # omega = pi wavelengths, and the closed form 2 sin(c) sin(omega) / omega
+    omega = math.pi * wavelengths
+    x, half = _kernels._panel_nodes(np.array([-1.0]), np.array([1.0]))
+    v = np.sin(omega * x + c)
+    (value,), (err,) = _kernels.panel_sums_from_values(v, half)
+    resabs = float(half[0] * (np.abs(v[0]) @ _kernels.KRONROD_WEIGHTS))
+    return value, err, resabs, 2.0 * math.sin(c) * math.sin(omega) / omega
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+def test_seed_density_keeps_the_estimate_at_its_floor(c):
+    # the phase stays within 3.5 pi + 2 of 0, so its roundoff stays far below
+    # the floor 50 eps resabs; tools/derive_constants.py prints the table
+    value, err, resabs, exact = _sine_panel(WAVELENGTHS_PER_PANEL, c)
+    assert err == pytest.approx(_kernels._EPS50 * resabs, rel=1e-12, abs=0.0)
+    assert abs(value - exact) <= err
+    # half a wavelength more and the G15/K31 discrepancy lifts it off the floor
+    _, err, resabs, _ = _sine_panel(WAVELENGTHS_PER_PANEL + 0.5, c)
+    assert err > 10.0 * _kernels._EPS50 * resabs

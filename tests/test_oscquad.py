@@ -123,9 +123,9 @@ def test_invalid_interval_and_hint():
             uniform_breaks(0.0, 1.0, rate)
     with pytest.raises(ValueError):
         integrate_oscillatory(None, uniform_breaks(0.0, 1.0, 1.0))
-    # one panel per two wavelengths of phase: rate (b - a) / 4 pi panels
-    assert np.array_equal(uniform_breaks(-1.0, 1.0, 8.0 * math.pi), np.linspace(-1.0, 1.0, 5))
-    assert np.array_equal(uniform_breaks(-4.0, 4.0, 8.0 * math.pi), np.linspace(-4.0, 4.0, 17))
+    # one panel per three wavelengths of phase: rate (b - a) / 6 pi panels
+    assert np.array_equal(uniform_breaks(-1.0, 1.0, 12.0 * math.pi), np.linspace(-1.0, 1.0, 5))
+    assert np.array_equal(uniform_breaks(-4.0, 4.0, 12.0 * math.pi), np.linspace(-4.0, 4.0, 17))
     assert uniform_breaks(0.0, 1.0, 1e300, QuadConfig(max_panels=8)).size == 9
 
 
@@ -310,7 +310,7 @@ def test_batch_results_do_not_depend_on_chunking(monkeypatch):
 
 
 def test_budget_failure_stays_with_its_integral():
-    cfg = QuadConfig(max_panels=16)
+    cfg = QuadConfig(max_panels=14)
     cases = _batch_cases()
     alone = []
     for f, b in cases:
@@ -319,10 +319,10 @@ def test_budget_failure_stays_with_its_integral():
         except QuadratureBudgetError as exc:
             alone.append(exc)
     # sqrt|x - 0.3| (20 panels unbudgeted) exhausts the budget refining; the
-    # 22-panel sin(137 x^2) and 717-panel cos(3000 x) seeds exceed it
+    # 15-panel sin(137 x^2) and 478-panel cos(3000 x) seeds exceed it
     failed = [isinstance(r, QuadratureBudgetError) for r in alone]
     assert failed == [False, True, True, True]
-    assert "panel budget 16 exhausted" in str(alone[2])
+    assert "panel budget 14 exhausted" in str(alone[2])
     assert [str(alone[i]) for i in (1, 3)] == ["initial partition exceeds max_panels"] * 2
     f, breaks = _batched(cases)
     for g, a, fail in zip(integrate_batch(f, breaks, cfg), alone, failed):

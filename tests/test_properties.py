@@ -15,7 +15,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from lpfourier import cli, convex_probe, fourier, lpgeom  # noqa: E402
 from lpfourier.oscquad import QuadConfig, QuadratureBudgetError  # noqa: E402
-from test_fourier import check_lp_seed  # noqa: E402
+from test_fourier import PANEL_PHASE, check_lp_seed  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 
@@ -75,24 +75,25 @@ def test_zero_frequency_is_area_over_two_pi_within_estimate(p):
 @settings(PROPERTY, max_examples=10)
 @given(exponents, st.floats(2e7, 1e300), st.floats(-1.0, 1.0))
 def test_huge_frequency_exceeds_panel_budget(p, beta, share):
-    # from a rate of 4 pi 2^20 ~ 1.3e7 the V-points alone fill the
-    # 2^20-panel budget, and the gradings add to them
+    # from a rate of 6 pi 2^20 ~ 1.98e7 the V-steps alone exceed the
+    # 2^20-panel budget, and the seed fails before its points are built
     with pytest.raises(QuadratureBudgetError):
         fourier.chi_hat_lp(p, (share * beta, beta))
 
 
 def _seed_inputs():
-    # (cfg, pairs): alpha = 0, beta below 2/pi and, with a small budget that
-    # caps the uniform part, a huge rate
+    # (cfg, pairs): alpha = 0, beta below 2/pi and, with a small budget,
+    # rates on both sides of 64 PANEL_PHASE ~ 1206 and a huge rate
     small = st.floats(0.0, 2.0 / math.pi)
     wide = st.floats(0.0, 1e4)
     default = st.tuples(st.one_of(st.just(0.0), wide), st.one_of(small, wide))
-    capped = st.tuples(st.one_of(st.just(0.0), wide), st.one_of(small, wide, st.just(1e300)))
+    near = st.floats(0.0, 1e3)
+    budgeted = st.tuples(st.one_of(st.just(0.0), near), st.one_of(small, near, st.just(1e300)))
     return st.one_of(
         st.tuples(st.just(QuadConfig()), st.lists(default, min_size=1, max_size=6)),
         st.tuples(
             st.just(QuadConfig(abs_tol=1e-14, max_panels=64)),
-            st.lists(capped, min_size=1, max_size=6),
+            st.lists(budgeted, min_size=1, max_size=6),
         ),
     )
 
@@ -103,6 +104,14 @@ def test_batched_seeds_are_the_single_seeds_bitwise(p, inputs):
     cfg, pairs = inputs
     alphas, betas = zip(*pairs)
     for (alpha, beta), got in zip(pairs, fourier.lp_initial_breaks_batch(p, alphas, betas, cfg)):
+        # a rate whose V-steps exceed the budget fails on both routes alike
+        unseedable = (alpha + beta) / PANEL_PHASE > cfg.max_panels
+        assert isinstance(got, QuadratureBudgetError) == unseedable, (alpha, beta)
+        if unseedable:
+            with pytest.raises(QuadratureBudgetError) as exc:
+                fourier.lp_initial_breaks(p, alpha, beta, cfg)
+            assert str(exc.value) == str(got)
+            continue
         want = fourier.lp_initial_breaks(p, alpha, beta, cfg)
         assert got.tobytes() == want.tobytes(), (alpha, beta)
         check_lp_seed(p, alpha, beta, cfg, got)
@@ -114,12 +123,13 @@ _EPS = 2.0**-52
 @PROPERTY
 @given(
     exponents,
-    st.one_of(st.floats(0.0, 1e5), st.integers(1, 8000).map(lambda m: 4.0 * math.pi * m)),
+    st.one_of(st.floats(0.0, 1e5), st.integers(1, 8000).map(lambda m: PANEL_PHASE * m)),
     st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
 )
-def test_lp_seed_panels_span_at_most_4pi_of_v(p, rate, share):
+def test_lp_seed_panels_span_at_most_the_panel_phase_of_v(p, rate, share):
     # V(x) = alpha x + beta (1 - phi_p(x)) bounds the phase change of the lp
-    # integrands; rates 4 pi m leave no slack between the V-steps and 4 pi.
+    # integrands; rates PANEL_PHASE m leave no slack between the V-steps and
+    # PANEL_PHASE.
     # Up to rounding: a double x pins V(x) only to within x V'(x) eps, with
     # V' = alpha + beta (x / phi_p)^(p-1) (the phi_p term is 0 at x = 1)
     alpha = share * rate
@@ -130,7 +140,7 @@ def test_lp_seed_panels_span_at_most_4pi_of_v(p, rate, share):
     with np.errstate(divide="ignore", invalid="ignore"):
         pinned = np.where(x < 1.0, x * (x / phi) ** (p - 1.0), 0.0)
     slack = 16.0 * _EPS * (rate + beta * (pinned[:-1] + pinned[1:]))
-    assert np.all(spans <= 4.0 * math.pi + slack), np.max(spans - 4.0 * math.pi - slack)
+    assert np.all(spans <= PANEL_PHASE + slack), np.max(spans - PANEL_PHASE - slack)
 
 
 # the quartic poly body of the benchmark, and its area int 2u = 44/15

@@ -106,6 +106,7 @@ _SPECS = (
     ("chi_hat_lp", 1.9, 4000.0, 6000.0, "generic"),
     ("psi_split", 1.5, 4000.0, 6000.0, "witness"),
     ("chi_hat_lp", 1.5, 20000.0, 25000.0, "witness"),
+    ("psi_split", 1.5, 40000.0, 50000.0, "witness"),
 )
 _STEEP = 0.25
 # default envelope-scan samples where the estimate once fell below the

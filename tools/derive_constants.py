@@ -4,6 +4,9 @@ Every [derived] constant asserted in the test suite is computed here at
 30 significant digits with mpmath and printed to 17 digits for freezing.
 The 31-point Kronrod rule of ``lpfourier._kernels`` (and its embedded
 15-point Gauss rule) is derived at 60 digits: see ``kronrod_rule``.
+So is the table behind the seed density ``oscquad.WAVELENGTHS_PER_PANEL``:
+the G15 and K31 errors and the QUADPACK estimate on one panel of a
+sinusoid, per wavelengths per panel (``panel_density_table``).
 Not part of the package; requires the dev extra (mpmath).
 
 Usage: python tools/derive_constants.py
@@ -138,6 +141,50 @@ def kronrod_exactness_defect(nodes, weights, degree):
     )
 
 
+# 50 eps of float64: the floor of the QUADPACK estimate, 50 eps resabs
+_EPS50 = 50 * mp.mpf(2) ** -52
+
+
+def _abs_sine_integral(u):
+    """int_0^u |sin t| dt for any real u: 2 per half period, odd in u."""
+    k = mp.floor(u / mp.pi)
+    return 2 * k + 1 - mp.cos(u - k * mp.pi)
+
+
+def panel_density_table(wavelengths=(2, 2.5, 3, 3.5, 4), phases=12, dps=60):
+    """[(w, G15 error, K31 error, estimate)] on the panel [-1, 1] of sin(omega x + c).
+
+    omega = pi w puts w wavelengths on the panel.  Each entry is the
+    largest over the phases c = 2 pi j / phases, relative to int |f| over
+    the panel: the errors of the two rules against the closed form
+    2 sin(c) sin(omega) / omega, and QUADPACK's estimate
+    resasc min(1, (200 |K31 - G15| / resasc)^1.5), floored at 50 eps
+    resabs with the eps of float64, as ``_kernels`` computes it.  Where
+    the estimate sits at that floor the rule is already as accurate as
+    float64 can report, so a denser seed only spends nodes.
+    """
+    with mp.workdps(dps):
+        nodes, wk, wg = kronrod_rule(dps=dps)
+        rows = []
+        for w in wavelengths:
+            omega = mp.pi * mp.mpf(w)
+            worst = [mp.mpf(0)] * 3
+            for j in range(phases):
+                c = 2 * mp.pi * j / phases
+                v = [mp.sin(omega * x + c) for x in nodes]
+                k31 = mp.fsum(a * b for a, b in zip(wk, v))
+                g15 = mp.fsum(a * b for a, b in zip(wg, v))
+                resabs = mp.fsum(a * abs(b) for a, b in zip(wk, v))
+                resasc = mp.fsum(a * abs(b - k31 / 2) for a, b in zip(wk, v))
+                estimate = max(resasc * min(1, (200 * abs(k31 - g15) / resasc) ** 1.5), _EPS50 * resabs)
+                exact = 2 * mp.sin(c) * mp.sin(omega) / omega
+                mass = (_abs_sine_integral(c + omega) - _abs_sine_integral(c - omega)) / omega
+                errors = (abs(g15 - exact), abs(k31 - exact), estimate)
+                worst = [max(old, e / mass) for old, e in zip(worst, errors)]
+            rows.append((w, *worst))
+        return rows
+
+
 def show(label, value):
     print(f"{label:<28} = {mp.nstr(value, 17)}")
 
@@ -174,3 +221,7 @@ if __name__ == "__main__":
         print("_XGK_HALF =", [float(nodes[i]) for i in half])
         print("_WGK_HALF =", [float(wk[i]) for i in half])
         print("_WG_HALF =", [float(wg[i]) for i in half if wg[i] != 0])
+    print("one panel of sin(omega x + c), largest over 12 phases, relative to int |f|:")
+    print(f"{'wavelengths per panel':<22}{'G15 error':>12}{'K31 error':>12}{'estimate':>12}")
+    for w, g15, k31, estimate in panel_density_table():
+        print(f"{w:<22g}" + "".join(f"{mp.nstr(v, 3):>12}" for v in (g15, k31, estimate)))
