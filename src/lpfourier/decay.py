@@ -15,8 +15,10 @@ the r_n and these peaks (``witness_r_values``).
 """
 
 import math
+import multiprocessing.util
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +41,8 @@ _MAX_FAILED_FRACTION = 0.01
 # the same for any worker count.  Larger batches amortise more per-call cost
 # but hold more panels at once (peak memory).
 BATCH_SAMPLES = 32
+# (pid, workers, pool): the process pool _ordered_map keeps between scans
+_POOL = None
 
 
 @dataclass(frozen=True)
@@ -134,9 +138,48 @@ def _batches(points):
     return [points[i : i + BATCH_SAMPLES] for i in range(0, len(points), BATCH_SAMPLES)]
 
 
+def _pool(workers):
+    """The process's pool of `workers` processes, built on first use.
+
+    A cached pool of another size, or one built in another process (a
+    forked child inherits the reference, not the pool's manager thread),
+    is dropped first.
+    """
+    global _POOL
+    if _POOL is not None:
+        pid, size, pool = _POOL
+        if pid == os.getpid() and size == workers:
+            return pool
+        _drop_pool()
+    pool = ProcessPoolExecutor(max_workers=workers)
+    _POOL = (os.getpid(), workers, pool)
+    # a process started by multiprocessing ends without the interpreter's
+    # exit hooks, which join the workers, but runs these finalizers before
+    # it joins its children; the pool's own queues close at priority 10
+    multiprocessing.util.Finalize(None, _drop_pool, exitpriority=100)
+    return pool
+
+
+def _drop_pool():
+    """Forget the cached pool, and shut it down if this process built it."""
+    global _POOL
+    if _POOL is not None:
+        pid, _, pool = _POOL
+        _POOL = None
+        if pid == os.getpid():
+            pool.shutdown()
+
+
 def _ordered_map(fn, tasks, workers):
     """[fn(t) for t in tasks], on a process pool when workers > 1.
 
+    The pool lives for the whole process: the first call with workers > 1
+    builds it, later calls with the same count reuse it, and a call with
+    another count shuts it down and builds a new one.  A BrokenProcessPool
+    (a worker died) drops the pool and is re-raised; the next call builds
+    a fresh one.  At interpreter exit concurrent.futures joins the workers;
+    a process started by multiprocessing shuts the pool down before it
+    joins its children.
     The pool uses the platform's default start method, so fn and the
     tasks must pickle.  Each task goes to the pool on its own: scans hand
     over batches of samples, so dispatch is paid once per batch.  The
@@ -145,10 +188,13 @@ def _ordered_map(fn, tasks, workers):
     """
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+    if workers == 1:
+        return [fn(t) for t in tasks]
+    try:
+        return list(_pool(workers).map(fn, tasks))
+    except BrokenProcessPool:
+        _drop_pool()
+        raise
 
 
 def _base_phase(prof):
@@ -239,19 +285,22 @@ def stationary_sequence(p, n_min, n_max):
 def sequence_values(p, spec, cfg=None):
     """Samples along the witness sequence: list of (n, EnvelopeSample).
 
-    Raises QuadratureBudgetError when a sample misses its tolerance.
+    The samples run through scaled_samples in batches of BATCH_SAMPLES,
+    in order.  Raises QuadratureBudgetError naming the first sample that
+    misses its tolerance.
     """
     p = as_p(p)
     cfg = cfg or QuadConfig()
+    points = [(r, spec.theta_star) for r in spec.r_values]
     out = []
-    for r in spec.r_values:
-        n = round(r * spec.base_phase / (2.0 * math.pi))
-        s = scaled_sample(p, r, spec.theta_star, cfg)
-        if s.method == "budget-error":
-            raise QuadratureBudgetError(
-                f"witness sample n={n} (r={r!r}) failed", s.scaled_value, s.err_estimate, 0
-            )
-        out.append((n, s))
+    for batch in _batches(points):
+        for (r, _), s in zip(batch, scaled_samples(p, batch, cfg)):
+            n = round(r * spec.base_phase / (2.0 * math.pi))
+            if s.method == "budget-error":
+                raise QuadratureBudgetError(
+                    f"witness sample n={n} (r={r!r}) failed", s.scaled_value, s.err_estimate, 0
+                )
+            out.append((n, s))
     return out
 
 

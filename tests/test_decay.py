@@ -1,4 +1,12 @@
+import json
 import math
+import os
+import re
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import get_all_start_methods, get_context
 
 import numpy as np
 import pytest
@@ -55,6 +63,32 @@ def test_sequence_values_converge():
     scaled = sample.scaled_value
     assert n == 200
     assert scaled == pytest.approx(V_15, rel=0.05)
+
+
+def test_sequence_values_match_single_samples(monkeypatch):
+    spec = decay.stationary_sequence(1.5, 1, 40)
+    want = [decay.scaled_sample(1.5, r, spec.theta_star) for r in spec.r_values]
+    for size in (7, decay.BATCH_SAMPLES):
+        monkeypatch.setattr(decay, "BATCH_SAMPLES", size)
+        got = decay.sequence_values(1.5, spec)
+        assert [n for n, _ in got] == list(range(1, 41))
+        assert [s for _, s in got] == want, size
+
+
+def test_sequence_values_name_the_first_failure(monkeypatch):
+    # with 48 panels the samples from n = 22 on miss their tolerance
+    cfg = QuadConfig(max_panels=48)
+    spec = decay.stationary_sequence(1.5, 1, 40)
+    n, r = next(
+        (n, r)
+        for n, r in enumerate(spec.r_values, 1)
+        if decay.scaled_sample(1.5, r, spec.theta_star, cfg).method == "budget-error"
+    )
+    assert n == 22
+    for size in (8, decay.BATCH_SAMPLES):
+        monkeypatch.setattr(decay, "BATCH_SAMPLES", size)
+        with pytest.raises(QuadratureBudgetError, match=re.escape(f"witness sample n={n} (r={r!r}) failed")):
+            decay.sequence_values(1.5, spec, cfg)
 
 
 def test_sequence_scaling_band():
@@ -276,3 +310,111 @@ def test_budget_error_marks_only_its_sample():
             assert alone.method == "budget-error" and math.isnan(s.scaled_value)
         else:
             assert alone == s
+
+
+def _worker_pid(_):
+    return os.getpid()
+
+
+def _worker_exit(_):
+    os._exit(1)
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _run_python(code):
+    """Run code in a fresh interpreter; it must exit 0 with empty stderr,
+    and its last stdout line is returned parsed as JSON."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_pool_outlives_its_scan():
+    first = set(decay._ordered_map(_worker_pid, range(16), 2))
+    second = set(decay._ordered_map(_worker_pid, range(16), 2))
+    # a pool per call would serve the second call from new processes
+    assert len(first | second) <= 2
+    assert os.getpid() not in first
+    assert all(_alive(pid) for pid in first | second)
+
+
+def test_other_worker_count_replaces_the_pool():
+    old = set(decay._ordered_map(_worker_pid, range(16), 2))
+    new = set(decay._ordered_map(_worker_pid, range(16), 3))
+    assert not old & new
+    # the old pool was shut down and its workers joined
+    assert not any(_alive(pid) for pid in old)
+    decay._ordered_map(_worker_pid, range(4), 2)
+
+
+def test_broken_pool_is_raised_then_replaced():
+    with pytest.raises(BrokenProcessPool):
+        decay._ordered_map(_worker_exit, [0], 2)
+    r_grid = np.geomspace(5.0, 50.0, 4)
+    th = [0.9, math.pi / 2]
+    assert decay.envelope_scan(1.3, r_grid, th, workers=2) == decay.envelope_scan(1.3, r_grid, th)
+
+
+def test_pooled_scan_exits_clean():
+    # the process exits without an explicit shutdown: concurrent.futures
+    # joins the cached pool's workers at interpreter exit
+    code = (
+        "import json, math, multiprocessing\n"
+        "from lpfourier import convex_probe\n"
+        "rep = convex_probe.conjecture_scan(convex_probe.disk_body(), [5.0, 9.0, 17.0], "
+        "[0.0, 0.8, math.pi / 2], workers=2)\n"
+        "pids = [c.pid for c in multiprocessing.active_children()]\n"
+        "print(json.dumps({'c_est': rep.c_est, 'pids': pids}))\n"
+    )
+    out = _run_python(code)
+    assert out["c_est"] > 0.0 and out["pids"]
+    assert not any(_alive(pid) for pid in out["pids"])
+
+
+@pytest.mark.skipif("fork" not in get_all_start_methods(), reason="needs the fork start method")
+def test_forked_child_builds_its_own_pool():
+    # the child inherits the parent's cached pool but not its manager
+    # thread, so it must start its own, and shut that down when it ends:
+    # a multiprocessing child skips the interpreter's exit hooks
+    code = (
+        "import json, multiprocessing, os\n"
+        "from lpfourier import decay\n"
+        "def pid(_):\n"
+        "    return os.getpid()\n"
+        "def child(queue):\n"
+        "    queue.put(sorted(set(decay._ordered_map(pid, range(8), 2))))\n"
+        "if __name__ == '__main__':\n"
+        "    mine = set(decay._ordered_map(pid, range(8), 2))\n"
+        "    ctx = multiprocessing.get_context('fork')\n"
+        "    queue = ctx.Queue()\n"
+        "    proc = ctx.Process(target=child, args=(queue,))\n"
+        "    proc.start()\n"
+        "    theirs = queue.get(timeout=60)\n"
+        "    proc.join(60)\n"
+        "    print(json.dumps({'mine': sorted(mine), 'theirs': theirs, 'exit': proc.exitcode}))\n"
+    )
+    out = _run_python(code)
+    assert out["exit"] == 0
+    assert out["theirs"] and not set(out["mine"]) & set(out["theirs"])
+    assert not any(_alive(pid) for pid in out["mine"] + out["theirs"])
+
+
+def test_envelope_tasks_run_under_spawn():
+    # scan tasks carry their inputs, so workers need no state inherited by fork
+    cfg = QuadConfig()
+    points = [(r, t) for r in (5.0, 40.0, 300.0) for t in (0.9, lpgeom.theta_star(1.5), math.pi / 2)]
+    tasks = [(1.5, points[i : i + 3], cfg) for i in range(0, len(points), 3)]
+    serial = [decay._sample_batch_worker(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=2, mp_context=get_context("spawn")) as pool:
+        pooled = list(pool.map(decay._sample_batch_worker, tasks))
+    assert pooled == serial

@@ -207,20 +207,33 @@ def _wavelength_breaks(v_of, v_end, end):
 
 
 def _composite(f, breaks):
-    total = mp.mpf(0)
+    """Composite sums over breaks of each integrand in the tuple f(x) returns."""
+    totals = None
     for a, b in zip(breaks[:-1], breaks[1:]):
         mid = (mp.mpf(a) + mp.mpf(b)) / 2
         half = (mp.mpf(b) - mp.mpf(a)) / 2
-        total += half * mp.fsum(w * f(mid + half * t) for t, w in _gl12())
-    return total
+        nodes = [(w, f(mid + half * t)) for t, w in _gl12()]
+        if totals is None:
+            totals = [mp.mpf(0)] * len(nodes[0][1])
+        for k in range(len(totals)):
+            totals[k] += half * mp.fsum(w * values[k] for w, values in nodes)
+    return totals
+
+
+def reference_integrals(f, breaks):
+    """[(fine, |coarse - fine|)] of the integral of each integrand in the tuple
+    f(x) returns over [breaks[0], breaks[-1]], on breaks and on breaks bisected.
+
+    The integrands share their nodes, so work common to them (phi_p) is
+    done once per node."""
+    coarse = _composite(f, breaks)
+    fine = _composite(f, np.unique(np.concatenate([breaks, 0.5 * (breaks[:-1] + breaks[1:])])))
+    return [(hi, abs(lo - hi)) for lo, hi in zip(coarse, fine)]
 
 
 def reference_integral(f, breaks):
-    """(fine, |coarse - fine|) of the integral of f over [breaks[0], breaks[-1]],
-    on breaks and on breaks bisected."""
-    coarse = _composite(f, breaks)
-    fine = _composite(f, np.unique(np.concatenate([breaks, 0.5 * (breaks[:-1] + breaks[1:])])))
-    return fine, abs(coarse - fine)
+    """(fine, |coarse - fine|) of the integral of f, as reference_integrals."""
+    return reference_integrals(lambda x: (f(x),), breaks)[0]
 
 
 def _lp_reference(p, alpha, beta):
@@ -246,13 +259,14 @@ def _psi_split_refs(p, r, theta):
     results = fourier.psi_split_integrals(p, r, theta)
     breaks = reference_breaks(p, r * ct, r * st)
     pm, rm, cm, sm = (mp.mpf(v) for v in (p, r, ct, st))
-    out = []
-    for res, sign, name in zip(results, (1, -1), ("-psi", "-psi~")):
-        ref, diff = reference_integral(
-            lambda x, s=sign: mp.sin(rm * (s * cm * x + sm * _phi_mp(pm, x))), breaks
-        )
-        out.append((name, res, ref, diff))
-    return out
+
+    def psi_pair(x):
+        # one phi_p per node for psi and psi~
+        phi = sm * _phi_mp(pm, x)
+        return tuple(mp.sin(rm * (s * cm * x + phi)) for s in (1, -1))
+
+    refs = reference_integrals(psi_pair, breaks)
+    return [(name, res, *ref) for name, res, ref in zip(("-psi", "-psi~"), results, refs)]
 
 
 def _ellipse_refs(p, r, theta):
