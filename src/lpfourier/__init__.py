@@ -39,7 +39,6 @@ from .decay import (
 from .fourier import (
     Frequency,
     TransformResult,
-    ball_area,
     bessel_j1_oracle,
     chi_hat_bruteforce,
     chi_hat_disk_oracle,
@@ -53,14 +52,12 @@ from .fourier import (
 from .lpgeom import (
     GeomProfile,
     PExponent,
-    curvature,
     geom_profile,
     m_of_p,
     min_curvature,
     phi,
     phi_d1,
     phi_d2,
-    phi_d3,
     theta_star,
     x_star,
 )

@@ -167,6 +167,14 @@ def cmd_verify(args):
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAILURE
 
 
+def _finite_float(text):
+    """float(text), which must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _float_list(text):
     """Comma-separated floats, e.g. '1.05,1.1,1.2'."""
     return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -208,8 +216,8 @@ def build_parser():
 
     sp = sub.add_parser("envelope", help="scan r^{3/2}|chi_hat| over a polar grid")
     sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--r-min", type=float, default=5.0)
-    sp.add_argument("--r-max", type=float, default=2000.0)
+    sp.add_argument("--r-min", type=_finite_float, default=5.0)
+    sp.add_argument("--r-max", type=_finite_float, default=2000.0)
     sp.add_argument("--per-decade", type=decay.positive_int, default=60)
     sp.add_argument("--theta-points", type=decay.positive_int, default=48)
     sp.add_argument("--out", required=True, help="CSV path ('-' for stdout)")
@@ -240,8 +248,8 @@ def build_parser():
 
     sp = sub.add_parser("conjecture", help="curvature-bound probe for a body JSON")
     sp.add_argument("--body-file", dest="body", type=_json_file, required=True)
-    sp.add_argument("--r-min", type=float, default=5.0)
-    sp.add_argument("--r-max", type=float, default=500.0)
+    sp.add_argument("--r-min", type=_finite_float, default=5.0)
+    sp.add_argument("--r-max", type=_finite_float, default=500.0)
     sp.add_argument("--r-points", type=decay.positive_int, default=81)
     sp.add_argument("--theta-points", type=decay.positive_int, default=48)
     sp.add_argument("--out", default=None)

@@ -90,8 +90,8 @@ def v_of_p(p):
 
 def default_r_grid(r_min=5.0, r_max=2000.0, per_decade=60):
     """Log-spaced radial grid, per_decade points per decade."""
-    if not (R_MIN_ALLOWED <= r_min < r_max):
-        raise ValueError(f"need {R_MIN_ALLOWED} <= r_min < r_max")
+    if not (R_MIN_ALLOWED <= r_min < r_max < math.inf):
+        raise ValueError(f"need {R_MIN_ALLOWED} <= r_min < r_max < inf")
     n = max(2, int(math.ceil(per_decade * math.log10(r_max / r_min))) + 1)
     return np.geomspace(r_min, r_max, n)
 

@@ -409,13 +409,6 @@ def _lp_slices(p, cfg):
     return partial(_kernels._phi_array, p=p), seeds
 
 
-def ball_area(p, cfg=None):
-    """Area of the l^p ball as 4 int_0^1 phi_p, by graded quadrature."""
-    cfg = cfg or QuadConfig()
-    (res,) = _slice_integrals(*_lp_slices(as_p(p), cfg), [0.0], [0.0], cfg, sinc=True)
-    return 4.0 * _raised(res).value
-
-
 def chi_hat_lp_batch(p, omegas, cfg=None):
     """``chi_hat_lp`` at each of omegas, integrated in one adaptive batch.
 

@@ -5,7 +5,6 @@ The first-quadrant boundary arc is the graph y = phi_p(x) with
     phi_p(x)   = (1 - x^p)^(1/p)
     phi_p'(x)  = -x^(p-1) (1 - x^p)^(1/p - 1)
     phi_p''(x) = -(p-1) x^(p-2) (1 - x^p)^(1/p - 2)
-    phi_p'''(x)= -(p-1) x^(p-3) (1 - x^p)^(1/p - 3) (x^p (p+1) + p - 2)
 
 |phi_p''| has a unique interior minimum at the flat point
 
@@ -39,16 +38,6 @@ class PExponent:
             raise ValueError(f"exponent must be a finite number in [1, 2], got {self.p!r}")
         object.__setattr__(self, "p", p)
 
-    @property
-    def is_diamond(self):
-        """p = 1: flat faces, zero curvature away from the corners."""
-        return self.p == 1.0
-
-    @property
-    def is_disk(self):
-        """p = 2: the euclidean disk, the degenerate limit of the flat point."""
-        return self.p == 2.0
-
 
 def as_p(p):
     """Coerce a float or PExponent to a validated float exponent."""
@@ -59,16 +48,13 @@ def as_p(p):
 
 @dataclass(frozen=True)
 class GeomProfile:
-    """Derived geometric quantities of the ball boundary at exponent p."""
+    """Flat point x*, its normal direction theta*, min |phi_p''| and min curvature."""
 
     p: float
     x_star: float
-    m_p: float
-    phi1_at_xstar: float
     theta_star: float
     min_abs_phi2: float
     min_curvature: float
-    degenerate: bool  # p = 2: x* sits on the domain boundary, theta* = pi/2
 
 
 def _check_open_unit(x):
@@ -119,19 +105,6 @@ def phi_d2(p, x):
     return _scalar_like(x, _check_finite(out, "phi_d2", xa))
 
 
-def phi_d3(p, x):
-    """phi_p'''(x) = -(p-1) x^(p-3) (1-x^p)^(1/p-3) (x^p (p+1) + p - 2)."""
-    p = as_p(p)
-    xa = _check_open_unit(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        xp = xa**p
-        one_m = -np.expm1(p * np.log(xa))
-        out = (
-            -(p - 1.0) * xa ** (p - 3.0) * one_m ** (1.0 / p - 3.0) * (xp * (p + 1.0) + p - 2.0)
-        )
-    return _scalar_like(x, _check_finite(out, "phi_d3", xa))
-
-
 def x_star(p):
     """Flat point x* = ((2-p)/(p+1))^(1/p); equals 0 at p = 2."""
     p = as_p(p)
@@ -174,15 +147,6 @@ def theta_star(p):
     return float(np.arctan(ratio))
 
 
-def curvature(p, x):
-    """Boundary curvature |phi''| / (1 + phi'^2)^(3/2) at (x, phi_p(x))."""
-    p = as_p(p)
-    d1 = phi_d1(p, x)
-    d2 = phi_d2(p, x)
-    out = np.abs(d2) / (1.0 + np.asarray(d1) ** 2) ** 1.5
-    return _scalar_like(x, out)
-
-
 def min_curvature(p):
     """min over the boundary of kappa: (p-1) 2^(1/p - 1/2); 0 at p = 1."""
     p = as_p(p)
@@ -194,21 +158,10 @@ def geom_profile(p):
     p = as_p(p)
     if p == 1.0:
         raise ValueError("geom_profile requires p > 1 (no interior flat point at p = 1)")
-    xs = x_star(p)
-    m = m_of_p(p)
-    if p == 2.0:
-        # x* = 0 is a domain endpoint; phi' -> -0 there, keep the sign so
-        # that arctan(-1/phi1_at_xstar) still degenerates to +pi/2
-        d1 = -0.0
-    else:
-        d1 = -(((2.0 - p) / (2.0 * p - 1.0)) ** (1.0 - 1.0 / p))
     return GeomProfile(
         p=p,
-        x_star=xs,
-        m_p=m,
-        phi1_at_xstar=d1,
+        x_star=x_star(p),
         theta_star=theta_star(p),
-        min_abs_phi2=(p - 1.0) * m,
+        min_abs_phi2=(p - 1.0) * m_of_p(p),
         min_curvature=min_curvature(p),
-        degenerate=(p == 2.0),
     )

@@ -40,8 +40,8 @@ interval order, and every panel's (value, error) depends on that panel
 alone, so repeated runs give bit-identical results, and an integral's
 result does not depend on which integrals share its batch or chunk.
 
-Also provides evaluators for the two van der Corput bounds and the
-symmetric Fresnel sine integral.
+Also provides evaluators for the two van der Corput bounds and, by one
+engine call, the symmetric Fresnel sine integral.
 """
 
 import math
@@ -363,42 +363,19 @@ def vdc_bound_second(r, lam):
     return 6.0 / math.sqrt(r * lam)
 
 
-_FRESNEL_SPLIT = 4.0
 _FRESNEL_CFG = QuadConfig(abs_tol=1e-10, rel_tol=1e-10)
-
-
-def _fresnel_sine_to(t):
-    # int_0^t sin(x^2) dx = sum_k (-1)^k t^(4k+3) / ((2k+1)! (4k+3)), t <= split
-    total = 0.0
-    power = t**3
-    t4 = t**4
-    fact = 1.0
-    k = 0
-    while True:
-        term = power / (fact * (4 * k + 3))
-        total += -term if (k & 1) else term
-        if term < 1e-17 * max(1.0, abs(total)):
-            return total
-        k += 1
-        power *= t4
-        fact *= (2 * k) * (2 * k + 1)
 
 
 def fresnel_symmetric(m):
     """int_{-m}^{m} sin(x^2) dx; tends to sqrt(pi/2) with an O(1/m) tail.
 
-    Series evaluation up to the split point, graded oscillatory
-    quadrature beyond it (the naive series cancels catastrophically for
-    large m).
+    Twice the engine's integral over [0, m], seeded at the largest phase
+    rate 2m.
     """
     m = float(m)
-    if m < 0.0:
-        raise ValueError("m must be >= 0")
+    if not (m >= 0.0 and math.isfinite(m)):
+        raise ValueError("m must be finite and >= 0")
     if m == 0.0:
         return 0.0
-    if m <= _FRESNEL_SPLIT:
-        return 2.0 * _fresnel_sine_to(m)
-    head = _fresnel_sine_to(_FRESNEL_SPLIT)
-    breaks = uniform_breaks(_FRESNEL_SPLIT, m, 2.0 * m, _FRESNEL_CFG)
-    tail = integrate_oscillatory(lambda x: np.sin(x * x), breaks, _FRESNEL_CFG)
-    return 2.0 * (head + tail.value)
+    breaks = uniform_breaks(0.0, m, 2.0 * m, _FRESNEL_CFG)
+    return 2.0 * integrate_oscillatory(lambda x: np.sin(x * x), breaks, _FRESNEL_CFG).value

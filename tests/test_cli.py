@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -327,6 +328,25 @@ def test_count_flags_must_be_positive(tmp_path, capsys):
             run_cli(base + [flag, "0"])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["inf", "1e400", "nan"])
+def test_non_finite_radius_is_usage_error(tmp_path, capsys, bad):
+    # rejected as the flag is parsed, before any grid: exit 2, one error line, no warning
+    body = tmp_path / "body.json"
+    body.write_text(json.dumps(DISK_SPEC))
+    envelope = ["envelope", "--p", "1.5", "--out", "-"]
+    conjecture = ["conjecture", "--body-file", str(body), "--out", "-"]
+    for base in (envelope, conjecture):
+        for flag in ("--r-min", "--r-max"):
+            with warnings.catch_warnings(record=True) as caught, pytest.raises(SystemExit) as exc:
+                warnings.simplefilter("always")
+                run_cli(base + [flag, bad])
+            assert exc.value.code == 2
+            assert not caught
+            captured = capsys.readouterr()
+            assert f"error: argument {flag}: expected a finite number" in captured.err
+            assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_bad_workers_env_is_usage_error(tmp_path, monkeypatch, capsys):

@@ -162,8 +162,9 @@ def test_default_grids():
     assert th[0] == pytest.approx(math.pi / 4)
     assert th[-1] == math.pi / 2
     assert np.any(np.abs(th - lpgeom.theta_star(1.5)) < 1e-15)
-    with pytest.raises(ValueError):
-        decay.default_r_grid(1.0, 2000.0)
+    for r_min, r_max in ((1.0, 2000.0), (5.0, math.inf), (5.0, math.nan)):
+        with pytest.raises(ValueError):
+            decay.default_r_grid(r_min, r_max)
 
 
 def test_envelope_scan_small():

@@ -227,18 +227,16 @@ def test_zero_frequency_area():
     assert fourier.chi_hat_lp(2.0, (0.0, 0.0)).value == pytest.approx(0.5, abs=5e-10)
     assert fourier.chi_hat_lp(1.0, (0.0, 0.0)).value == pytest.approx(1 / math.pi, abs=5e-10)
     assert fourier.chi_hat_lp(2.0, (0.0, 0.0)).method == "zero-frequency"
-    assert fourier.ball_area(1.5) == pytest.approx(AREA_15, abs=5e-10)
-    assert fourier.ball_area(2.0) == pytest.approx(math.pi, abs=5e-10)
-    assert fourier.ball_area(1.0) == pytest.approx(2.0, abs=5e-10)
+    # the area is 2 pi chi_hat(0)
+    for p, area in ((1.5, AREA_15), (2.0, math.pi), (1.0, 2.0)):
+        assert 2.0 * math.pi * fourier.chi_hat_lp(p, (0.0, 0.0)).value == pytest.approx(area, abs=5e-10)
 
 
 @pytest.mark.parametrize("p", [1.05, 1.1, 1.5, 1.9])
 def test_ball_area_gamma_closed_form_within_estimate(p):
     exact = 4.0 * math.gamma(1.0 + 1.0 / p) ** 2 / math.gamma(1.0 + 2.0 / p)
-    cfg = QuadConfig()
-    (res,) = fourier._slice_integrals(*fourier._lp_slices(p, cfg), [0.0], [0.0], cfg, sinc=True)
-    estimate = 4.0 * res.err_estimate
-    assert abs(fourier.ball_area(p) - exact) <= estimate
+    res = fourier.chi_hat_lp(p, (0.0, 0.0))
+    assert abs(2.0 * math.pi * res.value - exact) <= 2.0 * math.pi * res.err_estimate
 
 
 def test_chi_hat_l1_closed_fixture():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lpfourier import lpgeom
+from lpfourier.convex_probe import body_curvature_min, lp_ball_body
 from lpfourier.lpgeom import PExponent
 
 # frozen arbitrary-precision fixtures (30-digit evaluation, >= 12 significant digits)
@@ -14,13 +15,11 @@ M_15 = 2.3025196866502416
 THETA_STAR_15 = 1.0086378424376747
 MIN_CURV_15 = 0.56123102415468649
 MIN_ABS_PHI2_15 = 1.1512598433251208
-CURV_15_05 = 0.58682758512369488
 
 
 def test_pexponent_validation():
-    assert PExponent(1.0).is_diamond
-    assert PExponent(2.0).is_disk
-    assert not PExponent(1.5).is_diamond
+    assert PExponent(1).p == 1.0
+    assert lpgeom.as_p(PExponent(2.0)) == 2.0
     for bad in (0.5, 2.5, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             PExponent(bad)
@@ -40,7 +39,7 @@ def test_phi_domain():
         lpgeom.phi(1.5, -0.01)
     with pytest.raises(ValueError):
         lpgeom.phi(1.5, 1.01)
-    for f in (lpgeom.phi_d1, lpgeom.phi_d2, lpgeom.phi_d3):
+    for f in (lpgeom.phi_d1, lpgeom.phi_d2):
         for x in (0.0, 1.0):
             with pytest.raises(ValueError):
                 f(1.5, x)
@@ -74,15 +73,14 @@ def test_derivatives_match_finite_differences():
         x = rng.uniform(0.05, 0.95)
         d1_fd = (lpgeom.phi(p, x + h) - lpgeom.phi(p, x - h)) / (2 * h)
         d2_fd = (lpgeom.phi_d1(p, x + h) - lpgeom.phi_d1(p, x - h)) / (2 * h)
-        d3_fd = (lpgeom.phi_d2(p, x + h) - lpgeom.phi_d2(p, x - h)) / (2 * h)
         assert d1_fd == pytest.approx(lpgeom.phi_d1(p, x), rel=1e-6)
         assert d2_fd == pytest.approx(lpgeom.phi_d2(p, x), rel=1e-6)
-        assert d3_fd == pytest.approx(lpgeom.phi_d3(p, x), rel=1e-6)
 
 
-def test_phi_d3_overflow_reported():
+def test_phi_d2_overflow_reported():
+    # x^(p-2) overflows for a subnormal x
     with pytest.raises(OverflowError):
-        lpgeom.phi_d3(1.05, 1e-200)
+        lpgeom.phi_d2(1.01, 1e-320)
 
 
 def test_x_star():
@@ -137,23 +135,16 @@ def test_min_abs_phi2_identity():
         assert np.all(np.abs(lpgeom.phi_d2(p, grid)) >= target * (1 - 1e-10))
 
 
-def test_phi_d3_sign_change_at_xstar():
-    for p in (1.2, 1.5, 1.8):
-        xs = lpgeom.x_star(p)
-        below = np.linspace(1e-3, xs - 1e-6, 200)
-        above = np.linspace(xs + 1e-6, 1 - 1e-3, 200)
-        assert np.all(lpgeom.phi_d3(p, below) > 0)
-        assert np.all(lpgeom.phi_d3(p, above) < 0)
-
-
 def test_curvature_circle():
-    xs = np.linspace(0.01, 0.99, 25)
-    assert np.allclose(lpgeom.curvature(2.0, xs), 1.0, rtol=1e-12)
+    # the disk's curvature is 1 everywhere; the scanner reports the top point
+    nu, (x, y) = body_curvature_min(lp_ball_body(2.0))
+    assert nu == pytest.approx(lpgeom.min_curvature(2.0), rel=1e-12)
+    assert (x, y) == (0.0, 1.0)
 
 
 def test_curvature_against_circumradius_oracle():
     # independent route: circumcircle of three nearby boundary points
-    # (arc-length |gamma''|), Richardson-extrapolated
+    # (arc-length |gamma''|), Richardson-extrapolated, at the scanner's argmin
     def circum(p, x, h):
         xs = np.array([x - h, x, x + h])
         ys = np.array([lpgeom.phi(p, float(t)) for t in xs])
@@ -165,9 +156,9 @@ def test_curvature_against_circumradius_oracle():
         return 4.0 * area / (a * b * c)
 
     h = 1e-3
-    oracle = (4.0 * circum(1.5, 0.5, h / 2) - circum(1.5, 0.5, h)) / 3.0
-    assert lpgeom.curvature(1.5, 0.5) == pytest.approx(CURV_15_05, abs=1e-13)
-    assert lpgeom.curvature(1.5, 0.5) == pytest.approx(oracle, abs=1e-8)
+    nu, (x, _) = body_curvature_min(lp_ball_body(1.5))
+    oracle = (4.0 * circum(1.5, abs(x), h / 2) - circum(1.5, abs(x), h)) / 3.0
+    assert nu == pytest.approx(oracle, abs=1e-8)
 
 
 def test_min_curvature():
@@ -177,32 +168,26 @@ def test_min_curvature():
 
 
 def test_curvature_grid_minimum_and_argmin():
+    # the closed-form minimum and its place on the diagonal, against the scanner
     for p in (1.2, 1.5, 1.9):
-        xs = np.linspace(1e-6, 1 - 1e-6, 200001)
-        k = lpgeom.curvature(p, xs)
-        i = int(np.argmin(k))
-        assert k[i] == pytest.approx(lpgeom.min_curvature(p), rel=1e-6)
-        assert abs(xs[i] - 2.0 ** (-1.0 / p)) <= 1e-4
+        nu, (x, _) = body_curvature_min(lp_ball_body(p))
+        assert nu == pytest.approx(lpgeom.min_curvature(p), rel=1e-6)
+        assert abs(abs(x) - 2.0 ** (-1.0 / p)) <= 1e-4
 
 
 def test_geom_profile():
     prof = lpgeom.geom_profile(1.5)
     assert prof.min_abs_phi2 == pytest.approx(MIN_ABS_PHI2_15, abs=1e-13)
     assert prof.theta_star == pytest.approx(THETA_STAR_15, abs=1e-14)
-    assert not prof.degenerate
     # internal consistency: theta* = arctan(-1/phi'(x*))
     assert prof.theta_star == pytest.approx(
-        float(np.arctan(-1.0 / np.float64(prof.phi1_at_xstar))), abs=1e-14
+        math.atan(-1.0 / lpgeom.phi_d1(1.5, prof.x_star)), abs=1e-14
     )
     # the polar phase cos(t) x + sin(t) phi(x) is stationary at x* in direction theta*
     ct, st = math.cos(prof.theta_star), math.sin(prof.theta_star)
     assert abs(ct + st * lpgeom.phi_d1(1.5, prof.x_star)) <= 1e-10
     prof2 = lpgeom.geom_profile(2.0)
-    assert prof2.degenerate
     assert prof2.x_star == 0.0
     assert prof2.theta_star == math.pi / 2
-    # the limit convention keeps the arctan identity through signed zero
-    with np.errstate(divide="ignore"):
-        assert float(np.arctan(-1.0 / np.float64(prof2.phi1_at_xstar))) == math.pi / 2
     with pytest.raises(ValueError):
         lpgeom.geom_profile(1.0)

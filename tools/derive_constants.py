@@ -30,10 +30,6 @@ def phi_d1(p, x):
     return -(x ** (p - 1)) * (1 - x**p) ** (mp.mpf(1) / p - 1)
 
 
-def phi_d2(p, x):
-    return -(p - 1) * x ** (p - 2) * (1 - x**p) ** (mp.mpf(1) / p - 2)
-
-
 def x_star(p):
     return ((2 - p) / (p + 1)) ** (mp.mpf(1) / p)
 
@@ -56,17 +52,9 @@ def v_of_p(p):
     return 1 / (mp.sqrt(mp.pi) * mp.sin(th) ** mp.mpf(1.5) * mp.sqrt((p - 1) * m_of_p(p)))
 
 
-def curvature(p, x):
-    return abs(phi_d2(p, x)) / (1 + phi_d1(p, x) ** 2) ** mp.mpf(1.5)
-
-
 def fresnel_symmetric(m):
     # int_{-m}^m sin(x^2) dx in terms of the normalised Fresnel S
     return 2 * mp.sqrt(mp.pi / 2) * mp.fresnels(m * mp.sqrt(2 / mp.pi))
-
-
-def ball_area(p):
-    return 4 * mp.gamma(1 + 1 / p) ** 2 / mp.gamma(1 + 2 / p)
 
 
 def _legendre_monomials(n):
@@ -198,11 +186,10 @@ if __name__ == "__main__":
     show("theta_star(1.5)", theta_star(p15))
     show("(p-1) m(p) at 1.5", (p15 - 1) * m_of_p(p15))
     show("min_curvature(1.5)", (p15 - 1) * 2 ** (1 / p15 - mp.mpf("0.5")))
-    show("curvature(1.5, 0.5)", curvature(p15, mp.mpf("0.5")))
     show("base_phase(1.5)", base_phase(p15))
     show("v_of_p(1.5)", v_of_p(p15))
     show("v limit 2^(3/4)/(2 sqrt(pi))", 2 ** mp.mpf("0.75") / (2 * mp.sqrt(mp.pi)))
-    show("area(B_1.5)", ball_area(p15))
+    show("area(B_1.5)", 4 * mp.gamma(1 + 1 / p15) ** 2 / mp.gamma(1 + 2 / p15))
     show("chi_l1(pi, 2pi) = -4/(3pi^3)", -4 / (3 * mp.pi**3))
     show("sqrt(pi/2)", mp.sqrt(mp.pi / 2))
     show("sqrt(2/pi)", mp.sqrt(2 / mp.pi))
