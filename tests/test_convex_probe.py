@@ -7,7 +7,7 @@ from multiprocessing import get_context
 import numpy as np
 import pytest
 
-from lpfourier import convex_probe, fourier
+from lpfourier import convex_probe, fourier, lpgeom
 from lpfourier.convex_probe import (
     ConvexBody,
     body_curvature_min,
@@ -64,6 +64,12 @@ def test_ellipse_curvature_min():
     assert nu == pytest.approx(0.25, rel=1e-9)  # b / a^2 at (0, +-1)
     assert abs(x) <= 1e-4
     assert abs(abs(y) - 1.0) <= 1e-6
+
+
+def test_lp_body_curvature_matches_lpgeom():
+    nu, (x, _) = body_curvature_min(lp_ball_body(1.5))
+    assert nu == pytest.approx(lpgeom.min_curvature(1.5), rel=1e-6)
+    assert abs(abs(x) - 2.0 ** (-1.0 / 1.5)) <= 1e-4
 
 
 def test_body_validation_errors():
