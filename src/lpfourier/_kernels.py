@@ -97,7 +97,9 @@ def panel_sums_from_values(v, half):
     dev = np.abs(v)
     resabs = _row_sums(dev, KRONROD_WEIGHTS) * half
     width = 2.0 * half
-    mean = np.where(width > 0.0, kronrod / width, 0.0)
+    # a panel whose width underflows to 0 has mean 0; dividing only the others
+    # keeps its 0 / 0 from warning
+    mean = np.divide(kronrod, width, out=np.zeros_like(kronrod), where=width > 0.0)
     np.subtract(v, mean[:, None], out=dev)
     np.abs(dev, out=dev)
     resasc = _row_sums(dev, KRONROD_WEIGHTS) * half

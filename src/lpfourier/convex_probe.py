@@ -26,7 +26,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import fourier, lpgeom
-from .decay import ENVELOPE_UPPER_COEFF, R_MIN_ALLOWED, _batches, _ordered_map
+from .decay import ENVELOPE_UPPER_COEFF, R_MIN_ALLOWED, _polar_points, _scan
 from .fourier import TransformResult, as_frequency
 from .oscquad import QuadConfig, QuadratureBudgetError, _raised, seed_fits_budget, uniform_breaks
 
@@ -364,8 +364,8 @@ def conjecture_scan(body, r_grid=None, theta_grid=None, cfg=None, workers=1):
 
     The scan inserts the normal direction at the flattest boundary point
     (the analogue of the l^p witness direction); witness_max is the
-    largest sample along it.  The samples run in batches of
-    ``decay.BATCH_SAMPLES``, as envelope scans do.  upper_ok holds when
+    largest sample along it.  The samples run through the scan driver
+    ``decay._scan``, as envelope scans do.  upper_ok holds when
     every sample plus its scaled error estimate stays within the bound.  A
     bound violation is reported, never swallowed: upper_ok=False marks a
     counterexample candidate.
@@ -380,17 +380,14 @@ def conjecture_scan(body, r_grid=None, theta_grid=None, cfg=None, workers=1):
     if r_grid is None:
         r_grid = np.geomspace(R_MIN_ALLOWED, 500.0, 81)
     r_grid = np.asarray(r_grid, dtype=np.float64)
-    if r_grid.size == 0 or np.min(r_grid) < R_MIN_ALLOWED:
-        raise ValueError(f"r_grid must be nonempty with min >= {R_MIN_ALLOWED}")
     theta_grid = (
         default_body_theta_grid() if theta_grid is None else np.asarray(theta_grid, dtype=np.float64)
     )
     theta_w = _witness_direction(body, x_min)
     theta_grid = np.unique(np.concatenate([theta_grid, [theta_w]]))
 
-    points = [(float(r), float(t)) for r in r_grid for t in theta_grid]
-    tasks = [(body, batch, cfg) for batch in _batches(points)]
-    samples = [s for batch in _ordered_map(_body_scaled_batch, tasks, workers) for s in batch]
+    points = _polar_points(r_grid, theta_grid)
+    samples = _scan(_body_scaled_batch, body, points, cfg, workers)
     c_est = max(v for v, _ in samples)
     witness_max = max(v for (v, _), (_, t) in zip(samples, points) if t == theta_w)
     bound = ENVELOPE_UPPER_COEFF / math.sqrt(nu)

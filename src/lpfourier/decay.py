@@ -35,11 +35,9 @@ SEQUENCE_LOWER_COEFF = 2.0**1.75 * math.sqrt(math.pi)
 
 R_MIN_ALLOWED = 5.0
 _MAX_FAILED_FRACTION = 0.01
-# samples per batch of a scan: one adaptive loop, and one pool task, each.
-# Scans cut their samples into batches in task order, never by the worker
-# count, and a sample's result does not depend on its batch, so outputs are
-# the same for any worker count.  Larger batches amortise more per-call cost
-# but hold more panels at once (peak memory).
+# samples per batch of a scan (``_scan``): one adaptive loop, and one pool
+# task, each.  Larger batches amortise more per-call cost but hold more
+# panels at once (peak memory).
 BATCH_SAMPLES = 32
 # (pid, workers, pool): the process pool _ordered_map keeps between scans
 _POOL = None
@@ -133,11 +131,6 @@ def _sample_batch_worker(task):
     return scaled_samples(p, points, cfg)
 
 
-def _batches(points):
-    """points cut into consecutive batches of BATCH_SAMPLES, in order."""
-    return [points[i : i + BATCH_SAMPLES] for i in range(0, len(points), BATCH_SAMPLES)]
-
-
 def _pool(workers):
     """The process's pool of `workers` processes, built on first use.
 
@@ -197,6 +190,30 @@ def _ordered_map(fn, tasks, workers):
         raise
 
 
+def _scan(worker, subject, points, cfg, workers):
+    """The samples worker((subject, batch, cfg)) returns for points, in order.
+
+    The driver of every scan: the points are cut into batches of
+    BATCH_SAMPLES in task order, never by the worker count, each one task
+    of _ordered_map.  A sample does not depend on its batch, so the samples
+    are the same for any worker count.
+    """
+    starts = range(0, len(points), BATCH_SAMPLES)
+    tasks = [(subject, points[i : i + BATCH_SAMPLES], cfg) for i in starts]
+    return [s for batch in _ordered_map(worker, tasks, workers) for s in batch]
+
+
+def _polar_points(r_grid, theta_grid):
+    """The (r, theta) points of the polar grid as floats, r-major.
+
+    Raises ValueError unless r_grid is nonempty with min >= R_MIN_ALLOWED.
+    """
+    r_grid = np.asarray(r_grid, dtype=np.float64)
+    if r_grid.size == 0 or np.min(r_grid) < R_MIN_ALLOWED:
+        raise ValueError(f"r_grid must be nonempty with min >= {R_MIN_ALLOWED}")
+    return [(float(r), float(t)) for r in r_grid for t in theta_grid]
+
+
 def _base_phase(prof):
     """Phase psi(x*; theta*) = cos(theta*) x* + sin(theta*) phi_p(x*) at the flat point."""
     return math.cos(prof.theta_star) * prof.x_star + math.sin(prof.theta_star) * lpgeom.phi(
@@ -226,10 +243,9 @@ def witness_r_values(p, r_min, r_max):
 def envelope_scan(p, r_grid=None, theta_grid=None, cfg=None, workers=1):
     """Scan the scaled transform over a polar grid plus the witness radii.
 
-    The samples run in batches of BATCH_SAMPLES, in task order, one
-    adaptive loop (and one pool task when workers > 1) per batch.
-    Returns (c_est, samples) where c_est is the max of scaled_value over
-    all successful samples, folded in deterministic grid order.  Failed
+    The samples run through the scan driver ``_scan``.  Returns
+    (c_est, samples) where c_est is the max of scaled_value over all
+    successful samples, folded in deterministic grid order.  Failed
     samples are recorded with method 'budget-error' and excluded from the
     max; more than 1% of failures aborts the scan with
     QuadratureBudgetError.
@@ -239,8 +255,6 @@ def envelope_scan(p, r_grid=None, theta_grid=None, cfg=None, workers=1):
         raise ValueError("envelope scans need p in (1, 2]")
     cfg = cfg or QuadConfig()
     r_grid = default_r_grid() if r_grid is None else np.asarray(r_grid, dtype=np.float64)
-    if r_grid.size == 0 or np.min(r_grid) < R_MIN_ALLOWED:
-        raise ValueError(f"r_grid must be nonempty with min >= {R_MIN_ALLOWED}")
     if theta_grid is None:
         theta_grid = default_theta_grid(p)
     else:
@@ -250,13 +264,12 @@ def envelope_scan(p, r_grid=None, theta_grid=None, cfg=None, workers=1):
         if not np.any(np.abs(theta_grid - ts) < 1e-12):
             theta_grid = np.sort(np.append(theta_grid, ts))
 
-    points = [(float(r), float(t)) for r in r_grid for t in theta_grid]
+    points = _polar_points(r_grid, theta_grid)
     t_star = lpgeom.theta_star(p)
     witness = witness_r_values(p, np.min(r_grid), np.max(r_grid))
     points += [(float(rw), t_star) for rw in witness]
 
-    tasks = [(p, batch, cfg) for batch in _batches(points)]
-    samples = [s for batch in _ordered_map(_sample_batch_worker, tasks, workers) for s in batch]
+    samples = _scan(_sample_batch_worker, p, points, cfg, workers)
     failed = sum(1 for s in samples if s.method == "budget-error")
     if failed > _MAX_FAILED_FRACTION * len(samples):
         raise QuadratureBudgetError(
@@ -285,22 +298,21 @@ def stationary_sequence(p, n_min, n_max):
 def sequence_values(p, spec, cfg=None):
     """Samples along the witness sequence: list of (n, EnvelopeSample).
 
-    The samples run through scaled_samples in batches of BATCH_SAMPLES,
-    in order.  Raises QuadratureBudgetError naming the first sample that
+    The samples run through the scan driver ``_scan`` on one worker.
+    Raises QuadratureBudgetError naming the first sample, in order, that
     misses its tolerance.
     """
     p = as_p(p)
     cfg = cfg or QuadConfig()
     points = [(r, spec.theta_star) for r in spec.r_values]
     out = []
-    for batch in _batches(points):
-        for (r, _), s in zip(batch, scaled_samples(p, batch, cfg)):
-            n = round(r * spec.base_phase / (2.0 * math.pi))
-            if s.method == "budget-error":
-                raise QuadratureBudgetError(
-                    f"witness sample n={n} (r={r!r}) failed", s.scaled_value, s.err_estimate, 0
-                )
-            out.append((n, s))
+    for s in _scan(_sample_batch_worker, p, points, cfg, 1):
+        n = round(s.r * spec.base_phase / (2.0 * math.pi))
+        if s.method == "budget-error":
+            raise QuadratureBudgetError(
+                f"witness sample n={n} (r={s.r!r}) failed", s.scaled_value, s.err_estimate, 0
+            )
+        out.append((n, s))
     return out
 
 
@@ -323,6 +335,8 @@ def fit_power_law(u, v):
         raise ValueError("need at least two matching points")
     if np.any(u <= 0.0) or np.any(v <= 0.0):
         raise ValueError("power-law fit needs positive data")
+    if np.unique(u).size < 2:
+        raise ValueError("power-law fit needs at least two distinct u values")
     lx, ly = np.log(u), np.log(v)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)

@@ -331,40 +331,6 @@ def _seed_budget_error(alpha, beta, cfg):
     )
 
 
-def _slice_integrals(u, seeds, alphas, betas, cfg, sinc, roundoff_c=_PHASE_ROUNDOFF_C):
-    """int_0^w cos(alpha x) sin(beta u(x)) dx for each pair, in one engine batch.
-
-    ``u`` evaluates the graph at the nodes into a new array, and
-    ``seeds(alphas, betas, sinc)`` returns the seed partition of [0, w] of
-    each pair, or the QuadratureBudgetError of a pair it cannot seed.  With
-    ``sinc`` the integrals are the sinc form int_0^w u sinc(beta u)
-    cos(alpha x) dx.  Each entry is the engine's QuadResult plus the phase
-    floor ``roundoff_c`` (1 + alpha + beta) eps, or the
-    QuadratureBudgetError that ended it.
-    """
-    out = seeds(alphas, betas, sinc)
-    ok = [i for i, seed in enumerate(out) if not isinstance(seed, QuadratureBudgetError)]
-    # one row per integral, picked per panel row by the engine's owner index
-    a = np.array([alphas[i] for i in ok], dtype=np.float64)[:, None]
-    b = np.array([betas[i] for i in ok], dtype=np.float64)[:, None]
-    if sinc:
-
-        def f(x, owner):
-            s = u(x)
-            return s * _sin_over(b[owner] * s) * np.cos(a[owner] * x)
-
-    else:
-
-        def f(x, owner):
-            return _kernels.cos_sin_values(x, u(x), a[owner], b[owner])
-
-    for i, res in zip(ok, integrate_batch(f, [out[i] for i in ok], cfg)):
-        if not isinstance(res, QuadratureBudgetError):
-            res = _with_phase_floor(res, alphas[i] + betas[i], roundoff_c)
-        out[i] = res
-    return out
-
-
 def _slice_transforms(u, seeds, alphas, betas, cfg, roundoff_c=_PHASE_ROUNDOFF_C):
     """TransformResult of (2/(pi beta)) int_0^w cos(alpha x) sin(beta u(x)) dx per pair.
 
@@ -373,25 +339,41 @@ def _slice_transforms(u, seeds, alphas, betas, cfg, roundoff_c=_PHASE_ROUNDOFF_C
     included, the slice is integrated in its sinc form
     (2/pi) int_0^w u sinc(beta u) cos(alpha x) dx: the factor 2/(pi beta)
     of the sine form would magnify the integral's error there, and overflow
-    for subnormal beta.  Each form is one ``_slice_integrals`` batch; a
-    failed pair is its QuadratureBudgetError.
+    for subnormal beta.
+
+    ``u`` evaluates the graph at the nodes into a new array, and
+    ``seeds(alphas, betas, sinc)`` returns the seed partition of [0, w] of
+    each pair of a form, or the QuadratureBudgetError of a pair it cannot
+    seed.  Each form is one ``integrate_batch`` call, whose estimates gain
+    the phase floor ``roundoff_c`` (1 + alpha + beta) eps before the scale
+    2/pi or 2/(pi beta).  A failed pair is its QuadratureBudgetError.
     """
     out = [None] * len(betas)
-    small = [i for i, beta in enumerate(betas) if beta < 2.0 / math.pi]
-    large = [i for i, beta in enumerate(betas) if not beta < 2.0 / math.pi]
-    for group, sinc in ((small, True), (large, False)):
+    for sinc in (True, False):
+        group = [i for i, beta in enumerate(betas) if (beta < 2.0 / math.pi) == sinc]
         if not group:
             continue
-        group_a = [alphas[i] for i in group]
-        group_b = [betas[i] for i in group]
-        parts = _slice_integrals(u, seeds, group_a, group_b, cfg, sinc, roundoff_c)
-        for i, res in zip(group, parts):
-            if isinstance(res, QuadratureBudgetError):
-                out[i] = res
-                continue
-            scale = 2.0 / math.pi if sinc else 2.0 / (math.pi * betas[i])
-            method = "zero-frequency" if alphas[i] == 0.0 and betas[i] == 0.0 else "reduction-x"
-            out[i] = TransformResult(scale * res.value, scale * res.err_estimate, method)
+        seeded = seeds([alphas[i] for i in group], [betas[i] for i in group], sinc)
+        for i, seed in zip(group, seeded):
+            out[i] = seed
+        ok = [i for i in group if not isinstance(out[i], QuadratureBudgetError)]
+        # one row per integral, picked per panel row by the engine's owner index
+        a = np.array([alphas[i] for i in ok], dtype=np.float64)[:, None]
+        b = np.array([betas[i] for i in ok], dtype=np.float64)[:, None]
+
+        def f(x, owner):
+            s = u(x)
+            if sinc:
+                return s * _sin_over(b[owner] * s) * np.cos(a[owner] * x)
+            return _kernels.cos_sin_values(x, s, a[owner], b[owner])
+
+        for i, res in zip(ok, integrate_batch(f, [out[i] for i in ok], cfg)):
+            if not isinstance(res, QuadratureBudgetError):
+                res = _with_phase_floor(res, alphas[i] + betas[i], roundoff_c)
+                scale = 2.0 / math.pi if sinc else 2.0 / (math.pi * betas[i])
+                method = "zero-frequency" if alphas[i] == 0.0 and betas[i] == 0.0 else "reduction-x"
+                res = TransformResult(scale * res.value, scale * res.err_estimate, method)
+            out[i] = res
     return out
 
 

@@ -69,8 +69,8 @@ class QuadConfig:
     max_panels: int = 2**20
 
     def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
         if self.max_panels < 1:
             raise ValueError("max_panels must be at least 1")
 

@@ -192,8 +192,19 @@ def test_fit_json(tmp_path):
     assert payload["config"]["p_list"] == [1.05, 1.1, 1.2, 1.3, 1.4]
 
 
-def test_fit_usage_error():
+def test_fit_usage_error(capsys):
     assert run_cli(["fit", "--p-list", "1.1,1.2"]) == 2
+    # four copies of one exponent leave the slope undetermined
+    assert run_cli(["fit", "--p-list", "1.1,1.1,1.1,1.1", "--n-ref", "5"]) == 2
+    assert "distinct" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--abs-tol", "--rel-tol"])
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_non_finite_tolerance_is_usage_error(capsys, flag, bad):
+    args = ["transform", "--p", "1.5", "--alpha", "3", "--beta", "4", flag, bad]
+    assert run_cli(args) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 DISK_SPEC = {"label": "disk", "kind": "ellipse", "params": {"a": 1, "b": 1}}

@@ -11,7 +11,7 @@ from multiprocessing import get_all_start_methods, get_context
 import numpy as np
 import pytest
 
-from lpfourier import decay, fourier, lpgeom
+from lpfourier import convex_probe, decay, fourier, lpgeom
 from lpfourier.oscquad import QuadConfig, QuadratureBudgetError
 
 V_15 = 0.67561732204588437
@@ -137,6 +137,9 @@ def test_fit_power_law():
         decay.fit_power_law([1.0], [1.0])
     with pytest.raises(ValueError):
         decay.fit_power_law([1.0, -2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 1.0])
+    # one distinct abscissa leaves the slope undetermined
+    with pytest.raises(ValueError, match="distinct"):
+        decay.fit_power_law([0.1, 0.1, 0.1, 0.1], [1.0, 2.0, 3.0, 4.0])
 
 
 def test_blowup_fit_validation():
@@ -281,6 +284,16 @@ def test_scans_reject_nonpositive_workers():
             decay._ordered_map(abs, [1.0], workers)
         with pytest.raises(ValueError, match="workers"):
             decay.envelope_scan(1.5, [5.0], [1.0], workers=workers)
+
+
+@pytest.mark.parametrize("scan", ["envelope", "conjecture"])
+@pytest.mark.parametrize("r_grid", [[], [4.0, 10.0]])
+def test_scans_share_the_r_grid_check(scan, r_grid):
+    with pytest.raises(ValueError, match="r_grid must be nonempty with min >= 5"):
+        if scan == "envelope":
+            decay.envelope_scan(1.5, r_grid, [1.0])
+        else:
+            convex_probe.conjecture_scan(convex_probe.disk_body(), r_grid, [1.0])
 
 
 def test_envelope_samples_do_not_depend_on_batching(monkeypatch):

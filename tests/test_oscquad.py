@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,11 @@ def test_initial_breaks_validation():
 def test_quadconfig_validation():
     with pytest.raises(ValueError):
         QuadConfig(abs_tol=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            QuadConfig(abs_tol=bad)
+        with pytest.raises(ValueError, match="finite"):
+            QuadConfig(rel_tol=bad)
     with pytest.raises(ValueError):
         QuadConfig(max_panels=0)
 
@@ -257,6 +263,13 @@ def test_fresnel_edges():
     # an interval one ulp wide still gets a partition of distinct breaks
     m = float(np.nextafter(4.0, 5.0))
     assert uniform_breaks(4.0, m, 2.0 * m).tolist() == [4.0, m]
+
+
+def test_fresnel_zero_width_panel_is_quiet():
+    # the one panel on [0, 5e-324] has a half-width that underflows to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fresnel_symmetric(5e-324) == 0.0
 
 
 def test_fresnel_tail_bound():
