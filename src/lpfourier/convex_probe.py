@@ -285,7 +285,8 @@ def _body_slices(body, omegas, cfg):
 
     alphas = [abs(o.alpha) for o in omegas]
     betas = [abs(o.beta) for o in omegas]
-    # no phase floor: its derivation counts the roundings of phi_p
+    # no phase floor: its derivation counts the roundings of phi_p, and
+    # fourier._with_phase_floor says why the kernel's cos term needs none here
     return fourier._slice_transforms(body.upper, seeds, alphas, betas, cfg, 0.0)
 
 

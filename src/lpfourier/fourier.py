@@ -312,11 +312,34 @@ def _with_phase_floor(res, rate, c=_PHASE_ROUNDOFF_C):
     each), the phase is off by at most 6 rate eps.  The rounded node is
     within 1.5 eps of the exact one, which moves the phase by
     1.5 eps |phase'|, and int_0^1 |phase'| <= rate as phi_p falls
-    monotonically from 1 to 0.  Each node value is therefore off by at
-    most 7.5 rate eps beyond the relative part, and the rule's weights,
-    positive and summing to the length 1 of [0, 1], carry that bound to
-    the integral.  The floor is added after the engine returns, so it
-    never changes the refinement.
+    monotonically from 1 to 0: 7.5 rate eps in all.
+
+    The kernels take the trig factors from t = tan(A/2) (``_kernels``).
+    The half angle is the rounded phase times 1/2, exactly, so the count
+    above stands.  tan at 1 ulp returns t (1 + d) with |d| <= eps, which is
+    tan of the half angle moved by d sin(A)/2 to first order: a phase error
+    of at most eps, whatever the rate.  The rational map then rounds
+    t^2, 1 + t^2 and the quotient.  On sin A = t/(1 + t^2) * 2 those are
+    relative errors, inside the engine's floor.  On
+    cos A = 2/(1 + t^2) - 1 they make w = 2/(1 + t^2) off by at most
+    1.5 eps relative, that is 3 eps absolute as w <= 2; the final - 1 is
+    exact where w >= 1/2 (Sterbenz), which holds around the zeros of cos,
+    and elsewhere rounds by 0.5 eps relative.  The cos factor multiplies
+    |sin(beta phi_p)| <= 1, or phi_p sinc <= 1 in the sinc form.  Each
+    node value is therefore off by at most 7.5 rate eps + 4 eps beyond the
+    relative part, within 8 (1 + rate) eps, so c stays 8.  The rule's
+    weights, positive and summing to the length 1 of [0, 1], carry that
+    bound to the integral.  The floor is added after the engine returns,
+    so it never changes the refinement.
+
+    Body slices add no floor (``convex_probe``): their graph's roundings
+    are not counted here.  Their cos term of 4 eps |sin(beta u)| is within
+    the engine's 50 eps resabs node by node wherever |cos(alpha x)| >= 0.08;
+    it exceeds it only within about 0.08 rad of a zero of cos(alpha x).
+    There it is no larger than the rounding of a phase of size 8, which
+    that path already leaves to the engine's floor, and
+    ``tools/calibrate.py`` checks the result on a poly body and two
+    superellipses.
     """
     floor = c * (1.0 + rate) * math.ulp(1.0)
     return QuadResult(res.value, res.err_estimate + floor, res.panels_used)
@@ -361,11 +384,10 @@ def _slice_transforms(u, seeds, alphas, betas, cfg, roundoff_c=_PHASE_ROUNDOFF_C
         a = np.array([alphas[i] for i in ok], dtype=np.float64)[:, None]
         b = np.array([betas[i] for i in ok], dtype=np.float64)[:, None]
 
+        kernel = _kernels.cos_sinc_values if sinc else _kernels.cos_sin_values
+
         def f(x, owner):
-            s = u(x)
-            if sinc:
-                return s * _sin_over(b[owner] * s) * np.cos(a[owner] * x)
-            return _kernels.cos_sin_values(x, s, a[owner], b[owner])
+            return kernel(x, u(x), a[owner], b[owner])
 
         for i, res in zip(ok, integrate_batch(f, [out[i] for i in ok], cfg)):
             if not isinstance(res, QuadratureBudgetError):
@@ -432,9 +454,12 @@ def chi_hat_lp_via_y(p, omega, cfg=None):
 def psi_split_integrals(p, r, theta, cfg=None):
     """The two polar-split integrals (int sin(r psi), int sin(r psi~)).
 
-    Shares the graded partition of the reduction path; the two pieces
-    are what the stationary-phase analysis bounds separately.  Each
-    estimate carries the phase-roundoff floor at rate r (|cos t| + |sin t|).
+    Both run in one ``integrate_batch`` call on one seed, the graded
+    partition of the reduction path, with the sign of cos t in psi and
+    psi~ as a per-row column; each result is bitwise the one the integral
+    gets alone.  The two pieces are what the stationary-phase analysis
+    bounds separately.  Each estimate carries the phase-roundoff floor at
+    rate r (|cos t| + |sin t|).
     """
     p = as_p(p)
     cfg = cfg or QuadConfig()
@@ -443,20 +468,20 @@ def psi_split_integrals(p, r, theta, cfg=None):
     if r <= 0.0:
         raise ValueError("need r > 0")
     ct, st = math.cos(theta), math.sin(theta)
-    alpha, beta = r * ct, r * st
-    breaks = lp_initial_breaks(p, abs(alpha), abs(beta), cfg)
+    breaks = _raised(lp_initial_breaks_batch(p, [abs(r * ct)], [abs(r * st)], cfg)[0])
+    signs = np.array([[1.0], [-1.0]])
+
+    def f(x, owner):
+        return _kernels.lp_phase_sin_values(x, p, r, ct, st, signs[owner])
+
+    rate = r * (abs(ct) + abs(st))
     return tuple(
-        _with_phase_floor(
-            integrate_oscillatory(
-                lambda x, s=sign: _kernels.lp_phase_sin_values(x, p, r, ct, st, s), breaks, cfg
-            ),
-            r * (abs(ct) + abs(st)),
-        )
-        for sign in (1.0, -1.0)
+        _with_phase_floor(_raised(res), rate) for res in integrate_batch(f, [breaks, breaks], cfg)
     )
 
 
 def _sin_over(x):
+    # sin(x)/x by libm, 1 at 0: the closed form stays off the kernels it checks
     x = np.asarray(x, dtype=np.float64)
     out = np.ones_like(x)
     nz = x != 0.0
@@ -494,7 +519,8 @@ def bruteforce_parts(p, omega):
     directions on a fixed, symmetric partition of [-1, 1] with geometric
     refinement toward the slope singularities at x = +-1.  Returns
     (real part, imaginary part); no symmetry reduction is applied, so the
-    imaginary part is an honest numerical zero.
+    imaginary part is an honest numerical zero.  The trig factors are
+    libm's sin and cos, not the package's half-angle kernels.
 
     Certified for |omega| <= 50 only.
     """
@@ -537,7 +563,9 @@ def bessel_j1_oracle(r):
     """J1(r) from the integral representation (1/pi) int_0^pi cos(t - r sin t) dt.
 
     Deliberately not a closed-form or library evaluation: an independent
-    route for the disk cross-check, run at its own tight tolerances.
+    route for the disk cross-check, run at its own tight tolerances.  Its
+    integrand keeps libm's sin and cos, not the half-angle kernels it
+    checks.
     """
     r = float(r)
     breaks = uniform_breaks(0.0, math.pi, 1.0 + abs(r), _J1_CFG)
@@ -549,7 +577,8 @@ def chi_hat_disk_oracle(r):
     """Disk transform J1(r)/r = (1/pi) int_0^pi cos(r cos t) sin(t)^2 dt (Poisson).
 
     The integral carries no division by r, so small r keeps its accuracy;
-    like ``bessel_j1_oracle``, an independent route at tight tolerances.
+    like ``bessel_j1_oracle``, an independent route at tight tolerances,
+    on libm's sin and cos.
     """
     r = float(r)
     breaks = uniform_breaks(0.0, math.pi, abs(r), _J1_CFG)

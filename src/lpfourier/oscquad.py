@@ -370,7 +370,8 @@ def fresnel_symmetric(m):
     """int_{-m}^{m} sin(x^2) dx; tends to sqrt(pi/2) with an O(1/m) tail.
 
     Twice the engine's integral over [0, m], seeded at the largest phase
-    rate 2m.
+    rate 2m.  The integrand is libm's sin, so that this check of the
+    engine does not share the half-angle trig of the lp kernels.
     """
     m = float(m)
     if not (m >= 0.0 and math.isfinite(m)):

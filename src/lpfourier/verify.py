@@ -4,7 +4,9 @@
 budget).  A check returns (passed, detail); ``run_criterion`` times it,
 applies the budget and builds the CriterionResult, and run_suite prints
 one pass/fail line per criterion.  All randomness is seeded, so a suite
-is a deterministic measurement.
+is a deterministic measurement.  The integrands written here (the van der
+Corput and quadratic phases) use libm's sin, not the half-angle kernels of
+``_kernels``, so they stay independent checks of them.
 """
 
 import math

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lpfourier import fourier, lpgeom
+from lpfourier import _kernels, fourier, lpgeom
 from lpfourier.fourier import Frequency, as_frequency, reduce_symmetry
 from lpfourier.oscquad import WAVELENGTHS_PER_PANEL, QuadConfig, QuadratureBudgetError
 
@@ -408,11 +408,28 @@ def test_polar_split_consistency():
 
 def test_polar_rejects_bad_angle_before_integrating(monkeypatch):
     calls = []
-    monkeypatch.setattr(fourier, "integrate_oscillatory", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(fourier, "integrate_batch", lambda *a, **k: calls.append(a))
     for theta in (0.0, -0.7, -math.pi / 2):
         with pytest.raises(ValueError, match="sin"):
             _chi_hat_polar(1.5, 5e4, theta)
     assert calls == []
+
+
+def test_psi_split_batch_matches_single_calls_bitwise():
+    # the one batch over +- gives each integral the bits it gets alone, on the
+    # seed of the reduction path, plus the phase floor
+    for p, r, theta in ((1.5, 20.0, 1.0), (1.1, 3e3, 0.8), (2.0, 5e4, 1.3), (1.3, 700.0, 2.5)):
+        ct, st = math.cos(theta), math.sin(theta)
+        breaks = fourier.lp_initial_breaks(p, abs(r * ct), abs(r * st), QuadConfig())
+        got = fourier.psi_split_integrals(p, r, theta)
+        for sign, part in zip((1.0, -1.0), got):
+            alone = fourier.integrate_oscillatory(
+                lambda x: _kernels.lp_phase_sin_values(x, p, r, ct, st, sign), breaks
+            )
+            want = fourier._with_phase_floor(alone, r * (abs(ct) + abs(st)))
+            assert (part.value.hex(), part.err_estimate.hex(), part.panels_used) == (
+                want.value.hex(), want.err_estimate.hex(), want.panels_used
+            ), (p, r, theta, sign)
 
 
 def test_psi_tilde_correction_is_small():

@@ -38,6 +38,10 @@ References:
   (in its sinc form below beta = 2/pi); the reference differs in its
   partition and its 25-digit arithmetic.
 
+The references evaluate sin and cos in mpmath (and the ellipse's J1 by
+``mpmath.besselj``), never through the package's half-angle kernels, so
+they stay an independent check of them.
+
 Every reference is computed at the exact double frequency the package
 receives; on the scaling route that is the rounded pair (a alpha, b beta)
 handed to ``chi_hat_lp``.  Requires mpmath (the dev extra).
