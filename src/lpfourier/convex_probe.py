@@ -27,8 +27,8 @@ import numpy as np
 
 from . import fourier, lpgeom
 from .decay import ENVELOPE_UPPER_COEFF, R_MIN_ALLOWED, _polar_points, _scan
-from .fourier import TransformResult, as_frequency
-from .oscquad import QuadConfig, QuadratureBudgetError, _raised, seed_fits_budget, uniform_breaks
+from .fourier import TransformResult
+from .oscquad import QuadConfig, QuadratureBudgetError, _raised
 
 # phases built from body graphs inherit the slope blow-up at the endpoints;
 # steeper rates are left to adaptive bisection
@@ -261,30 +261,29 @@ def chi_hat_body_parts(body, omega, cfg=None):
     beta = 2/pi).  This slices any body, a superellipse too, which
     ``chi_hat_body`` sends through the l^q reduction instead.
     """
-    res = _raised(_body_slices(body, [as_frequency(omega)], cfg or QuadConfig())[0])
+    res = _raised(_body_slices(body, fourier._components([omega]), cfg or QuadConfig())[0])
     return res.value, res.err_estimate
 
 
-def _body_seed(body, alpha, beta, cfg):
-    # uniform on [0, w] at the phase rate alpha + beta * (bulk slope); a rate
-    # whose uniform seed would need more than max_panels panels (an overflow
-    # included) fails here, before any panel is evaluated
+def _body_slices(body, ab, cfg):
+    # chi_hat_body_parts at each row (alpha, beta) of ab as a TransformResult,
+    # in one engine batch per slice form; a failed entry is its
+    # QuadratureBudgetError.  The transform is even in alpha and beta, so it
+    # runs at |alpha|, |beta|
     w = body.half_width
-    rate = alpha + beta * body._slope_scale
-    if not seed_fits_budget(w, rate, cfg):
-        return fourier._seed_budget_error(alpha, beta, cfg)
-    return uniform_breaks(0.0, w, rate, cfg)
 
-
-def _body_slices(body, omegas, cfg):
-    # chi_hat_body_parts at each omega as a TransformResult, in one engine
-    # batch per slice form; a failed entry is its QuadratureBudgetError.  The
-    # transform is even in alpha and beta, so it runs at |alpha|, |beta|
     def seeds(alphas, betas, sinc):
-        return [_body_seed(body, alpha, beta, cfg) for alpha, beta in zip(alphas, betas)]
+        # uniform on [0, w] at the phase rate alpha + beta * (bulk slope),
+        # bitwise uniform_breaks; a rate whose seed would need more than
+        # max_panels panels fails before any panel is evaluated
+        with np.errstate(over="ignore"):
+            rates = alphas + betas * body._slope_scale
+        out, ok, counts = fourier._seed_counts(alphas, betas, rates, w, cfg)
+        for i, n in zip(ok.tolist(), counts.tolist()):
+            out[i] = np.linspace(0.0, w, n + 1)
+        return out
 
-    alphas = [abs(o.alpha) for o in omegas]
-    betas = [abs(o.beta) for o in omegas]
+    alphas, betas = np.abs(ab).T
     # no phase floor: its derivation counts the roundings of phi_p, and
     # fourier._with_phase_floor says why the kernel's cos term needs none here
     return fourier._slice_transforms(body.upper, seeds, alphas, betas, cfg, 0.0)
@@ -297,16 +296,19 @@ def chi_hat_body_batch(body, omegas, cfg=None):
     ``chi_hat_body`` returns, or the QuadratureBudgetError that ended it.
     """
     cfg = cfg or QuadConfig()
-    omegas = [as_frequency(omega) for omega in omegas]
+    ab = fourier._components(omegas)
     if body.superellipse is not None:
         a, b, q = body.superellipse
-        scaled = fourier.chi_hat_lp_batch(q, [(a * o.alpha, b * o.beta) for o in omegas], cfg)
+        # an overflowing product is the non-finite frequency chi_hat_lp_batch rejects
+        with np.errstate(over="ignore"):
+            scaled_ab = ab * (a, b)
+        scaled = fourier.chi_hat_lp_batch(q, scaled_ab, cfg)
         return [
             res if isinstance(res, QuadratureBudgetError)
             else TransformResult(a * b * res.value, a * b * res.err_estimate, res.method)
             for res in scaled
         ]
-    return _body_slices(body, omegas, cfg)
+    return _body_slices(body, ab, cfg)
 
 
 def chi_hat_body(body, omega, cfg=None):

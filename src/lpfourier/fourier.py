@@ -48,6 +48,13 @@ _BRUTEFORCE_MAX_FREQ = 50.0
 _BRUTEFORCE_PANELS = 250
 # c of the phase-roundoff floor c (1 + rate) eps; see _with_phase_floor
 _PHASE_ROUNDOFF_C = 8.0
+# ratio of the end grading of the lp seed (lp_initial_breaks): graded panels
+# are [a, 8 a] toward x = 0 and [t/8, t], t = 1 - x, toward x = 1.  On them
+# the QUADPACK estimate of phi_p's end models x^p and t^(1/p), 1 < p < 2,
+# stays at its floor 50 eps resabs (K31 error below 3e-21 of resabs); at
+# ratio 16 the tail's leaves it.  README § Numerical notes has the table,
+# with phase on the panel too (tools/derive_constants.py, grading_ratio_table)
+GRADING_RATIO = 8
 
 
 @dataclass(frozen=True)
@@ -92,11 +99,27 @@ def reduce_symmetry(omega):
     Value-preserving: the transform is even in each argument and
     symmetric under swapping them.
     """
-    omega = as_frequency(omega)
-    a, b = abs(omega.alpha), abs(omega.beta)
-    if a > b:
-        a, b = b, a
+    (a,), (b,) = _octant([omega])
     return Frequency.from_cartesian(a, b)
+
+
+def _octant(omegas):
+    """(alphas, betas) of the canonical 0 <= alpha <= beta of each of omegas, as arrays."""
+    ab = np.abs(_components(omegas))
+    return ab.min(axis=1), ab.max(axis=1)
+
+
+def _components(omegas):
+    """The (alpha, beta) of each of omegas, Frequency objects or pairs, as an (n, 2) array.
+
+    Raises ValueError for a non-finite component, as ``Frequency`` does.
+    """
+    if not isinstance(omegas, np.ndarray):
+        omegas = [(w.alpha, w.beta) if isinstance(w, Frequency) else tuple(w) for w in omegas]
+    ab = np.asarray(omegas, dtype=np.float64).reshape(-1, 2)
+    if not np.all(np.isfinite(ab)):
+        raise ValueError("frequency components must be finite")
+    return ab
 
 
 @dataclass(frozen=True)
@@ -107,12 +130,12 @@ class TransformResult:
 
 
 def lp_head_grading(p, beta, h, cfg):
-    """Breaks h 2^-k, k = K..1 (ascending), grading the seed panel [0, h] toward x = 0.
+    """Breaks h 8^-k, k = K..1 (ascending), grading the seed panel [0, h] toward x = 0.
 
-    Near x = 0, phi_p = 1 - x^p/p + ..., an x^p cusp for 1 < p < 2, so
-    sin(beta phi_p) on [0, e] differs from a smooth function by at most
-    beta e^(p+1).  K is the smallest k >= 0 with
-    beta (h 2^-k)^(p+1) <= 0.1 abs_tol: the end panel's whole cusp
+    The ratio 8 is ``GRADING_RATIO``.  Near x = 0, phi_p = 1 - x^p/p + ...,
+    an x^p cusp for 1 < p < 2, so sin(beta phi_p) on [0, e] differs from a
+    smooth function by at most beta e^(p+1).  K is the smallest k >= 0 with
+    beta (h 8^-k)^(p+1) <= 0.1 abs_tol: the end panel's whole cusp
     contribution is then negligible against the tolerance.  Empty unless
     1 < p < 2 and beta > 0 (phi_1 is linear and phi_2 smooth at 0).
     """
@@ -122,16 +145,17 @@ def lp_head_grading(p, beta, h, cfg):
     e = p + 1.0
 
     def done(k):
-        return beta * (h * 2.0**-k) ** e <= target
+        return beta * (h * GRADING_RATIO**-k) ** e <= target
 
     # K from log2, differenced so that a huge beta / target cannot overflow;
     # rounding can put the ceiling one off either way
-    k = max(0, math.ceil((math.log2(beta) - math.log2(target)) / e + math.log2(h)))
+    log2_k = (math.log2(beta) - math.log2(target)) / e + math.log2(h)
+    k = max(0, math.ceil(log2_k / math.log2(GRADING_RATIO)))
     if not done(k):
         k += 1
     elif k > 0 and done(k - 1):
         k -= 1
-    return h * 2.0 ** -np.arange(k, 0.0, -1.0)
+    return h * float(GRADING_RATIO) ** -np.arange(k, 0.0, -1.0)
 
 
 def lp_initial_breaks(p, alpha, beta, cfg):
@@ -150,14 +174,16 @@ def lp_initial_breaks(p, alpha, beta, cfg):
     both ends of [0, 1], where phi_p is not smooth, starting from the
     first and last V-breaks.
 
-    Toward x = 1 (slope blow-up of phi_p): halve the last panel until the
-    remaining phase variation beta*phi(a) + alpha*(1-a) over it drops
-    below pi/2, then further until the crude tail bound
-    beta*phi(a)*(1-a) is below 0.1 abs_tol.
+    Toward x = 1 (slope blow-up of phi_p): cut the last panel [a, 1] at
+    1 - (1 - a)/8, and again on the rest, until the remaining phase
+    variation beta*phi(a) + alpha*(1-a) over [a, 1] drops below pi/2 and
+    the crude tail bound beta*phi(a)*(1-a) is below 0.1 abs_tol.
 
-    Toward x = 0 (the x^p cusp, 1 < p < 2 only): halve the first panel,
-    of width h, down to h 2^-K for the smallest K with
-    beta (h 2^-K)^(p+1) <= 0.1 abs_tol (``lp_head_grading``).
+    Toward x = 0 (the x^p cusp, 1 < p < 2 only): grade the first panel,
+    of width h, by h 8^-k down to h 8^-K for the smallest K with
+    beta (h 8^-K)^(p+1) <= 0.1 abs_tol (``lp_head_grading``).
+
+    The ratio 8 of both gradings is ``GRADING_RATIO``.
 
     Both stages keep the endpoint singularities of phi out of the error
     estimator's blind spot: each end panel contributes less than the
@@ -240,26 +266,21 @@ def lp_initial_breaks_batch(p, alphas, betas, cfg):
     ``lp_initial_breaks`` whatever the batch, or the QuadratureBudgetError
     of a rate it cannot seed within ``cfg.max_panels``.  The V-points of
     all pairs are one ``lp_v_points`` call, and the tail test runs over the
-    batch as array operations: the candidates a <- (a + 1)/2 run from the
-    last V-point until 1 - a <= 1e-13, at most 44 steps as 1 - a halves
-    from below 1.
+    batch as array operations: the candidates a <- 1 - (1 - a)/8 run from
+    the last V-point until 1 - a <= 1e-13, at most 15 steps as 1 - a falls
+    by 8 from below 1.
     """
     p = as_p(p)
     alphas = np.abs(np.asarray(alphas, dtype=np.float64))
     betas = np.abs(np.asarray(betas, dtype=np.float64))
     with np.errstate(over="ignore"):
         rates = alphas + betas
-    # a rate whose V-steps alone would need more than max_panels panels (an
-    # overflow included) fails here, before its V-points are built
-    seedable = seed_fits_budget(1.0, rates, cfg)
-    out = [None] * rates.size
-    for i in np.flatnonzero(~seedable):
-        out[i] = _seed_budget_error(alphas[i], betas[i], cfg)
-    ok = np.flatnonzero(seedable)
+    # a rate whose V-steps alone would need more than max_panels panels fails
+    # here, before its V-points are built
+    out, ok, n = _seed_counts(alphas, betas, rates, 1.0, cfg)
     if ok.size == 0:
         return out
     alphas, betas = alphas[ok], betas[ok]
-    n = uniform_panel_counts(0.0, 1.0, rates[ok], cfg)
     # V-points k = 1..n-1 of all pairs in one array
     counts = n - 1
     firsts = np.cumsum(counts) - counts
@@ -268,15 +289,16 @@ def lp_initial_breaks_batch(p, alphas, betas, cfg):
         p, np.repeat(alphas, counts), np.repeat(betas, counts), k, np.repeat(n, counts)
     )
     # tail candidates, one row per pair; columns past a row's last candidate
-    # are computed but never used.  The rounded map a -> (a + 1)/2 keeps the
-    # order of the rows, so the row of the smallest start needs the most steps
+    # are computed but never used.  The rounded map a -> 1 - (1 - a)/8 keeps
+    # the order of the rows, so the row of the smallest start needs the most
+    # steps
     start = np.zeros(counts.size)  # the last V-point, or 0 without one
     start[counts > 0] = interior[(firsts + counts - 1)[counts > 0]]
     cols = [start]
     lowest = float(cols[0].min())
     while 1.0 - lowest > 1e-13:
-        lowest = 0.5 * (lowest + 1.0)
-        cols.append(0.5 * (cols[-1] + 1.0))
+        lowest = 1.0 - (1.0 - lowest) / GRADING_RATIO
+        cols.append(1.0 - (1.0 - cols[-1]) / GRADING_RATIO)
     tail = np.stack(cols, axis=1)
     # test every candidate but a row's last at once; the first one meeting
     # both conditions ends the grading, otherwise all candidates are kept
@@ -345,13 +367,25 @@ def _with_phase_floor(res, rate, c=_PHASE_ROUNDOFF_C):
     return QuadResult(res.value, res.err_estimate + floor, res.panels_used)
 
 
-def _seed_budget_error(alpha, beta, cfg):
-    # the failure of a frequency whose seed partition cannot fit the budget
-    return QuadratureBudgetError(
-        f"the seed partition for |omega| = {math.hypot(alpha, beta):.3e} "
-        f"exceeds max_panels = {cfg.max_panels}",
-        0.0, math.inf, 0,
-    )
+def _seed_counts(alphas, betas, rates, length, cfg):
+    """(out, ok, n) for a batch of seeds of [0, length] at the phase rates ``rates``.
+
+    ``out`` has one entry per pair: the QuadratureBudgetError naming
+    |omega| = hypot(alpha, beta) of a rate whose uniform panel count would
+    exceed ``cfg.max_panels`` (an overflowing rate included), None for the
+    others; ``ok`` holds the indices of the others and ``n`` their counts
+    ``uniform_panel_counts(0, length, rates[ok], cfg)``.
+    """
+    seedable = seed_fits_budget(length, rates, cfg)
+    out = [None] * rates.size
+    for i in np.flatnonzero(~seedable):
+        out[i] = QuadratureBudgetError(
+            f"the seed partition for |omega| = {math.hypot(alphas[i], betas[i]):.3e} "
+            f"exceeds max_panels = {cfg.max_panels}",
+            0.0, math.inf, 0,
+        )
+    ok = np.flatnonzero(seedable)
+    return out, ok, uniform_panel_counts(0.0, length, rates[ok], cfg)
 
 
 def _slice_transforms(u, seeds, alphas, betas, cfg, roundoff_c=_PHASE_ROUNDOFF_C):
@@ -364,25 +398,27 @@ def _slice_transforms(u, seeds, alphas, betas, cfg, roundoff_c=_PHASE_ROUNDOFF_C
     of the sine form would magnify the integral's error there, and overflow
     for subnormal beta.
 
-    ``u`` evaluates the graph at the nodes into a new array, and
-    ``seeds(alphas, betas, sinc)`` returns the seed partition of [0, w] of
-    each pair of a form, or the QuadratureBudgetError of a pair it cannot
+    ``alphas`` and ``betas`` are float arrays.  ``u`` evaluates the graph
+    at the nodes into a new array, and ``seeds(alphas, betas, sinc)``
+    returns, for the arrays of the pairs of a form, the seed partition of
+    [0, w] of each pair, or the QuadratureBudgetError of a pair it cannot
     seed.  Each form is one ``integrate_batch`` call, whose estimates gain
     the phase floor ``roundoff_c`` (1 + alpha + beta) eps before the scale
     2/pi or 2/(pi beta).  A failed pair is its QuadratureBudgetError.
     """
-    out = [None] * len(betas)
+    out = [None] * betas.size
+    # the scalar arithmetic below runs on Python floats
+    alpha_list, beta_list = alphas.tolist(), betas.tolist()
     for sinc in (True, False):
-        group = [i for i, beta in enumerate(betas) if (beta < 2.0 / math.pi) == sinc]
-        if not group:
+        group = np.flatnonzero((betas < 2.0 / math.pi) == sinc)
+        if group.size == 0:
             continue
-        seeded = seeds([alphas[i] for i in group], [betas[i] for i in group], sinc)
-        for i, seed in zip(group, seeded):
+        for i, seed in zip(group.tolist(), seeds(alphas[group], betas[group], sinc)):
             out[i] = seed
-        ok = [i for i in group if not isinstance(out[i], QuadratureBudgetError)]
+        ok = [i for i in group.tolist() if not isinstance(out[i], QuadratureBudgetError)]
         # one row per integral, picked per panel row by the engine's owner index
-        a = np.array([alphas[i] for i in ok], dtype=np.float64)[:, None]
-        b = np.array([betas[i] for i in ok], dtype=np.float64)[:, None]
+        a = alphas[ok][:, None]
+        b = betas[ok][:, None]
 
         kernel = _kernels.cos_sinc_values if sinc else _kernels.cos_sin_values
 
@@ -391,9 +427,10 @@ def _slice_transforms(u, seeds, alphas, betas, cfg, roundoff_c=_PHASE_ROUNDOFF_C
 
         for i, res in zip(ok, integrate_batch(f, [out[i] for i in ok], cfg)):
             if not isinstance(res, QuadratureBudgetError):
-                res = _with_phase_floor(res, alphas[i] + betas[i], roundoff_c)
-                scale = 2.0 / math.pi if sinc else 2.0 / (math.pi * betas[i])
-                method = "zero-frequency" if alphas[i] == 0.0 and betas[i] == 0.0 else "reduction-x"
+                alpha, beta = alpha_list[i], beta_list[i]
+                res = _with_phase_floor(res, alpha + beta, roundoff_c)
+                scale = 2.0 / math.pi if sinc else 2.0 / (math.pi * beta)
+                method = "zero-frequency" if alpha == 0.0 and beta == 0.0 else "reduction-x"
                 res = TransformResult(scale * res.value, scale * res.err_estimate, method)
             out[i] = res
     return out
@@ -408,7 +445,7 @@ def _lp_slices(p, cfg):
     """
 
     def seeds(alphas, betas, sinc):
-        return lp_initial_breaks_batch(p, alphas, [1.0] * len(betas) if sinc else betas, cfg)
+        return lp_initial_breaks_batch(p, alphas, np.ones(betas.size) if sinc else betas, cfg)
 
     return partial(_kernels._phi_array, p=p), seeds
 
@@ -422,10 +459,7 @@ def chi_hat_lp_batch(p, omegas, cfg=None):
     """
     p = as_p(p)
     cfg = cfg or QuadConfig()
-    omegas = [reduce_symmetry(omega) for omega in omegas]
-    # beta >= alpha >= 0
-    alphas, betas = [w.alpha for w in omegas], [w.beta for w in omegas]
-    return _slice_transforms(*_lp_slices(p, cfg), alphas, betas, cfg)
+    return _slice_transforms(*_lp_slices(p, cfg), *_octant(omegas), cfg)
 
 
 def chi_hat_lp(p, omega, cfg=None):
@@ -446,8 +480,8 @@ def chi_hat_lp_via_y(p, omega, cfg=None):
     """
     p = as_p(p)
     cfg = cfg or QuadConfig()
-    omega = reduce_symmetry(omega)
-    (part,) = _slice_transforms(*_lp_slices(p, cfg), [omega.beta], [omega.alpha], cfg)  # swapped
+    alphas, betas = _octant([omega])
+    (part,) = _slice_transforms(*_lp_slices(p, cfg), betas, alphas, cfg)  # swapped
     return replace(_raised(part), method="reduction-y")
 
 

@@ -366,3 +366,39 @@ def test_body_batch_entries_match_chi_hat_body_bitwise(body):
     alone = [chi_hat_body(body, omega) for omega in omegas]
     assert convex_probe.chi_hat_body_batch(body, omegas) == alone
     assert convex_probe.chi_hat_body_batch(body, omegas[::-1]) == alone[::-1]
+
+
+def test_batched_body_seeds_are_uniform_breaks(monkeypatch):
+    # one batch seeds both slice forms; each seed is bitwise the uniform
+    # partition at the rate |alpha| + |beta| * slope, and the rates that do
+    # not fit the budget, an overflowing one included, fail on their own
+    body = poly_body([1.0, 0.0, -0.5, 0.0, -0.5], 1.0)
+    cfg = QuadConfig()
+    omegas = [(3.0, 4.0), (0.0, 0.0), (-70.0, 20.0), (0.0, 1e308), (0.3, -0.1), (1e10, 0.0), (0.0, 150.0)]
+    seeds = []
+    batch = fourier.integrate_batch
+
+    def spy(f, breaks_list, cfg=None):
+        seeds.extend(breaks_list)
+        return batch(f, breaks_list, cfg)
+
+    monkeypatch.setattr(fourier, "integrate_batch", spy)
+    out = convex_probe.chi_hat_body_batch(body, omegas, cfg)
+    assert [isinstance(res, QuadratureBudgetError) for res in out] == [False] * 3 + [True, False, True, False]
+    # the engine sees the sinc form's seeds first, then the sine form's
+    ok = [omega for omega, res in zip(omegas, out) if not isinstance(res, QuadratureBudgetError)]
+    ok.sort(key=lambda omega: abs(omega[1]) >= 2.0 / math.pi)
+    assert len(seeds) == len(ok)
+    for (alpha, beta), got in zip(ok, seeds):
+        want = uniform_breaks(0.0, body.half_width, abs(alpha) + abs(beta) * body._slope_scale, cfg)
+        assert got.tobytes() == want.tobytes(), (alpha, beta)
+
+
+def test_batches_reject_non_finite_frequencies():
+    body = poly_body([1.0, 0.0, -0.5, 0.0, -0.5], 1.0)
+    for bad in ((math.nan, 1.0), (3.0, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            fourier.chi_hat_lp_batch(1.5, [(3.0, 4.0), bad])
+        for b in (body, ellipse_body(2.0, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                convex_probe.chi_hat_body_batch(b, [bad, (3.0, 4.0)])

@@ -47,7 +47,8 @@ def _lp_v_points_reference(p, alpha, beta, n):
 
 
 def _tail_loop(p, alpha, beta, start, cfg):
-    # the scalar tail-grading loop from the last V-point (0 without one)
+    # the scalar tail-grading loop from the last V-point (0 without one),
+    # cutting 1 - a by GRADING_RATIO per step
     extra = []
     a = start
     tail_target = 0.1 * cfg.abs_tol
@@ -55,14 +56,19 @@ def _tail_loop(p, alpha, beta, start, cfg):
         tail_phase = beta * lpgeom.phi(p, a)
         if tail_phase + alpha * (1.0 - a) <= 0.5 * math.pi and tail_phase * (1.0 - a) <= tail_target:
             break
-        a = 0.5 * (a + 1.0)
+        a = 1.0 - (1.0 - a) / fourier.GRADING_RATIO
         extra.append(a)
     return np.array(extra)
 
 
+def _head_breaks(h, k):
+    # the head grading h R^-j, j = k..1, for R = GRADING_RATIO
+    return h * float(fourier.GRADING_RATIO) ** -np.arange(k, 0.0, -1.0)
+
+
 def _head_done(p, beta, h, k, abs_tol):
-    # the head-grading stop rule at k halvings of the first panel
-    return beta * (h * 2.0**-k) ** (p + 1.0) <= 0.1 * abs_tol
+    # the head-grading stop rule at k cuts by GRADING_RATIO of the first panel
+    return beta * (h * fourier.GRADING_RATIO**-k) ** (p + 1.0) <= 0.1 * abs_tol
 
 
 def _head_count_loop(p, beta, h, abs_tol):
@@ -90,7 +96,7 @@ def check_lp_seed(p, alpha, beta, cfg, got):
             want = np.arange(1.0, n) * (1.0 / n)
         else:
             want = _lp_v_points_reference(p, alpha, beta, n)
-        # head points are h 2^-k <= h/2, so they sit below 3/4 of the first V-point
+        # head points are h 8^-k <= h/8, so they sit below 3/4 of the first V-point
         k = int(np.sum((got > 0.0) & (got < 0.75 * want[0])))
         v_points = got[1 + k : k + n]
         if p == 1.0 or beta == 0.0:
@@ -105,7 +111,7 @@ def check_lp_seed(p, alpha, beta, cfg, got):
     h = v_points[0] if v_points.size else (tail[0] if tail.size else 1.0)
     head = got[1 : len(got) - 1 - tail.size - v_points.size]
     k = _head_count_loop(p, beta, h, cfg.abs_tol) if 1.0 < p < 2.0 and beta > 0.0 else 0
-    assert np.array_equal(head, h * 2.0 ** -np.arange(k, 0.0, -1.0)), (p, alpha, beta, cfg)
+    assert np.array_equal(head, _head_breaks(h, k)), (p, alpha, beta, cfg)
     return head, v_points, tail
 
 
@@ -190,11 +196,11 @@ def test_lp_head_grading_closed_form_matches_loop():
         cases.append((p, beta, h, abs_tol))
         # put beta on the stop rule's boundary at some k, where rounding decides
         k = int(rng.integers(0, 40))
-        cases.append((p, 0.1 * abs_tol / (h * 2.0**-k) ** (p + 1.0), h, abs_tol))
+        cases.append((p, 0.1 * abs_tol / (h * fourier.GRADING_RATIO**-k) ** (p + 1.0), h, abs_tol))
     for p, beta, h, abs_tol in cases:
         got = fourier.lp_head_grading(p, beta, h, QuadConfig(abs_tol=abs_tol))
         k = _head_count_loop(p, beta, h, abs_tol)
-        assert np.array_equal(got, h * 2.0 ** -np.arange(k, 0.0, -1.0)), (p, beta, h, abs_tol)
+        assert np.array_equal(got, _head_breaks(h, k)), (p, beta, h, abs_tol)
     for p, beta in ((1.0, 1e5), (2.0, 1e5), (1.5, 0.0)):
         assert fourier.lp_head_grading(p, beta, 0.5, QuadConfig()).size == 0
 
@@ -384,8 +390,6 @@ def test_y_slicing_small_alpha_takes_sinc_form():
 def _chi_hat_polar(p, r, theta):
     # chi_hat via the split form (1/(pi r sin theta)) int [sin(r psi) + sin(r psi~)]
     st = math.sin(float(theta))
-    if st <= 0.0:
-        raise ValueError("polar path needs sin(theta) > 0")
     res_psi, res_tilde = fourier.psi_split_integrals(p, r, theta)
     scale = 1.0 / (math.pi * r * st)
     return fourier.TransformResult(
@@ -406,13 +410,19 @@ def test_polar_split_consistency():
         assert recon == pytest.approx(direct.value, abs=1e-9)
 
 
-def test_polar_rejects_bad_angle_before_integrating(monkeypatch):
-    calls = []
-    monkeypatch.setattr(fourier, "integrate_batch", lambda *a, **k: calls.append(a))
-    for theta in (0.0, -0.7, -math.pi / 2):
-        with pytest.raises(ValueError, match="sin"):
-            _chi_hat_polar(1.5, 5e4, theta)
-    assert calls == []
+def test_psi_split_at_zero_and_negated_angles():
+    # at theta = 0 the phases are psi = x and psi~ = -x, so the pair is
+    # +-(1 - cos r)/r; negating theta maps psi to -psi~ and psi~ to -psi
+    for r in (7.0, 5e4):
+        res_psi, res_tilde = fourier.psi_split_integrals(1.5, r, 0.0)
+        exact = (1.0 - math.cos(r)) / r
+        assert abs(res_psi.value - exact) <= res_psi.err_estimate, r
+        assert abs(res_tilde.value + exact) <= res_tilde.err_estimate, r
+    for p, r, theta in ((1.5, 20.0, 1.0), (1.2, 7.0, math.pi / 2), (1.9, 3e3, 0.9), (1.3, 700.0, 2.5)):
+        res_psi, res_tilde = fourier.psi_split_integrals(p, r, theta)
+        neg_psi, neg_tilde = fourier.psi_split_integrals(p, r, -theta)
+        for got, want in ((neg_psi, res_tilde), (neg_tilde, res_psi)):
+            assert abs(got.value + want.value) <= got.err_estimate + want.err_estimate, (p, r, theta)
 
 
 def test_psi_split_batch_matches_single_calls_bitwise():

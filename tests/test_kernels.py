@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lpfourier import _kernels, lpgeom
+from lpfourier import _kernels, fourier, lpgeom
 from lpfourier.oscquad import WAVELENGTHS_PER_PANEL
 
 # QUADPACK's qk31 outermost Kronrod node xgk(1)
@@ -219,14 +219,20 @@ def test_error_estimates_positive():
     assert np.all(err >= 0.0)
 
 
-def _sine_panel(wavelengths, c):
-    # K31 value, reported error and resabs on [-1, 1] of sin(omega x + c),
-    # omega = pi wavelengths, and the closed form 2 sin(c) sin(omega) / omega
-    omega = math.pi * wavelengths
-    x, half = _kernels._panel_nodes(np.array([-1.0]), np.array([1.0]))
-    v = np.sin(omega * x + c)
+def _one_panel(f, lo, hi):
+    # K31 value, reported error and resabs of f on the panel [lo, hi]
+    x, half = _kernels._panel_nodes(np.array([lo]), np.array([hi]))
+    v = f(x)
     (value,), (err,) = _kernels.panel_sums_from_values(v, half)
     resabs = float(half[0] * (np.abs(v[0]) @ _kernels.KRONROD_WEIGHTS))
+    return value, err, resabs
+
+
+def _sine_panel(wavelengths, c):
+    # _one_panel on [-1, 1] of sin(omega x + c), omega = pi wavelengths, and
+    # the closed form 2 sin(c) sin(omega) / omega
+    omega = math.pi * wavelengths
+    value, err, resabs = _one_panel(lambda x: np.sin(omega * x + c), -1.0, 1.0)
     return value, err, resabs, 2.0 * math.sin(c) * math.sin(omega) / omega
 
 
@@ -239,4 +245,21 @@ def test_seed_density_keeps_the_estimate_at_its_floor(c):
     assert abs(value - exact) <= err
     # half a wavelength more and the G15/K31 discrepancy lifts it off the floor
     _, err, resabs, _ = _sine_panel(WAVELENGTHS_PER_PANEL + 0.5, c)
+    assert err > 10.0 * _kernels._EPS50 * resabs
+
+
+def test_grading_ratio_keeps_the_estimate_at_its_floor():
+    # phi_p's end models on a panel of the lp seed's end grading, [a, 8 a]
+    # toward x = 0 and [t/8, t] in t = 1 - x toward x = 1, scaled to [1/8, 1];
+    # tools/derive_constants.py prints the table (grading_ratio_table)
+    p = 1.5
+    head = lambda x: x**p  # noqa: E731
+    tail = lambda t: t ** (1.0 / p)  # noqa: E731
+    for g, e in ((head, p), (tail, 1.0 / p)):
+        value, err, resabs = _one_panel(g, 1.0 / fourier.GRADING_RATIO, 1.0)
+        assert err == pytest.approx(_kernels._EPS50 * resabs, rel=1e-12, abs=0.0)
+        exact = (1.0 - fourier.GRADING_RATIO ** -(e + 1.0)) / (e + 1.0)
+        assert abs(value - exact) <= err
+    # at twice the ratio the tail's estimate leaves the floor
+    _, err, resabs = _one_panel(tail, 1.0 / (2 * fourier.GRADING_RATIO), 1.0)
     assert err > 10.0 * _kernels._EPS50 * resabs

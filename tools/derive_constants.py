@@ -6,7 +6,9 @@ The 31-point Kronrod rule of ``lpfourier._kernels`` (and its embedded
 15-point Gauss rule) is derived at 60 digits: see ``kronrod_rule``.
 So is the table behind the seed density ``oscquad.WAVELENGTHS_PER_PANEL``:
 the G15 and K31 errors and the QUADPACK estimate on one panel of a
-sinusoid, per wavelengths per panel (``panel_density_table``).
+sinusoid, per wavelengths per panel (``panel_density_table``), and the one
+behind the end-grading ratio ``fourier.GRADING_RATIO``: the K31 error and
+the estimate on a graded end panel of the lp seed (``grading_ratio_table``).
 Not part of the package; requires the dev extra (mpmath).
 
 Usage: python tools/derive_constants.py
@@ -159,17 +161,67 @@ def panel_density_table(wavelengths=(2, 2.5, 3, 3.5, 4), phases=12, dps=60):
             worst = [mp.mpf(0)] * 3
             for j in range(phases):
                 c = 2 * mp.pi * j / phases
-                v = [mp.sin(omega * x + c) for x in nodes]
-                k31 = mp.fsum(a * b for a, b in zip(wk, v))
-                g15 = mp.fsum(a * b for a, b in zip(wg, v))
-                resabs = mp.fsum(a * abs(b) for a, b in zip(wk, v))
-                resasc = mp.fsum(a * abs(b - k31 / 2) for a, b in zip(wk, v))
-                estimate = max(resasc * min(1, (200 * abs(k31 - g15) / resasc) ** 1.5), _EPS50 * resabs)
+                k31, g15, estimate, _ = _panel_estimate(lambda x: mp.sin(omega * x + c), -1, 1, nodes, wk, wg)
                 exact = 2 * mp.sin(c) * mp.sin(omega) / omega
                 mass = (_abs_sine_integral(c + omega) - _abs_sine_integral(c - omega)) / omega
                 errors = (abs(g15 - exact), abs(k31 - exact), estimate)
                 worst = [max(old, e / mass) for old, e in zip(worst, errors)]
             rows.append((w, *worst))
+        return rows
+
+
+def _panel_estimate(f, lo, hi, nodes, wk, wg):
+    """(K31, G15, QUADPACK estimate, resabs) of f on the panel [lo, hi], as ``_kernels`` computes them."""
+    half = (hi - lo) / 2
+    v = [f(lo + half * (1 + x)) for x in nodes]
+    k31 = half * mp.fsum(a * b for a, b in zip(wk, v))
+    g15 = half * mp.fsum(a * b for a, b in zip(wg, v))
+    resabs = half * mp.fsum(a * abs(b) for a, b in zip(wk, v))
+    mean = k31 / (2 * half)
+    resasc = half * mp.fsum(a * abs(b - mean) for a, b in zip(wk, v))
+    estimate = max(resasc * min(1, (200 * abs(k31 - g15) / resasc) ** 1.5), _EPS50 * resabs)
+    return k31, g15, estimate, resabs
+
+
+def grading_ratio_table(ratios=(2, 4, 8, 16), exponents=("1.01", "1.1", "1.5", "1.9", "1.99"),
+                        wavelengths=(0, 0.25, 0.5, 1, 2, 3), phases=8, dps=60):
+    """[(ratio, model, p, w, K31 error, estimate)] on the graded panel [1/ratio, 1].
+
+    The end grading of ``fourier.lp_initial_breaks`` cuts panels [a, ratio a]
+    toward x = 0 and, in t = 1 - x, [t / ratio, t] toward x = 1.  Scaled to
+    [1/ratio, 1], phi_p there is modelled by g = x^p (head: phi_p is
+    1 - x^p/p + ... at 0) and by g = t^(1/p) (tail: phi_p(1 - t) is
+    (p t)^(1/p) + ... at t = 0), for 1 < p < 2.  With w = 0 the integrand is
+    g itself, the small-phase limit; with w > 0 it is sin(omega g + c), with
+    omega (g(1) - g(1/ratio)) = 2 pi w, so that w wavelengths of phase lie
+    on the panel, and each entry is the largest over the phases
+    c = 2 pi j / phases.  Errors and estimates are relative to resabs, the
+    integral of |f| by the Kronrod rule; the estimate is QUADPACK's, floored
+    at 50 eps resabs as ``_kernels`` computes it, and the reference is
+    mpmath's quadrature.  Where the estimate sits at that floor, the panel
+    adds nothing to the integral's estimate beyond the floor every panel
+    carries.
+    """
+    with mp.workdps(dps):
+        nodes, wk, wg = kronrod_rule(dps=dps)
+        models = {"head x^p": lambda p: (lambda x: x**p), "tail t^(1/p)": lambda p: (lambda x: x ** (1 / p))}
+        rows = []
+        for ratio in ratios:
+            lo = mp.mpf(1) / ratio
+            for model, make in models.items():
+                for text in exponents:
+                    p = mp.mpf(text)
+                    g = make(p)
+                    for w in wavelengths:
+                        omega = 2 * mp.pi * mp.mpf(w) / (g(1) - g(lo))
+                        worst = [mp.mpf(0)] * 2
+                        for j in range(phases if w else 1):
+                            c = 2 * mp.pi * j / phases
+                            f = (lambda x, c=c: mp.sin(omega * g(x) + c)) if w else g
+                            k31, _, estimate, resabs = _panel_estimate(f, lo, mp.mpf(1), nodes, wk, wg)
+                            exact = mp.quad(f, [lo, 1])
+                            worst = [max(old, e / resabs) for old, e in zip(worst, (abs(k31 - exact), estimate))]
+                        rows.append((ratio, model, text, w, *worst))
         return rows
 
 
@@ -212,3 +264,11 @@ if __name__ == "__main__":
     print(f"{'wavelengths per panel':<22}{'G15 error':>12}{'K31 error':>12}{'estimate':>12}")
     for w, g15, k31, estimate in panel_density_table():
         print(f"{w:<22g}" + "".join(f"{mp.nstr(v, 3):>12}" for v in (g15, k31, estimate)))
+    print("graded end panel [1/ratio, 1], largest over p in 1.01 .. 1.99, relative to resabs:")
+    print(f"{'ratio':<7}{'model':<14}{'wavelengths':>12}{'K31 error':>12}{'estimate':>12}")
+    worst = {}
+    for ratio, model, _, w, k31, estimate in grading_ratio_table():
+        old = worst.get((ratio, model, w), (0, 0))
+        worst[(ratio, model, w)] = (max(old[0], k31), max(old[1], estimate))
+    for (ratio, model, w), values in worst.items():
+        print(f"{ratio:<7}{model:<14}{w:>12g}" + "".join(f"{mp.nstr(v, 3):>12}" for v in values))
