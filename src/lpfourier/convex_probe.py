@@ -259,7 +259,8 @@ def chi_hat_body_parts(body, omega, cfg=None):
     the l^p reduction with phi_p replaced by u, integrated by the same
     path (``fourier._slice_transforms``, in its sinc form below
     beta = 2/pi).  This slices any body, a superellipse too, which
-    ``chi_hat_body`` sends through the l^q reduction instead.
+    ``chi_hat_body`` sends through the l^q reduction instead.  Kept for
+    tools/calibrate.py and for the benchmark tracer's ``REQUIRED_SPANS``.
     """
     res = _raised(_body_slices(body, fourier._components([omega]), cfg or QuadConfig())[0])
     return res.value, res.err_estimate

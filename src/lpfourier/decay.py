@@ -122,7 +122,10 @@ def scaled_samples(p, points, cfg=None):
 
 
 def scaled_sample(p, r, theta, cfg=None):
-    """One envelope sample r^{3/2}|chi_hat| at polar frequency (r, theta)."""
+    """One envelope sample r^{3/2}|chi_hat| at polar frequency (r, theta).
+
+    Kept for the benchmark tracer's ``REQUIRED_SPANS``, which names it.
+    """
     return scaled_samples(p, [(r, theta)], cfg)[0]
 
 
@@ -206,11 +209,14 @@ def _scan(worker, subject, points, cfg, workers):
 def _polar_points(r_grid, theta_grid):
     """The (r, theta) points of the polar grid as floats, r-major.
 
-    Raises ValueError unless r_grid is nonempty with min >= R_MIN_ALLOWED.
+    Raises ValueError unless r_grid is nonempty and finite with
+    min >= R_MIN_ALLOWED, and theta_grid finite.
     """
     r_grid = np.asarray(r_grid, dtype=np.float64)
-    if r_grid.size == 0 or np.min(r_grid) < R_MIN_ALLOWED:
-        raise ValueError(f"r_grid must be nonempty with min >= {R_MIN_ALLOWED}")
+    if r_grid.size == 0 or not (R_MIN_ALLOWED <= r_grid.min() and r_grid.max() < math.inf):
+        raise ValueError(f"r_grid must be nonempty and finite with min >= {R_MIN_ALLOWED}")
+    if not np.all(np.isfinite(theta_grid)):
+        raise ValueError("theta_grid must be finite")
     return [(float(r), float(t)) for r in r_grid for t in theta_grid]
 
 

@@ -129,35 +129,6 @@ class TransformResult:
     method: str  # reduction-x | reduction-y | zero-frequency
 
 
-def lp_head_grading(p, beta, h, cfg):
-    """Breaks h 8^-k, k = K..1 (ascending), grading the seed panel [0, h] toward x = 0.
-
-    The ratio 8 is ``GRADING_RATIO``.  Near x = 0, phi_p = 1 - x^p/p + ...,
-    an x^p cusp for 1 < p < 2, so sin(beta phi_p) on [0, e] differs from a
-    smooth function by at most beta e^(p+1).  K is the smallest k >= 0 with
-    beta (h 8^-k)^(p+1) <= 0.1 abs_tol: the end panel's whole cusp
-    contribution is then negligible against the tolerance.  Empty unless
-    1 < p < 2 and beta > 0 (phi_1 is linear and phi_2 smooth at 0).
-    """
-    if not (1.0 < p < 2.0 and beta > 0.0):
-        return np.empty(0)
-    target = 0.1 * cfg.abs_tol
-    e = p + 1.0
-
-    def done(k):
-        return beta * (h * GRADING_RATIO**-k) ** e <= target
-
-    # K from log2, differenced so that a huge beta / target cannot overflow;
-    # rounding can put the ceiling one off either way
-    log2_k = (math.log2(beta) - math.log2(target)) / e + math.log2(h)
-    k = max(0, math.ceil(log2_k / math.log2(GRADING_RATIO)))
-    if not done(k):
-        k += 1
-    elif k > 0 and done(k - 1):
-        k -= 1
-    return h * float(GRADING_RATIO) ** -np.arange(k, 0.0, -1.0)
-
-
 def lp_initial_breaks(p, alpha, beta, cfg):
     """Panel boundaries for int_0^1 cos(alpha x) sin(beta phi_p(x)) dx.
 
@@ -179,9 +150,11 @@ def lp_initial_breaks(p, alpha, beta, cfg):
     variation beta*phi(a) + alpha*(1-a) over [a, 1] drops below pi/2 and
     the crude tail bound beta*phi(a)*(1-a) is below 0.1 abs_tol.
 
-    Toward x = 0 (the x^p cusp, 1 < p < 2 only): grade the first panel,
-    of width h, by h 8^-k down to h 8^-K for the smallest K with
-    beta (h 8^-K)^(p+1) <= 0.1 abs_tol (``lp_head_grading``).
+    Toward x = 0, where phi_p = 1 - x^p/p + ... has an x^p cusp for
+    1 < p < 2 (phi_1 is linear and phi_2 smooth there), sin(beta phi_p) on
+    [0, e] differs from a smooth function by at most beta e^(p+1): grade
+    the first panel, of width h, by h 8^-k down to h 8^-K for the smallest
+    K with beta (h 8^-K)^(p+1) <= 0.1 abs_tol (``_head_counts``).
 
     The ratio 8 of both gradings is ``GRADING_RATIO``.
 
@@ -192,7 +165,8 @@ def lp_initial_breaks(p, alpha, beta, cfg):
     Raises QuadratureBudgetError naming |omega| = hypot(alpha, beta) when
     n would exceed ``cfg.max_panels`` (an overflowing rate included): the
     V-steps alone would not fit the budget, so the seed fails before any
-    point is built.  This is the batch of one of ``lp_initial_breaks_batch``.
+    point is built.  This is the batch of one of ``lp_initial_breaks_batch``,
+    kept for the benchmark tracer's ``REQUIRED_SPANS``, which names it.
     """
     return _raised(lp_initial_breaks_batch(p, [alpha], [beta], cfg)[0])
 
@@ -265,10 +239,10 @@ def lp_initial_breaks_batch(p, alphas, betas, cfg):
     Returns one entry per pair: its breaks, bitwise those of
     ``lp_initial_breaks`` whatever the batch, or the QuadratureBudgetError
     of a rate it cannot seed within ``cfg.max_panels``.  The V-points of
-    all pairs are one ``lp_v_points`` call, and the tail test runs over the
-    batch as array operations: the candidates a <- 1 - (1 - a)/8 run from
-    the last V-point until 1 - a <= 1e-13, at most 15 steps as 1 - a falls
-    by 8 from below 1.
+    all pairs are one ``lp_v_points`` call, and the tail and head rules run
+    over the batch as array operations: the tail candidates
+    a <- 1 - (1 - a)/8 run from the last V-point until 1 - a <= 1e-13, at
+    most 15 steps as 1 - a falls by 8 from below 1.
     """
     p = as_p(p)
     alphas = np.abs(np.asarray(alphas, dtype=np.float64))
@@ -295,9 +269,7 @@ def lp_initial_breaks_batch(p, alphas, betas, cfg):
     start = np.zeros(counts.size)  # the last V-point, or 0 without one
     start[counts > 0] = interior[(firsts + counts - 1)[counts > 0]]
     cols = [start]
-    lowest = float(cols[0].min())
-    while 1.0 - lowest > 1e-13:
-        lowest = 1.0 - (1.0 - lowest) / GRADING_RATIO
+    while 1.0 - cols[-1].min() > 1e-13:
         cols.append(1.0 - (1.0 - cols[-1]) / GRADING_RATIO)
     tail = np.stack(cols, axis=1)
     # test every candidate but a row's last at once; the first one meeting
@@ -309,14 +281,32 @@ def lp_initial_breaks_batch(p, alphas, betas, cfg):
     done = live & (tail_phase + alphas[:, None] * rest <= 0.5 * math.pi)
     done &= tail_phase * rest <= 0.1 * cfg.abs_tol
     n_extra = np.where(done.any(axis=1), np.argmax(done, axis=1), np.sum(live, axis=1))
+    # first-panel widths: the first V-point, else the first tail cut, else 1
+    h = np.where(n_extra > 0, 1.0 - 1.0 / GRADING_RATIO, 1.0)
+    h[counts > 0] = interior[firsts[counts > 0]]
+    n_head = _head_counts(p, betas, h, cfg)
     zero, one = np.zeros(1), np.ones(1)
     rows = zip(ok.tolist(), firsts.tolist(), counts.tolist(), n_extra.tolist(), tail)
-    for (i, first, count, n_tail, cands), beta in zip(rows, betas.tolist()):
+    for (i, first, count, n_tail, cands), h0, k in zip(rows, h.tolist(), n_head.tolist()):
+        head = h0 * float(GRADING_RATIO) ** -np.arange(k, 0.0, -1.0)
         inner = interior[first : first + count]
-        extra = cands[1 : n_tail + 1]
-        h = inner[0] if count else (extra[0] if n_tail else 1.0)
-        out[i] = np.concatenate([zero, lp_head_grading(p, beta, h, cfg), inner, extra, one])
+        out[i] = np.concatenate([zero, head, inner, cands[1 : n_tail + 1], one])
     return out
+
+
+def _head_counts(p, betas, h, cfg):
+    """Per pair, the smallest K >= 0 with beta (h 8^-K)^(p+1) <= 0.1 abs_tol, or 0 unless 1 < p < 2.
+
+    The rule runs over the batch, one array step per k; beta = 0 gives 0.
+    """
+    counts = np.zeros(betas.size, dtype=np.int64)
+    live = (betas > 0.0) & (1.0 < p < 2.0)
+    k = 0
+    while live.any():
+        live &= betas * (h * GRADING_RATIO**-k) ** (p + 1.0) > 0.1 * cfg.abs_tol
+        counts += live
+        k += 1
+    return counts
 
 
 def _with_phase_floor(res, rate, c=_PHASE_ROUNDOFF_C):
@@ -493,14 +483,15 @@ def psi_split_integrals(p, r, theta, cfg=None):
     psi~ as a per-row column; each result is bitwise the one the integral
     gets alone.  The two pieces are what the stationary-phase analysis
     bounds separately.  Each estimate carries the phase-roundoff floor at
-    rate r (|cos t| + |sin t|).
+    rate r (|cos t| + |sin t|).  Raises ValueError unless r > 0 and theta
+    are finite.
     """
     p = as_p(p)
     cfg = cfg or QuadConfig()
     r = float(r)
     theta = float(theta)
-    if r <= 0.0:
-        raise ValueError("need r > 0")
+    if not (0.0 < r < math.inf and math.isfinite(theta)):
+        raise ValueError("need finite r > 0 and theta")
     ct, st = math.cos(theta), math.sin(theta)
     breaks = _raised(lp_initial_breaks_batch(p, [abs(r * ct)], [abs(r * st)], cfg)[0])
     signs = np.array([[1.0], [-1.0]])

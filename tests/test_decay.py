@@ -288,13 +288,23 @@ def test_scans_reject_nonpositive_workers():
 
 
 @pytest.mark.parametrize("scan", ["envelope", "conjecture"])
-@pytest.mark.parametrize("r_grid", [[], [4.0, 10.0]])
+@pytest.mark.parametrize("r_grid", [[], [4.0, 10.0], [10.0, math.inf], [math.nan, 10.0]])
 def test_scans_share_the_r_grid_check(scan, r_grid):
-    with pytest.raises(ValueError, match="r_grid must be nonempty with min >= 5"):
+    with pytest.raises(ValueError, match="r_grid must be nonempty and finite with min >= 5"):
         if scan == "envelope":
             decay.envelope_scan(1.5, r_grid, [1.0])
         else:
             convex_probe.conjecture_scan(convex_probe.disk_body(), r_grid, [1.0])
+
+
+@pytest.mark.parametrize("scan", ["envelope", "conjecture"])
+def test_scans_reject_non_finite_angles(scan):
+    for theta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="theta_grid must be finite"):
+            if scan == "envelope":
+                decay.envelope_scan(1.5, [10.0], [1.0, theta])
+            else:
+                convex_probe.conjecture_scan(convex_probe.disk_body(), [10.0], [1.0, theta])
 
 
 def test_envelope_samples_do_not_depend_on_batching(monkeypatch):

@@ -67,24 +67,39 @@ def _head_breaks(h, k):
 
 
 def _head_done(p, beta, h, k, abs_tol):
-    # the head-grading stop rule at k cuts by GRADING_RATIO of the first panel
+    # the head-grading stop rule at k cuts by GRADING_RATIO of the first
+    # panel, for scalars or elementwise for arrays
     return beta * (h * fourier.GRADING_RATIO**-k) ** (p + 1.0) <= 0.1 * abs_tol
 
 
 def _head_count_loop(p, beta, h, abs_tol):
-    # reference for lp_head_grading: try k = 0, 1, 2, ... until the rule holds
+    # scalar reference for the head counts: try k = 0, 1, 2, ... until the
+    # rule holds
     k = 0
     while not _head_done(p, beta, h, k, abs_tol):
         k += 1
     return k
 
 
+def _head_counts_reference(p, betas, h, abs_tol):
+    # the same k loop in float64 array arithmetic, as the seed evaluates the
+    # rule: each row's count is the first k at which it holds
+    betas, h = np.asarray(betas, dtype=np.float64), np.asarray(h, dtype=np.float64)
+    counts = np.full(betas.size, -1)
+    k = 0
+    while np.any(counts < 0):
+        counts[(counts < 0) & _head_done(p, betas, h, k, abs_tol)] = k
+        k += 1
+    return counts
+
+
 def check_lp_seed(p, alpha, beta, cfg, got):
     """Check one lp seed against per-pair references; returns (head, V-points, tail).
 
     The V-points match the bisection reference within the fixed tolerance
-    (bitwise k/n when V is linear); head and tail are bitwise the scalar
-    gradings started from the seed's own first and last V-points.
+    (bitwise k/n when V is linear); head and tail are bitwise the k loop of
+    the head rule and the candidate loop of the tail, started from the
+    seed's own first and last V-points.
     """
     rate = alpha + beta
     n = max(1, math.ceil(rate / PANEL_PHASE))
@@ -110,7 +125,9 @@ def check_lp_seed(p, alpha, beta, cfg, got):
     assert np.array_equal(got[len(got) - 1 - tail.size : -1], tail), (p, alpha, beta, cfg)
     h = v_points[0] if v_points.size else (tail[0] if tail.size else 1.0)
     head = got[1 : len(got) - 1 - tail.size - v_points.size]
-    k = _head_count_loop(p, beta, h, cfg.abs_tol) if 1.0 < p < 2.0 and beta > 0.0 else 0
+    k = 0
+    if 1.0 < p < 2.0 and beta > 0.0:
+        k = _head_counts_reference(p, [beta], [h], cfg.abs_tol)[0]
     assert np.array_equal(head, _head_breaks(h, k)), (p, alpha, beta, cfg)
     return head, v_points, tail
 
@@ -185,24 +202,28 @@ def test_unseedable_pair_fails_before_its_v_points(monkeypatch):
             fourier.lp_initial_breaks(1.5, *pairs[i], cfg)
 
 
-def test_lp_head_grading_closed_form_matches_loop():
+def test_head_counts_match_the_k_loop():
+    # 60 batches of 50 random rows and 50 rows with beta on the stop rule's
+    # boundary at some k, where rounding decides; each batch has one p and
+    # one abs_tol, as a seed batch has
     rng = np.random.default_rng(8)
-    cases = []
-    for _ in range(3000):
+    for _ in range(60):
         p = float(rng.uniform(1.0, 2.0))
-        h = float(2.0 ** -rng.uniform(0.0, 20.0))
-        abs_tol = float(10.0 ** rng.uniform(-16.0, -4.0))
-        beta = float(10.0 ** rng.uniform(-3.0, 8.0))
-        cases.append((p, beta, h, abs_tol))
-        # put beta on the stop rule's boundary at some k, where rounding decides
-        k = int(rng.integers(0, 40))
-        cases.append((p, 0.1 * abs_tol / (h * fourier.GRADING_RATIO**-k) ** (p + 1.0), h, abs_tol))
-    for p, beta, h, abs_tol in cases:
-        got = fourier.lp_head_grading(p, beta, h, QuadConfig(abs_tol=abs_tol))
-        k = _head_count_loop(p, beta, h, abs_tol)
-        assert np.array_equal(got, _head_breaks(h, k)), (p, beta, h, abs_tol)
+        cfg = QuadConfig(abs_tol=float(10.0 ** rng.uniform(-16.0, -4.0)))
+        h = 2.0 ** -rng.uniform(0.0, 20.0, 100)
+        betas = 10.0 ** rng.uniform(-3.0, 8.0, 100)
+        k = rng.integers(0, 40, 50)
+        betas[50:] = 0.1 * cfg.abs_tol / (h[50:] * float(fourier.GRADING_RATIO) ** -k) ** (p + 1.0)
+        got = fourier._head_counts(p, betas, h, cfg)
+        for i in range(100):
+            assert fourier._head_counts(p, betas[i : i + 1], h[i : i + 1], cfg)[0] == got[i]
+        assert np.array_equal(got, _head_counts_reference(p, betas, h, cfg.abs_tol))
+        # numpy's array power and libm's pow can differ by an ulp, which
+        # moves a count by one on the boundary only
+        for beta, h0, k0 in zip(betas[:50].tolist(), h[:50].tolist(), got[:50].tolist()):
+            assert k0 == _head_count_loop(p, beta, h0, cfg.abs_tol), (p, beta, h0, cfg)
     for p, beta in ((1.0, 1e5), (2.0, 1e5), (1.5, 0.0)):
-        assert fourier.lp_head_grading(p, beta, 0.5, QuadConfig()).size == 0
+        assert fourier._head_counts(p, np.array([beta]), np.array([0.5]), QuadConfig())[0] == 0
 
 
 def test_frequency_polar_consistency():
@@ -423,6 +444,14 @@ def test_psi_split_at_zero_and_negated_angles():
         neg_psi, neg_tilde = fourier.psi_split_integrals(p, r, -theta)
         for got, want in ((neg_psi, res_tilde), (neg_tilde, res_psi)):
             assert abs(got.value + want.value) <= got.err_estimate + want.err_estimate, (p, r, theta)
+
+
+def test_psi_split_rejects_non_finite_input():
+    # a NaN or infinite r or theta is bad input, not a budget failure
+    bad = ((math.nan, 1.0), (math.inf, 1.0), (20.0, math.nan), (20.0, -math.inf), (0.0, 1.0))
+    for r, theta in bad:
+        with pytest.raises(ValueError, match="need finite r > 0 and theta"):
+            fourier.psi_split_integrals(1.5, r, theta)
 
 
 def test_psi_split_batch_matches_single_calls_bitwise():
