@@ -2,7 +2,12 @@
 
 The quadrature engine builds the (n, 31) Kronrod node array of its panels
 with ``_panel_nodes``, evaluates an integrand on it and reduces the values
-with ``panel_sums_from_values``.  The integrands here, the vertical
+with ``panel_sums_from_values``.  The node array, phi_p at the nodes and
+the reduction's deviations go into (CHUNK_PANELS, 31) buffers borrowed
+from a free list (``_borrowed``): the nodes for the length of an engine
+call, phi_p and the deviations, which are never live together, in turn
+for the length of the integrand's and the reduction's call.  No chunk
+allocates them.  The integrands here, the vertical
 slice cos(alpha x) sin(beta u(x)) of any body (with its sinc form for
 small beta) and the polar split of the l^p ball, compute into that node
 array in place, in a fixed operation order, so results are
@@ -20,7 +25,7 @@ X86_V4), at about 2 ns a value against 10-20 ns for the scalar libm
 they did.  numpy validates float64 ``tan`` to 1 ulp.  The rational map
 adds a few roundings: relative ones on sin, and at most 3 eps absolute
 on cos, where 1 + cos A is formed before the 1 is taken off (see
-``fourier._with_phase_floor``).  The oracles that check these kernels
+``fourier._phase_floor``).  The oracles that check these kernels
 (``fourier.bessel_j1_oracle``, ``chi_hat_disk_oracle``,
 ``bruteforce_parts``, ``oscquad.fresnel_symmetric``, ``verify`` and
 ``tools/calibrate.py``) keep libm and mpmath, so they stay independent.
@@ -40,6 +45,8 @@ pair can undershoot the true error.  Rule and rescaling are QUADPACK's
 ``qk31`` (Piessens et al., 1983); ``tools/derive_constants.py``
 rederives the table at 60 digits.
 """
+
+import contextlib
 
 import numpy as np
 
@@ -72,15 +79,41 @@ GAUSS_WEIGHTS[1::2] = _WG_HALF[:-1] + list(reversed(_WG_HALF))
 _EPS50 = 50.0 * np.finfo(np.float64).eps
 
 
-def _phi_array(x, p):
+# (rows, 31) float64 buffers that engine calls, reductions and integrands
+# borrow for the length of a call (``_borrowed``), so that no chunk allocates
+_FREE = []
+
+
+@contextlib.contextmanager
+def _borrowed(rows):
+    """A (rows, 31) float64 buffer off the free list, handed back on exit.
+
+    Buffers of another row count met on the list are dropped; an empty list
+    allocates.  A borrower owns its buffer until it exits, and must not
+    touch it after; so a nested borrower (an integrand that calls the
+    engine) gets a buffer of its own, and one that follows (the reduction
+    after the integrand) gets the same one back.
+    """
+    while _FREE and _FREE[-1].shape[0] != rows:
+        _FREE.pop()
+    buf = _FREE.pop() if _FREE else np.empty((rows, KRONROD_NODES.size))
+    try:
+        yield buf
+    finally:
+        _FREE.append(buf)
+
+
+def _phi_array(x, p, out=None):
     """(1 - x^p)^(1/p) elementwise on the domain [0, 1]; exact 1 at 0 and 0 at 1.
 
-    Unchecked: outside [0, 1] the value is meaningless (NaN for x < 0, and
-    for x > 1 when p > 1), which the quadrature engine reports as a
-    NonFiniteIntegrandError.  Validated evaluation is ``lpgeom.phi``.
+    Computed into ``out``, an array of x's shape, when given, else into a
+    new array.  Unchecked: outside [0, 1] the value is meaningless (NaN for
+    x < 0, and for x > 1 when p > 1), which the quadrature engine reports
+    as a NonFiniteIntegrandError.  Validated evaluation is ``lpgeom.phi``.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
+    if out is None:
+        out = np.empty_like(x)
     # 1 - x^p via expm1 to keep accuracy near x = 1; log(0) = -inf gives phi(0) = 1
     with np.errstate(divide="ignore"):
         np.log(x, out=out)
@@ -106,11 +139,15 @@ def _row_sums(v, w):
     return np.einsum("ij,j->i", v, w)
 
 
-def panel_sums_from_values(v, half):
-    """(value, error) per panel from integrand values at the 31 nodes."""
+def panel_sums_from_values(v, half, dev=None):
+    """(value, error) per panel from integrand values at the 31 nodes.
+
+    ``dev``, an array of v's shape, holds the deviations when given; else
+    they go into a new array.
+    """
     kronrod = _row_sums(v, KRONROD_WEIGHTS) * half
     gauss = _row_sums(v, GAUSS_WEIGHTS) * half
-    dev = np.abs(v)
+    dev = np.abs(v, out=dev)
     resabs = _row_sums(dev, KRONROD_WEIGHTS) * half
     width = 2.0 * half
     # a panel whose width underflows to 0 has mean 0; dividing only the others
@@ -122,11 +159,14 @@ def panel_sums_from_values(v, half):
     return kronrod, scaled_errors(kronrod, gauss, resabs, resasc)
 
 
-def _panel_nodes(lefts, rights):
-    """Kronrod abscissae of each panel as an (n, 31) array, with the half-widths."""
+def _panel_nodes(lefts, rights, out=None):
+    """Kronrod abscissae of each panel as an (n, 31) array, with the half-widths.
+
+    The abscissae go into ``out``, an (n, 31) array, when given.
+    """
     half = 0.5 * (rights - lefts)
     mid = 0.5 * (rights + lefts)
-    x = np.multiply(half[:, None], KRONROD_NODES)
+    x = np.multiply(half[:, None], KRONROD_NODES, out=out)
     x += mid[:, None]
     return x, half
 
@@ -186,14 +226,15 @@ def cos_sinc_values(x, s, alpha, beta):
     return c
 
 
-def lp_phase_sin_values(x, p, r, cos_t, sin_t, sign):
+def lp_phase_sin_values(x, p, r, cos_t, sin_t, sign, s=None):
     """sin(r * (sign*cos_t*x + sin_t*phi_p(x))), computed into the buffer x and returned.
 
-    Every argument but p may be a scalar or an (n, 1) column, as in
-    ``cos_sin_values``.  With t = tan(r psi / 2) in x and phi_p's buffer
-    reused for 1 + t^2, the value is t / (1 + t^2) * 2.
+    Every argument but p and s may be a scalar or an (n, 1) column, as in
+    ``cos_sin_values``.  phi_p goes into the buffer s, an array of x's
+    shape, or a new one; with t = tan(r psi / 2) in x and s reused for
+    1 + t^2, the value is t / (1 + t^2) * 2.
     """
-    s = _phi_array(x, p)
+    s = _phi_array(x, p, s)
     s *= sin_t
     x *= sign * cos_t
     x += s

@@ -274,20 +274,27 @@ def _body_slices(body, ab, cfg):
     w = body.half_width
 
     def seeds(alphas, betas, sinc):
-        # uniform on [0, w] at the phase rate alpha + beta * (bulk slope),
-        # bitwise uniform_breaks; a rate whose seed would need more than
-        # max_panels panels fails before any panel is evaluated
+        # uniform on [0, w] at the phase rate alpha + beta * (bulk slope), each
+        # row bitwise uniform_breaks (np.linspace: k * (w / n), then w); a rate
+        # whose seed would need more than max_panels panels fails before any
+        # panel is evaluated
         with np.errstate(over="ignore"):
             rates = alphas + betas * body._slope_scale
-        out, ok, counts = fourier._seed_counts(alphas, betas, rates, w, cfg)
-        for i, n in zip(ok.tolist(), counts.tolist()):
-            out[i] = np.linspace(0.0, w, n + 1)
-        return out
+        out, ok, panels = fourier._seed_counts(alphas, betas, rates, w, cfg)
+        sizes = panels + 1
+        ranks = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        breaks = ranks * np.repeat(w / panels, sizes)
+        breaks[np.cumsum(sizes) - 1] = w
+        return out, ok, breaks, panels
+
+    def graph(x, out):
+        # a body's graph returns a new array; the chunk buffer goes unused
+        return body.upper(x)
 
     alphas, betas = np.abs(ab).T
     # no phase floor: its derivation counts the roundings of phi_p, and
-    # fourier._with_phase_floor says why the kernel's cos term needs none here
-    return fourier._slice_transforms(body.upper, seeds, alphas, betas, cfg, 0.0)
+    # fourier._phase_floor says why the kernel's cos term needs none here
+    return fourier._slice_transforms(graph, seeds, alphas, betas, cfg, 0.0)
 
 
 def chi_hat_body_batch(body, omegas, cfg=None):
@@ -351,15 +358,16 @@ def _witness_direction(body, x_min):
 
 
 def _body_scaled_batch(task):
-    # (r^{3/2} |chi_hat|, r^{3/2} err_estimate) per (r, theta); the first
-    # failure in task order raises
+    # (r^{3/2} |chi_hat|, r^{3/2} err_estimate) per (r, theta), or the
+    # QuadratureBudgetError of a failed sample
     body, points, cfg = task
     omegas = [fourier.Frequency.from_polar(r, theta) for r, theta in points]
     out = []
     for (r, _), res in zip(points, chi_hat_body_batch(body, omegas, cfg)):
-        res = _raised(res)
-        s = r**1.5
-        out.append((s * abs(res.value), s * res.err_estimate))
+        if not isinstance(res, QuadratureBudgetError):
+            s = r**1.5
+            res = (s * abs(res.value), s * res.err_estimate)
+        out.append(res)
     return out
 
 
@@ -372,7 +380,8 @@ def conjecture_scan(body, r_grid=None, theta_grid=None, cfg=None, workers=1):
     ``decay._scan``, as envelope scans do.  upper_ok holds when
     every sample plus its scaled error estimate stays within the bound.  A
     bound violation is reported, never swallowed: upper_ok=False marks a
-    counterexample candidate.
+    counterexample candidate.  Raises the QuadratureBudgetError of the
+    first sample, in point order, that fails.
     """
     cfg = cfg or QuadConfig()
     nu, (x_min, y_min) = body_curvature_min(body)
@@ -391,7 +400,8 @@ def conjecture_scan(body, r_grid=None, theta_grid=None, cfg=None, workers=1):
     theta_grid = np.unique(np.concatenate([theta_grid, [theta_w]]))
 
     points = _polar_points(r_grid, theta_grid)
-    samples = _scan(_body_scaled_batch, body, points, cfg, workers)
+    # the first failure in point order raises, whatever the batches
+    samples = [_raised(s) for s in _scan(_body_scaled_batch, body, points, cfg, workers)]
     c_est = max(v for v, _ in samples)
     witness_max = max(v for (v, _), (_, t) in zip(samples, points) if t == theta_w)
     bound = ENVELOPE_UPPER_COEFF / math.sqrt(nu)

@@ -35,10 +35,10 @@ SEQUENCE_LOWER_COEFF = 2.0**1.75 * math.sqrt(math.pi)
 
 R_MIN_ALLOWED = 5.0
 _MAX_FAILED_FRACTION = 0.01
-# samples per batch of a scan (``_scan``): one adaptive loop, and one pool
-# task, each.  Larger batches amortise more per-call cost but hold more
-# panels at once (peak memory).
-BATCH_SAMPLES = 32
+# the most samples of a scan per task (``_scan``): one adaptive loop, and one
+# pool task, each.  Larger batches amortise more per-call cost but hold more
+# panels at once (peak memory); README § Backends has the measured table
+BATCH_SAMPLES = 128
 # (pid, workers, pool): the process pool _ordered_map keeps between scans
 _POOL = None
 
@@ -176,10 +176,11 @@ def _ordered_map(fn, tasks, workers):
     a fresh one.  At interpreter exit concurrent.futures joins the workers;
     a process started by multiprocessing shuts the pool down before it
     joins its children.
-    The pool uses the platform's default start method, so fn and the
-    tasks must pickle.  Each task goes to the pool on its own: scans hand
-    over batches of samples, so dispatch is paid once per batch.  The
-    map keeps task order, so the downstream fold is deterministic.
+    The pool uses the platform's default start method, so fn, the tasks
+    and their results (failures included) must pickle.  Each task goes to
+    the pool on its own: scans hand over batches of up to BATCH_SAMPLES
+    samples, at least one per worker, so dispatch is paid once per batch.
+    The map keeps task order, so the downstream fold is deterministic.
     Raises ValueError when workers < 1.
     """
     if workers < 1:
@@ -194,16 +195,24 @@ def _ordered_map(fn, tasks, workers):
 
 
 def _scan(worker, subject, points, cfg, workers):
-    """The samples worker((subject, batch, cfg)) returns for points, in order.
+    """The samples worker((subject, batch, cfg)) returns for points, in point order.
 
-    The driver of every scan: the points are cut into batches of
-    BATCH_SAMPLES in task order, never by the worker count, each one task
-    of _ordered_map.  A sample does not depend on its batch, so the samples
-    are the same for any worker count.
+    The driver of every scan: the points are dealt round-robin into tasks
+    of _ordered_map, as few as keep each one within BATCH_SAMPLES samples,
+    rounded up to a multiple of the worker count (and no more than the n
+    points).  So every worker gets the same number of tasks, and each task
+    spans the whole grid, its cheap and its costly samples alike.  The
+    outputs are put back in point order.  A sample does not depend on its
+    batch, so the samples are the same for any worker count and batch size.
     """
-    starts = range(0, len(points), BATCH_SAMPLES)
-    tasks = [(subject, points[i : i + BATCH_SAMPLES], cfg) for i in starts]
-    return [s for batch in _ordered_map(worker, tasks, workers) for s in batch]
+    n = len(points)
+    # workers < 1 gets no task, and _ordered_map rejects it
+    count = min(n, workers * -(-n // (workers * BATCH_SAMPLES))) if workers > 0 else 0
+    tasks = [(subject, points[j::count], cfg) for j in range(count)]
+    out = [None] * n
+    for j, batch in enumerate(_ordered_map(worker, tasks, workers)):
+        out[j::count] = batch
+    return out
 
 
 def _polar_points(r_grid, theta_grid):
@@ -279,7 +288,8 @@ def envelope_scan(p, r_grid=None, theta_grid=None, cfg=None, workers=1):
     failed = sum(1 for s in samples if s.method == "budget-error")
     if failed > _MAX_FAILED_FRACTION * len(samples):
         raise QuadratureBudgetError(
-            f"scan aborted: {failed}/{len(samples)} samples failed", float("nan"), float("inf"), 0
+            f"scan aborted: {failed}/{len(samples)} samples failed",
+            float("nan"), float("inf"), 0, "budget",
         )
     c_est = 0.0
     for s in samples:
@@ -316,7 +326,8 @@ def sequence_values(p, spec, cfg=None):
         n = round(s.r * spec.base_phase / (2.0 * math.pi))
         if s.method == "budget-error":
             raise QuadratureBudgetError(
-                f"witness sample n={n} (r={s.r!r}) failed", s.scaled_value, s.err_estimate, 0
+                f"witness sample n={n} (r={s.r!r}) failed",
+                s.scaled_value, s.err_estimate, 0, "budget",
             )
         out.append((n, s))
     return out

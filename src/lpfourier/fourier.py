@@ -33,7 +33,7 @@ from .lpgeom import as_p
 from .oscquad import (
     QuadConfig,
     QuadratureBudgetError,
-    QuadResult,
+    _chunk_buffer,
     _raised,
     integrate_batch,
     integrate_oscillatory,
@@ -46,7 +46,7 @@ _BRUTEFORCE_MAX_FREQ = 50.0
 # brute-force oracle: composite 8-point Gauss-Legendre on this many uniform
 # panels of [-1, 1] in each direction (plus the edge refinement in x)
 _BRUTEFORCE_PANELS = 250
-# c of the phase-roundoff floor c (1 + rate) eps; see _with_phase_floor
+# c of the phase-roundoff floor c (1 + rate) eps; see _phase_floor
 _PHASE_ROUNDOFF_C = 8.0
 # ratio of the end grading of the lp seed (lp_initial_breaks): graded panels
 # are [a, 8 a] toward x = 0 and [t/8, t], t = 1 - x, toward x = 1.  On them
@@ -70,7 +70,7 @@ class Frequency:
     def from_cartesian(cls, alpha, beta):
         alpha = float(alpha)
         beta = float(beta)
-        if not (np.isfinite(alpha) and np.isfinite(beta)):
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
             raise ValueError("frequency components must be finite")
         r = math.hypot(alpha, beta)
         theta = math.atan2(beta, alpha) if r > 0.0 else 0.0
@@ -80,7 +80,7 @@ class Frequency:
     def from_polar(cls, r, theta):
         r = float(r)
         theta = float(theta)
-        if not (np.isfinite(r) and np.isfinite(theta)) or r < 0.0:
+        if not (math.isfinite(r) and math.isfinite(theta)) or r < 0.0:
             raise ValueError("need finite r >= 0 and finite theta")
         return cls(r * math.cos(theta), r * math.sin(theta), r, theta)
 
@@ -171,6 +171,9 @@ def lp_initial_breaks(p, alpha, beta, cfg):
     return _raised(lp_initial_breaks_batch(p, [alpha], [beta], cfg)[0])
 
 
+# V-points per lp_v_points call of a seed batch (_lp_seeds); the points are
+# elementwise, so the slicing changes no bit
+_V_SLICE = 2048
 # Newton steps of the V-point solve: from the start in _v_roots, 3 steps
 # leave up to 5e-10 relative in x at p near 2, 4 reach roundoff
 _V_NEWTON_STEPS = 4
@@ -238,11 +241,28 @@ def lp_initial_breaks_batch(p, alphas, betas, cfg):
 
     Returns one entry per pair: its breaks, bitwise those of
     ``lp_initial_breaks`` whatever the batch, or the QuadratureBudgetError
-    of a rate it cannot seed within ``cfg.max_panels``.  The V-points of
-    all pairs are one ``lp_v_points`` call, and the tail and head rules run
-    over the batch as array operations: the tail candidates
+    of a rate it cannot seed within ``cfg.max_panels``.  The rows are views
+    of the one array ``_lp_seeds`` lays them out in.
+    """
+    out, ok, breaks, panels = _lp_seeds(p, alphas, betas, cfg)
+    for i, row in zip(ok.tolist(), np.split(breaks, np.cumsum(panels + 1)[:-1])):
+        out[i] = row
+    return out
+
+
+def _lp_seeds(p, alphas, betas, cfg):
+    """(out, ok, breaks, panels): the seeds of ``lp_initial_breaks_batch``, laid end to end.
+
+    ``out`` and ``ok`` are ``_seed_counts``': the failure of each pair that
+    cannot be seeded and None for the others, whose indices ``ok`` holds.
+    ``breaks`` holds their seeds in order, each 0, its head cuts, its
+    V-points, its tail cuts and 1, and ``panels`` the panel count of each,
+    as ``oscquad.integrate_batch`` takes them.  Every stage runs over the
+    batch as array operations: the V-points of all pairs go through
+    ``lp_v_points`` ``_V_SLICE`` at a time, the tail candidates
     a <- 1 - (1 - a)/8 run from the last V-point until 1 - a <= 1e-13, at
-    most 15 steps as 1 - a falls by 8 from below 1.
+    most 15 steps as 1 - a falls by 8 from below 1, and the rows are laid
+    out by index arrays.
     """
     p = as_p(p)
     alphas = np.abs(np.asarray(alphas, dtype=np.float64))
@@ -253,15 +273,18 @@ def lp_initial_breaks_batch(p, alphas, betas, cfg):
     # here, before its V-points are built
     out, ok, n = _seed_counts(alphas, betas, rates, 1.0, cfg)
     if ok.size == 0:
-        return out
+        return out, ok, np.empty(0), np.zeros(0, dtype=np.intp)
     alphas, betas = alphas[ok], betas[ok]
-    # V-points k = 1..n-1 of all pairs in one array
+    # V-points k = 1..n-1 of all pairs in one array, solved _V_SLICE points at
+    # a time so that the solve's temporaries do not grow with the batch
     counts = n - 1
     firsts = np.cumsum(counts) - counts
-    k = np.arange(1, counts.sum() + 1, dtype=np.float64) - np.repeat(firsts, counts)
-    interior = lp_v_points(
-        p, np.repeat(alphas, counts), np.repeat(betas, counts), k, np.repeat(n, counts)
-    )
+    pair = np.repeat(np.arange(ok.size), counts)
+    interior = np.empty(pair.size)
+    for s in range(0, pair.size, _V_SLICE):
+        i = pair[s : s + _V_SLICE]
+        k = np.arange(s + 1, s + 1 + i.size, dtype=np.float64) - firsts[i]
+        interior[s : s + i.size] = lp_v_points(p, alphas[i], betas[i], k, n[i])
     # tail candidates, one row per pair; columns past a row's last candidate
     # are computed but never used.  The rounded map a -> 1 - (1 - a)/8 keeps
     # the order of the rows, so the row of the smallest start needs the most
@@ -280,18 +303,31 @@ def lp_initial_breaks_batch(p, alphas, betas, cfg):
     live = rest > 1e-13
     done = live & (tail_phase + alphas[:, None] * rest <= 0.5 * math.pi)
     done &= tail_phase * rest <= 0.1 * cfg.abs_tol
-    n_extra = np.where(done.any(axis=1), np.argmax(done, axis=1), np.sum(live, axis=1))
+    n_tail = np.where(done.any(axis=1), np.argmax(done, axis=1), np.sum(live, axis=1))
     # first-panel widths: the first V-point, else the first tail cut, else 1
-    h = np.where(n_extra > 0, 1.0 - 1.0 / GRADING_RATIO, 1.0)
+    h = np.where(n_tail > 0, 1.0 - 1.0 / GRADING_RATIO, 1.0)
     h[counts > 0] = interior[firsts[counts > 0]]
     n_head = _head_counts(p, betas, h, cfg)
-    zero, one = np.zeros(1), np.ones(1)
-    rows = zip(ok.tolist(), firsts.tolist(), counts.tolist(), n_extra.tolist(), tail)
-    for (i, first, count, n_tail, cands), h0, k in zip(rows, h.tolist(), n_head.tolist()):
-        head = h0 * float(GRADING_RATIO) ** -np.arange(k, 0.0, -1.0)
-        inner = interior[first : first + count]
-        out[i] = np.concatenate([zero, head, inner, cands[1 : n_tail + 1], one])
-    return out
+    # each row: 0, h 8^-k for k = n_head..1, the V-points, tail cuts 1..n_tail, 1
+    sizes = n_head + counts + n_tail + 2
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    breaks = np.empty(ends[-1])
+    breaks[starts] = 0.0
+    head = _spans(starts + 1, n_head)
+    powers = (np.repeat(starts + 1 + n_head, n_head) - head).astype(np.float64)
+    breaks[head] = np.repeat(h, n_head) * float(GRADING_RATIO) ** -powers
+    breaks[_spans(starts + 1 + n_head, counts)] = interior
+    cuts = _spans(starts + 1 + n_head + counts, n_tail)
+    rows = np.repeat(np.arange(ok.size), n_tail)
+    breaks[cuts] = tail[rows, cuts - np.repeat(starts + n_head + counts, n_tail)]
+    breaks[ends - 1] = 1.0
+    return out, ok, breaks, sizes - 1
+
+
+def _spans(starts, sizes):
+    """starts[i] + j for j < sizes[i], for every i in turn, as one index array."""
+    return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
 
 
 def _head_counts(p, betas, h, cfg):
@@ -309,8 +345,8 @@ def _head_counts(p, betas, h, cfg):
     return counts
 
 
-def _with_phase_floor(res, rate, c=_PHASE_ROUNDOFF_C):
-    """``res`` with c (1 + rate) eps added to its estimate, c = 8 for the lp integrands.
+def _phase_floor(rate, c=_PHASE_ROUNDOFF_C):
+    """c (1 + rate) eps, the floor added to an lp integral's estimate; c = 8 for the lp integrands.
 
     The engine's floor 50 eps resabs covers errors relative to the
     integrand's values.  The lp integrands are trig functions of a phase
@@ -353,18 +389,17 @@ def _with_phase_floor(res, rate, c=_PHASE_ROUNDOFF_C):
     ``tools/calibrate.py`` checks the result on a poly body and two
     superellipses.
     """
-    floor = c * (1.0 + rate) * math.ulp(1.0)
-    return QuadResult(res.value, res.err_estimate + floor, res.panels_used)
+    return c * (1.0 + rate) * math.ulp(1.0)
 
 
 def _seed_counts(alphas, betas, rates, length, cfg):
     """(out, ok, n) for a batch of seeds of [0, length] at the phase rates ``rates``.
 
-    ``out`` has one entry per pair: the QuadratureBudgetError naming
-    |omega| = hypot(alpha, beta) of a rate whose uniform panel count would
-    exceed ``cfg.max_panels`` (an overflowing rate included), None for the
-    others; ``ok`` holds the indices of the others and ``n`` their counts
-    ``uniform_panel_counts(0, length, rates[ok], cfg)``.
+    ``out`` has one entry per pair: the 'unseedable' QuadratureBudgetError
+    naming |omega| = hypot(alpha, beta) of a rate whose uniform panel count
+    would exceed ``cfg.max_panels`` (an overflowing rate included), None for
+    the others; ``ok`` holds the indices of the others and ``n`` their
+    counts ``uniform_panel_counts(0, length, rates[ok], cfg)``.
     """
     seedable = seed_fits_budget(length, rates, cfg)
     out = [None] * rates.size
@@ -372,13 +407,13 @@ def _seed_counts(alphas, betas, rates, length, cfg):
         out[i] = QuadratureBudgetError(
             f"the seed partition for |omega| = {math.hypot(alphas[i], betas[i]):.3e} "
             f"exceeds max_panels = {cfg.max_panels}",
-            0.0, math.inf, 0,
+            0.0, math.inf, 0, "unseedable",
         )
     ok = np.flatnonzero(seedable)
     return out, ok, uniform_panel_counts(0.0, length, rates[ok], cfg)
 
 
-def _slice_transforms(u, seeds, alphas, betas, cfg, roundoff_c=_PHASE_ROUNDOFF_C):
+def _slice_transforms(graph, seeds, alphas, betas, cfg, roundoff_c=_PHASE_ROUNDOFF_C):
     """TransformResult of (2/(pi beta)) int_0^w cos(alpha x) sin(beta u(x)) dx per pair.
 
     The transform of the body |y| <= u(|x|), |x| <= w, by vertical slices,
@@ -388,13 +423,16 @@ def _slice_transforms(u, seeds, alphas, betas, cfg, roundoff_c=_PHASE_ROUNDOFF_C
     of the sine form would magnify the integral's error there, and overflow
     for subnormal beta.
 
-    ``alphas`` and ``betas`` are float arrays.  ``u`` evaluates the graph
-    at the nodes into a new array, and ``seeds(alphas, betas, sinc)``
-    returns, for the arrays of the pairs of a form, the seed partition of
-    [0, w] of each pair, or the QuadratureBudgetError of a pair it cannot
-    seed.  Each form is one ``integrate_batch`` call, whose estimates gain
-    the phase floor ``roundoff_c`` (1 + alpha + beta) eps before the scale
-    2/pi or 2/(pi beta).  A failed pair is its QuadratureBudgetError.
+    ``alphas`` and ``betas`` are float arrays.  ``graph(x, out=buf)``
+    evaluates u at the nodes into buf, a chunk buffer the integrand borrows
+    for its call, or into a new array, and ``seeds(alphas, betas, sinc)``
+    returns, for the arrays
+    of the pairs of a form, the ``(out, ok, breaks, panels)`` of
+    ``_lp_seeds``: the QuadratureBudgetError of each pair it cannot seed,
+    and the seeds of the others laid end to end.  Each form is one
+    ``integrate_batch`` call, whose estimates gain the phase floor
+    ``roundoff_c`` (1 + alpha + beta) eps before the scale 2/pi or
+    2/(pi beta).  A failed pair is its QuadratureBudgetError.
     """
     out = [None] * betas.size
     # the scalar arithmetic below runs on Python floats
@@ -403,31 +441,33 @@ def _slice_transforms(u, seeds, alphas, betas, cfg, roundoff_c=_PHASE_ROUNDOFF_C
         group = np.flatnonzero((betas < 2.0 / math.pi) == sinc)
         if group.size == 0:
             continue
-        for i, seed in zip(group.tolist(), seeds(alphas[group], betas[group], sinc)):
-            out[i] = seed
-        ok = [i for i in group.tolist() if not isinstance(out[i], QuadratureBudgetError)]
+        failed, ok, breaks, panels = seeds(alphas[group], betas[group], sinc)
+        for i, seed_error in zip(group.tolist(), failed):
+            out[i] = seed_error
+        rows = group[ok]
         # one row per integral, picked per panel row by the engine's owner index
-        a = alphas[ok][:, None]
-        b = betas[ok][:, None]
-
+        a = alphas[rows][:, None]
+        b = betas[rows][:, None]
         kernel = _kernels.cos_sinc_values if sinc else _kernels.cos_sin_values
 
         def f(x, owner):
-            return kernel(x, u(x), a[owner], b[owner])
+            with _chunk_buffer() as u:
+                return kernel(x, graph(x, out=u[: x.shape[0]]), a[owner], b[owner])
 
-        for i, res in zip(ok, integrate_batch(f, [out[i] for i in ok], cfg)):
+        results = integrate_batch(f, breaks, panels, cfg)
+        for i, res in zip(rows.tolist(), results):
             if not isinstance(res, QuadratureBudgetError):
                 alpha, beta = alpha_list[i], beta_list[i]
-                res = _with_phase_floor(res, alpha + beta, roundoff_c)
+                err = res.err_estimate + _phase_floor(alpha + beta, roundoff_c)
                 scale = 2.0 / math.pi if sinc else 2.0 / (math.pi * beta)
                 method = "zero-frequency" if alpha == 0.0 and beta == 0.0 else "reduction-x"
-                res = TransformResult(scale * res.value, scale * res.err_estimate, method)
+                res = TransformResult(scale * res.value, scale * err, method)
             out[i] = res
     return out
 
 
 def _lp_slices(p, cfg):
-    """(u, seeds) of B_p: phi_p and ``lp_initial_breaks_batch``.
+    """(graph, seeds) of B_p: phi_p and ``_lp_seeds``.
 
     The sinc form (beta < 2/pi) seeds at beta = 1: with under a radian of
     phase, the seed's tail rule phi(a)(1 - a) <= 0.1 abs_tol bounds the
@@ -435,7 +475,7 @@ def _lp_slices(p, cfg):
     """
 
     def seeds(alphas, betas, sinc):
-        return lp_initial_breaks_batch(p, alphas, np.ones(betas.size) if sinc else betas, cfg)
+        return _lp_seeds(p, alphas, np.ones(betas.size) if sinc else betas, cfg)
 
     return partial(_kernels._phi_array, p=p), seeds
 
@@ -497,12 +537,12 @@ def psi_split_integrals(p, r, theta, cfg=None):
     signs = np.array([[1.0], [-1.0]])
 
     def f(x, owner):
-        return _kernels.lp_phase_sin_values(x, p, r, ct, st, signs[owner])
+        with _chunk_buffer() as phi:
+            return _kernels.lp_phase_sin_values(x, p, r, ct, st, signs[owner], phi[: x.shape[0]])
 
-    rate = r * (abs(ct) + abs(st))
-    return tuple(
-        _with_phase_floor(_raised(res), rate) for res in integrate_batch(f, [breaks, breaks], cfg)
-    )
+    results = integrate_batch(f, np.concatenate([breaks, breaks]), [breaks.size - 1] * 2, cfg)
+    floor = _phase_floor(r * (abs(ct) + abs(st)))
+    return tuple(replace(res, err_estimate=res.err_estimate + floor) for res in map(_raised, results))
 
 
 def _sin_over(x):

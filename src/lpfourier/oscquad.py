@@ -31,9 +31,12 @@ against a 25-digit mpmath reference.
 
 ``integrate_batch`` runs one adaptive loop for a batch of integrals,
 each with its own seed partition, tolerance test, stagnation count and
-panel budget, and its own result or failure.  Each round builds, evaluates
-and reduces the panels of all its integrals together, in chunks of at
-most ``CHUNK_PANELS`` rows; ``integrate_oscillatory`` is the batch of one.
+panel budget, and its own result or failure.  The panels of all
+integrals live in flat arrays, and each round settles, bisects and
+merges them as whole-batch array steps; it evaluates and reduces the new
+panels together, in chunks of at most ``CHUNK_PANELS`` rows, in borrowed
+buffers that no chunk allocates.  ``integrate_oscillatory`` is the batch
+of one.
 
 Everything is deterministic: panels are kept sorted and summed in
 interval order, and every panel's (value, error) depends on that panel
@@ -45,12 +48,12 @@ engine call, the symmetric Fresnel sine integral.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from ._kernels import _panel_nodes, panel_sums_from_values
+from ._kernels import _borrowed, _panel_nodes, panel_sums_from_values
 
 _MIN_PANEL_WIDTH = 1e-14
 _STAGNANT_ROUNDS = 3
@@ -77,19 +80,54 @@ class QuadConfig:
 
 @dataclass(frozen=True)
 class QuadResult:
+    """An integral's value and estimate, with what it cost.
+
+    ``rounds`` counts the evaluation rounds (the seed's is the first),
+    ``panels_evaluated`` the panels evaluated over all of them and
+    ``seed_panels`` those of the seed.  The counters depend on the
+    integrand, the seed and the tolerance only, not on the batch or the
+    chunking; they stay out of the repr.
+    """
+
     value: float
     err_estimate: float
     panels_used: int
+    rounds: int = field(repr=False)
+    panels_evaluated: int = field(repr=False)
+    seed_panels: int = field(repr=False)
 
 
 class QuadratureBudgetError(RuntimeError):
-    """Tolerance not met within the panel budget (or at the roundoff floor)."""
+    """Tolerance not met within the panel budget (or at the roundoff floor).
 
-    def __init__(self, message, partial_value, err_estimate, panels_used):
+    ``reason`` types the failure: 'seed-budget' when the seed partition
+    alone exceeds max_panels, 'stalled' when the estimate stopped falling
+    (the tolerance sits below the roundoff floor), 'min-width' when the
+    offending panels reached the minimal width, 'budget' when bisecting
+    them would exceed max_panels, and 'unseedable' when a seed builder
+    cannot fit the phase rate within max_panels.  The counters are
+    QuadResult's, 0 where nothing was evaluated.
+    """
+
+    def __init__(
+        self, message, partial_value, err_estimate, panels_used, reason,
+        rounds=0, panels_evaluated=0, seed_panels=0,
+    ):
         super().__init__(message)
         self.partial_value = partial_value
         self.err_estimate = err_estimate
         self.panels_used = panels_used
+        self.reason = reason
+        self.rounds = rounds
+        self.panels_evaluated = panels_evaluated
+        self.seed_panels = seed_panels
+
+    def __reduce__(self):
+        # rebuilt from all its fields, so that it crosses a process pool
+        return type(self), (
+            self.args[0], self.partial_value, self.err_estimate, self.panels_used, self.reason,
+            self.rounds, self.panels_evaluated, self.seed_panels,
+        )
 
 
 class NonFiniteIntegrandError(RuntimeError):
@@ -98,6 +136,9 @@ class NonFiniteIntegrandError(RuntimeError):
     def __init__(self, abscissa):
         super().__init__(f"integrand is not finite near x = {abscissa!r}")
         self.abscissa = abscissa
+
+    def __reduce__(self):
+        return type(self), (self.abscissa,)
 
 
 def uniform_breaks(a, b, rate, cfg=None):
@@ -143,10 +184,12 @@ def seed_fits_budget(length, rate, cfg):
     return _panel_spans(length, rate) <= cfg.max_panels
 
 
-def _panel_sums(f, lefts, rights, owner):
-    x, half = _panel_nodes(lefts, rights)
+def _panel_sums(f, lefts, rights, owner, nodes):
+    n = lefts.size
+    x, half = _panel_nodes(lefts, rights, nodes[:n])
     v = np.asarray(f(x, owner), dtype=np.float64)
-    sums, err = panel_sums_from_values(v, half)
+    with _chunk_buffer() as dev:
+        sums, err = panel_sums_from_values(v, half, dev[:n])
     if not (np.all(np.isfinite(sums)) and np.all(np.isfinite(err))):
         raise NonFiniteIntegrandError(_locate_nonfinite(f, lefts, rights, owner, sums, err))
     return sums, err
@@ -161,165 +204,196 @@ def _locate_nonfinite(f, lefts, rights, owner, sums, err):
     return float(x.flat[np.argmax(~np.isfinite(v))])
 
 
-class _Integral:
-    """Adaptive state of one integral of a batch: its sorted panels and their sums."""
+def _evaluate(f, owner, panels, nodes):
+    """Fill rows 2 and 3 of panels with the sums and errors of the panels in rows 0 and 1.
 
-    __slots__ = ("index", "lefts", "rights", "sums", "err", "prev_err", "stagnant", "bad")
-
-    def __init__(self, index, breaks):
-        self.index = index
-        self.lefts = breaks[:-1]
-        self.rights = breaks[1:]
-        self.prev_err = math.inf
-        self.stagnant = 0
-
-    def settle(self, cfg):
-        """The QuadResult or QuadratureBudgetError that ends this integral, or
-        None after marking the panels to bisect in ``self.bad``."""
-        # np.sum's pairwise reduction, called without its dispatch layer
-        total = float(np.add.reduce(self.sums))
-        total_err = float(np.add.reduce(self.err))
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        n = len(self.lefts)
-        if total_err <= tol:
-            return QuadResult(total, total_err, n)
-
-        # no useful progress: the estimate sits at the roundoff floor
-        self.stagnant = self.stagnant + 1 if total_err > 0.98 * self.prev_err else 0
-        if self.stagnant >= _STAGNANT_ROUNDS:
-            return QuadratureBudgetError(
-                f"error estimate stalled at {total_err:.3e} (tol {tol:.3e}); "
-                "the requested tolerance sits below the attainable floor",
-                total,
-                total_err,
-                n,
-            )
-        self.prev_err = total_err
-
-        bad = (self.err > tol / (2.0 * n)) & ((self.rights - self.lefts) > _MIN_PANEL_WIDTH)
-        if not bad.any():
-            return QuadratureBudgetError(
-                "offending panels reached minimal width without meeting the tolerance",
-                total,
-                total_err,
-                n,
-            )
-        if n + int(bad.sum()) > cfg.max_panels:
-            return QuadratureBudgetError(
-                f"panel budget {cfg.max_panels} exhausted (err {total_err:.3e} > tol {tol:.3e})",
-                total,
-                total_err,
-                n,
-            )
-        self.bad = bad
-        return None
-
-    def halves(self):
-        """The two halves of each marked panel: (lefts, rights), left halves first."""
-        bl, br = self.lefts[self.bad], self.rights[self.bad]
-        mids = 0.5 * (bl + br)
-        return np.concatenate([bl, mids]), np.concatenate([mids, br])
-
-    def merge(self, new_l, new_r, nk, ne):
-        """Replace the marked panels by their halves, keeping interval order."""
-        keep = ~self.bad
-        lefts = np.concatenate([self.lefts[keep], new_l])
-        order = np.argsort(lefts, kind="stable")
-        self.lefts = lefts[order]
-        self.rights = np.concatenate([self.rights[keep], new_r])[order]
-        self.sums = np.concatenate([self.sums[keep], nk])[order]
-        self.err = np.concatenate([self.err[keep], ne])[order]
-
-
-def _evaluate(f, owners, lefts, rights):
-    """Panel sums of every integral's panels, in chunks of at most CHUNK_PANELS rows.
-
-    ``owners`` holds the batch index of each integral, ``lefts`` and
-    ``rights`` its panels; returns the (sums, err) pair of each integral.
+    The panels go through f in chunks of the row count of ``nodes``, the
+    buffer the engine call borrowed for the Kronrod abscissae; every chunk
+    reuses it.  The reduction borrows its deviations' buffer for the length
+    of the reduction only, so it can be the one the integrand handed back.
     """
-    counts = [len(l) for l in lefts]
-    all_l = np.concatenate(lefts)
-    all_r = np.concatenate(rights)
-    owner = np.repeat(np.asarray(owners, dtype=np.intp), counts)
-    sums = np.empty(all_l.size)
-    err = np.empty(all_l.size)
-    for s in range(0, all_l.size, CHUNK_PANELS):
-        e = s + CHUNK_PANELS
-        sums[s:e], err[s:e] = _panel_sums(f, all_l[s:e], all_r[s:e], owner[s:e])
-    ends = np.cumsum(counts).tolist()
-    return [(sums[e - c : e], err[e - c : e]) for c, e in zip(counts, ends)]
+    rows = nodes.shape[0]
+    for s in range(0, owner.size, rows):
+        e = s + rows
+        panels[2:, s:e] = _panel_sums(f, panels[0, s:e], panels[1, s:e], owner[s:e], nodes)
 
 
-def integrate_batch(f: Callable, breaks_list, cfg: Optional[QuadConfig] = None) -> list:
+def _totals(values, counts):
+    """Per integral, np.add.reduce of each row of values over its panels, as a (2, m) array.
+
+    ``values`` holds the panels' sums and errors in its two C-ordered rows,
+    grouped by integral, counts[i] > 0 panels for integral i.  Each total is
+    numpy's pairwise sum over the integral's panels in interval order: a
+    row of a (2, count) slice reduces on its own, bitwise the 1-D reduce.
+    (np.add.reduceat does not sum pairwise, and neither does a row whose
+    elements are not adjacent in memory.)
+    """
+    out = np.empty((2, counts.size))
+    end = 0
+    for j, c in enumerate(counts.tolist()):
+        start, end = end, end + c
+        out[:, j] = np.add.reduce(values[:, start:end], axis=1)
+    return out
+
+
+def _chunk_buffer():
+    """A borrowed (CHUNK_PANELS, 31) buffer, at CHUNK_PANELS as it stands now."""
+    return _borrowed(CHUNK_PANELS)
+
+
+def _flat_panels(breaks, counts):
+    """(panels, owner) of the integrals whose seeds lie end to end in breaks.
+
+    Rows 0 and 1 of the (4, n) array panels hold the lefts and rights of
+    every panel, rows 2 and 3 are left for the sums and errors; owner holds
+    each panel's integral.  Raises ValueError unless breaks holds
+    counts[i] >= 1 panels of integral i, finite and strictly increasing.
+    """
+    ends = np.cumsum(counts + 1)
+    ok = breaks.ndim == 1 and counts.ndim == 1 and np.all(counts >= 1)
+    if ok and breaks.size == (ends[-1] if counts.size else 0):
+        last = np.zeros(breaks.size, dtype=bool)
+        last[ends - 1] = True
+        panels = np.empty((4, breaks.size - counts.size))
+        # an integral's first break follows the previous one's last
+        panels[0] = breaks[~last]
+        panels[1] = breaks[~np.roll(last, 1)]
+        # breaks increase when every panel has right > left, and increasing
+        # breaks are all finite when their spans are
+        spans = breaks[ends - 1] - breaks[ends - 1 - counts]
+        if np.all(panels[1] > panels[0]) and np.all(np.isfinite(spans)):
+            return panels, np.repeat(np.arange(counts.size), counts)
+    raise ValueError("breaks must be finite and strictly increasing with >= 2 entries")
+
+
+def integrate_batch(f: Callable, breaks, counts, cfg: Optional[QuadConfig] = None) -> list:
     """Integrate a batch of integrals in one adaptive loop.
 
-    Integral i runs over [breaks_list[i][0], breaks_list[i][-1]] on its own
-    seed partition ``breaks_list[i]``, a strictly increasing array of panel
-    boundaries, which the loop only refines.  Each integral keeps its own
-    tolerance test, stagnation count and ``max_panels`` budget.
+    ``breaks`` holds the seed partitions of the integrals laid end to end:
+    integral i runs on counts[i] >= 1 panels, its counts[i] + 1 strictly
+    increasing boundaries following those of integral i - 1, which the
+    loop only refines.  Each integral keeps its own tolerance test,
+    stagnation count and ``max_panels`` budget.
+
+    The state of all integrals is flat: one array of panel lefts, rights,
+    sums and errors and one of owning integrals, grouped by integral in
+    interval order.  Every round settles all integrals at once (totals,
+    tolerance, stagnation, width and budget tests), bisects the marked
+    panels of the rest and merges the halves back in by one sort on
+    (integral, left).
 
     ``f(x, owner)`` maps an (n, 31) array of Kronrod abscissae, one row per
     panel, and the (n,) array ``owner`` of the index i of each row's
-    integral, to the integrand values at those abscissae, elementwise.  The
-    array x is fresh in every call and owned by the engine: ``f`` may
-    overwrite it and return it as the values.  Rows of all integrals share
-    the calls, at most ``CHUNK_PANELS`` rows each.
+    integral, to the integrand values at those abscissae, elementwise.
+    Rows of all integrals share the calls, at most ``CHUNK_PANELS`` rows
+    each.  x is a view of a buffer the call borrows from
+    ``_kernels._borrowed`` and reuses for every chunk: ``f`` may overwrite
+    it and return it as the values, but must not keep it past its return.
+    An integrand that needs a scratch array of x's shape borrows one for
+    its own length (``_chunk_buffer``); the reduction then borrows it back.
 
     Returns one entry per integral: its QuadResult, or the
-    QuadratureBudgetError (with the partial value) that ended it when its
-    budget ran out or its estimate stalled at the roundoff floor; the other
-    integrals go on.  A result does not depend on which integrals share the
-    batch.  Raises ValueError for a malformed partition and
-    NonFiniteIntegrandError with the offending abscissa when the integrand
-    misbehaves.
+    QuadratureBudgetError (with the partial value and a typed ``reason``)
+    that ended it; the other integrals go on.  A result does not depend on
+    which integrals share the batch.  Raises ValueError for a malformed
+    partition and NonFiniteIntegrandError with the offending abscissa when
+    the integrand misbehaves.
     """
     cfg = cfg or QuadConfig()
     if f is None:
         raise ValueError("an integrand f is required")
-    seeds = [np.asarray(b, dtype=np.float64) for b in breaks_list]
-    ok = all(b.ndim == 1 and b.size >= 2 for b in seeds)
-    if ok and seeds:
-        # breaks increase when every panel of every seed has right > left,
-        # and increasing breaks are all finite when their spans are
-        rights = np.concatenate([b[1:] for b in seeds])
-        ok = np.all(rights > np.concatenate([b[:-1] for b in seeds]))
-        ok = ok and np.all(np.isfinite([b[-1] - b[0] for b in seeds]))
-    if not ok:
-        raise ValueError("breaks must be finite and strictly increasing with >= 2 entries")
-    out = [None] * len(seeds)
-    live = []
-    for i, b in enumerate(seeds):
-        if b.size - 1 > cfg.max_panels:
-            out[i] = QuadratureBudgetError(
-                "initial partition exceeds max_panels", 0.0, np.inf, b.size - 1
-            )
-        else:
-            live.append(_Integral(i, b))
-    if not live:
-        return out
-    seed_sums = _evaluate(
-        f, [q.index for q in live], [q.lefts for q in live], [q.rights for q in live]
-    )
-    for q, (sums, err) in zip(live, seed_sums):
-        q.sums, q.err = sums, err
-    while live:
-        refining = []
-        for q in live:
-            done = q.settle(cfg)
-            if done is None:
-                refining.append(q)
-            else:
-                out[q.index] = done
-        if not refining:
-            break
-        halves = [q.halves() for q in refining]
-        sums = _evaluate(
-            f, [q.index for q in refining], [h[0] for h in halves], [h[1] for h in halves]
+    counts = np.asarray(counts, dtype=np.intp)
+    panels, owner = _flat_panels(np.asarray(breaks, dtype=np.float64), counts)
+    out = [None] * counts.size
+    over = counts > cfg.max_panels
+    for i in np.flatnonzero(over).tolist():
+        out[i] = QuadratureBudgetError(
+            "initial partition exceeds max_panels", 0.0, np.inf, int(counts[i]), "seed-budget"
         )
-        for q, (new_l, new_r), (nk, ne) in zip(refining, halves, sums):
-            q.merge(new_l, new_r, nk, ne)
-        live = refining
+    if over.any():
+        live = ~over[owner]
+        panels, owner = np.compress(live, panels, axis=1), owner[live]
+    if owner.size:
+        with _chunk_buffer() as nodes:
+            _refine(f, panels, owner, counts, cfg, out, nodes)
     return out
+
+
+def _refine(f, panels, owner, seeds, cfg, out, nodes):
+    # integrate_batch's adaptive loop on the (4, n) panels of _flat_panels
+    # and their owners, which seeds[i] panels seed; fills out[i] for every owner
+    m = seeds.size
+    prev_err = np.full(m, math.inf)
+    stagnant = np.zeros(m, dtype=np.intp)
+    rounds = np.zeros(m, dtype=np.intp)
+    evaluated = np.zeros(m, dtype=np.intp)
+    _evaluate(f, owner, panels, nodes)
+    new_owner = owner
+    while True:
+        lefts, rights, _, err = panels
+        n = np.bincount(owner, minlength=m)
+        ids = np.flatnonzero(n)
+        n = n[ids]
+        rounds[ids] += 1
+        evaluated += np.bincount(new_owner, minlength=m)
+        total, total_err = _totals(panels[2:], n)
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+        done = total_err <= tol
+        # no useful progress: the estimate sits at the roundoff floor
+        stag = np.where(total_err > 0.98 * prev_err[ids], stagnant[ids] + 1, 0)
+        stagnant[ids] = stag
+        prev_err[ids] = total_err
+        stalled = ~done & (stag >= _STAGNANT_ROUNDS)
+        bad = err > np.repeat(tol / (2.0 * n), n)
+        bad &= (rights - lefts) > _MIN_PANEL_WIDTH
+        n_bad = np.bincount(owner[bad], minlength=m)[ids]
+        narrow = ~(done | stalled) & (n_bad == 0)
+        spent = ~(done | stalled | narrow) & (n + n_bad > cfg.max_panels)
+        refine = ~(done | stalled | narrow | spent)
+        # the entries of the integrals that ended, built from Python numbers
+        ended = np.flatnonzero(~refine)
+        who = ids[ended]
+        columns = (
+            who, total[ended], total_err[ended], n[ended], rounds[who], evaluated[who], seeds[who],
+            tol[ended], done[ended], stalled[ended], narrow[ended],
+        )
+        for i, value, err_est, used, *counters, t, ok, stall, thin in zip(*(c.tolist() for c in columns)):
+            if ok:
+                out[i] = QuadResult(value, err_est, used, *counters)
+                continue
+            if stall:
+                reason, message = "stalled", (
+                    f"error estimate stalled at {err_est:.3e} (tol {t:.3e}); "
+                    "the requested tolerance sits below the attainable floor"
+                )
+            elif thin:
+                reason = "min-width"
+                message = "offending panels reached minimal width without meeting the tolerance"
+            else:
+                reason = "budget"
+                message = f"panel budget {cfg.max_panels} exhausted (err {err_est:.3e} > tol {t:.3e})"
+            out[i] = QuadratureBudgetError(message, value, err_est, used, reason, *counters)
+        if not refine.any():
+            return
+        live = np.repeat(refine, n)
+        split = bad & live
+        keep = ~bad & live
+        # the halves of each marked panel, per integral left halves first
+        bl, br, bo = lefts[split], rights[split], owner[split]
+        mids = 0.5 * (bl + br)
+        order = np.argsort(np.concatenate([bo, bo]), kind="stable")
+        new_owner = np.concatenate([bo, bo])[order]
+        new = np.empty((4, order.size))
+        new[0] = np.concatenate([bl, mids])[order]
+        new[1] = np.concatenate([mids, br])[order]
+        _evaluate(f, new_owner, new, nodes)
+        # back into interval order; the stable sort puts a tie in the order
+        # kept panel, left half, right half.  compress and take keep the rows
+        # C-ordered (panels[:, order] would not), as _totals needs
+        owner = np.concatenate([owner[keep], new_owner])
+        panels = np.concatenate([np.compress(keep, panels, axis=1), new], axis=1)
+        order = np.lexsort((panels[0], owner))
+        owner, panels = owner[order], np.take(panels, order, axis=1)
 
 
 def integrate_oscillatory(f: Callable, breaks, cfg: Optional[QuadConfig] = None) -> QuadResult:
@@ -327,10 +401,10 @@ def integrate_oscillatory(f: Callable, breaks, cfg: Optional[QuadConfig] = None)
 
     ``f`` maps an (n, 31) array of Kronrod abscissae, one row per panel, to
     the integrand values at those abscissae, elementwise; it may overwrite
-    the array and return it.  ``breaks`` is the seed partition, a strictly
-    increasing array of panel boundaries (``uniform_breaks`` builds a
-    uniform one); the engine only refines it.  This is the batch of one of
-    ``integrate_batch``.
+    the array and return it, but must not keep it.  ``breaks`` is the seed
+    partition, a strictly increasing array of panel boundaries
+    (``uniform_breaks`` builds a uniform one); the engine only refines it.
+    This is the batch of one of ``integrate_batch``.
 
     Raises QuadratureBudgetError carrying the partial value when the
     panel budget is exhausted or the estimate stalls at the roundoff
@@ -339,7 +413,9 @@ def integrate_oscillatory(f: Callable, breaks, cfg: Optional[QuadConfig] = None)
     """
     if f is None:
         raise ValueError("an integrand f is required")
-    return _raised(integrate_batch(lambda x, owner: f(x), [breaks], cfg)[0])
+    breaks = np.asarray(breaks, dtype=np.float64)
+    counts = [breaks.size - 1] if breaks.ndim == 1 else []
+    return _raised(integrate_batch(lambda x, owner: f(x), breaks, counts, cfg)[0])
 
 
 def _raised(entry):

@@ -177,9 +177,9 @@ def test_wide_poly_body_finishes_on_its_seed(monkeypatch):
     seen = []
     batch = fourier.integrate_batch
 
-    def recording(f, breaks_list, cfg=None):
-        results = batch(f, breaks_list, cfg)
-        seen.extend((len(b) - 1, res.panels_used) for b, res in zip(breaks_list, results))
+    def recording(f, breaks, counts, cfg=None):
+        results = batch(f, breaks, counts, cfg)
+        seen.extend((n, res.panels_used) for n, res in zip(counts, results))
         return results
 
     monkeypatch.setattr(fourier, "integrate_batch", recording)
@@ -378,9 +378,11 @@ def test_batched_body_seeds_are_uniform_breaks(monkeypatch):
     seeds = []
     batch = fourier.integrate_batch
 
-    def spy(f, breaks_list, cfg=None):
-        seeds.extend(breaks_list)
-        return batch(f, breaks_list, cfg)
+    def spy(f, breaks, counts, cfg=None):
+        # the engine takes the seeds laid end to end, counts[i] panels each
+        ends = np.cumsum(np.asarray(counts) + 1)
+        seeds.extend(breaks[e - n - 1 : e] for n, e in zip(counts, ends))
+        return batch(f, breaks, counts, cfg)
 
     monkeypatch.setattr(fourier, "integrate_batch", spy)
     out = convex_probe.chi_hat_body_batch(body, omegas, cfg)
@@ -402,3 +404,19 @@ def test_batches_reject_non_finite_frequencies():
         for b in (body, ellipse_body(2.0, 1.0)):
             with pytest.raises(ValueError, match="finite"):
                 convex_probe.chi_hat_body_batch(b, [bad, (3.0, 4.0)])
+
+
+def test_pooled_conjecture_scan_raises_the_serial_failure():
+    # a failed sample's QuadratureBudgetError crosses the pool, and the scan
+    # raises the first one in point order, as the serial scan does
+    body = poly_body([1.0, 0.0, -0.5, 0.0, -0.5], 1.0)
+    cfg = QuadConfig(max_panels=20)
+    raised = []
+    for workers in (1, 2):
+        with pytest.raises(QuadratureBudgetError) as exc:
+            conjecture_scan(body, [5.0, 400.0, 1000.0], [0.3, 1.0], cfg, workers=workers)
+        raised.append((str(exc.value), exc.value.reason))
+    assert raised[0] == raised[1]
+    assert raised[0] == (
+        "the seed partition for |omega| = 4.000e+02 exceeds max_panels = 20", "unseedable"
+    )

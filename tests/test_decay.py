@@ -443,3 +443,43 @@ def test_envelope_tasks_run_under_spawn():
     with ProcessPoolExecutor(max_workers=2, mp_context=get_context("spawn")) as pool:
         pooled = list(pool.map(decay._sample_batch_worker, tasks))
     assert pooled == serial
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scans_do_not_depend_on_the_split(monkeypatch, workers):
+    # an envelope scan and a poly-body conjecture scan are byte for byte the
+    # same whatever the batch size and the worker count
+    r_grid = np.geomspace(5.0, 300.0, 5)
+    th = [0.9, 1.2, math.pi / 2]
+    body = convex_probe.poly_body([1.0, 0.0, -0.5, 0.0, -0.5], 1.0)
+    want = None
+    for size in (1, 7, 32, decay.BATCH_SAMPLES, 10**6):
+        monkeypatch.setattr(decay, "BATCH_SAMPLES", size)
+        got = repr((
+            decay.envelope_scan(1.3, r_grid, th, workers=workers),
+            convex_probe.conjecture_scan(body, r_grid, th, workers=workers),
+        ))
+        want = want or got
+        assert got == want, size
+
+
+def test_scan_tasks_hold_at_most_batch_samples(monkeypatch):
+    # the points are dealt round-robin: every task within BATCH_SAMPLES, the
+    # same task count for every worker, and the outputs back in point order
+    seen = []
+
+    def serial_map(fn, tasks, workers):
+        seen.append(tasks)
+        return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(decay, "_ordered_map", serial_map)
+    points = [(float(i), 0.0) for i in range(301)]
+    for size in (1, 7, 64, 1000):
+        monkeypatch.setattr(decay, "BATCH_SAMPLES", size)
+        for workers in (1, 2, 3):
+            for n in (1, 2, 5, 301):
+                seen.clear()
+                assert decay._scan(lambda task: task[1], None, points[:n], None, workers) == points[:n]
+                (tasks,) = seen
+                assert max(len(t[1]) for t in tasks) <= size
+                assert len(tasks) % workers == 0 or len(tasks) == n

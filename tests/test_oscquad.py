@@ -1,10 +1,11 @@
 import math
+import pickle
 import warnings
 
 import numpy as np
 import pytest
 
-from lpfourier import oscquad
+from lpfourier import _kernels, fourier, oscquad
 from lpfourier.oscquad import (
     NonFiniteIntegrandError,
     QuadConfig,
@@ -288,6 +289,7 @@ def _batch_cases():
 
 
 def _batched(cases):
+    # the batch integrand and the seeds laid end to end with their panel counts
     fs = [f for f, _ in cases]
 
     def f(x, owner):
@@ -297,29 +299,30 @@ def _batched(cases):
             out[rows] = fs[i](x[rows])
         return out
 
-    return f, [b for _, b in cases]
+    breaks = [b for _, b in cases]
+    return f, (np.concatenate(breaks) if breaks else np.empty(0), [b.size - 1 for b in breaks])
 
 
 def test_batch_entries_match_single_integrals_bitwise():
     cases = _batch_cases()
     alone = [integrate_oscillatory(f, b) for f, b in cases]
-    f, breaks = _batched(cases)
-    assert integrate_batch(f, breaks) == alone
+    f, seeds = _batched(cases)
+    assert integrate_batch(f, *seeds) == alone
     # the same integral at another position, and in batches of one
-    f, breaks = _batched(cases[::-1])
-    assert integrate_batch(f, breaks) == alone[::-1]
+    f, seeds = _batched(cases[::-1])
+    assert integrate_batch(f, *seeds) == alone[::-1]
     for case, want in zip(cases, alone):
-        f, breaks = _batched([case])
-        assert integrate_batch(f, breaks) == [want]
-    assert integrate_batch(f, []) == []
+        f, seeds = _batched([case])
+        assert integrate_batch(f, *seeds) == [want]
+    assert integrate_batch(f, *_batched([])[1]) == []
 
 
 def test_batch_results_do_not_depend_on_chunking(monkeypatch):
-    f, breaks = _batched(_batch_cases())
-    want = integrate_batch(f, breaks)
+    f, seeds = _batched(_batch_cases())
+    want = integrate_batch(f, *seeds)
     for chunk in (1, 7, 100):
         monkeypatch.setattr(oscquad, "CHUNK_PANELS", chunk)
-        assert integrate_batch(f, breaks) == want, chunk
+        assert integrate_batch(f, *seeds) == want, chunk
 
 
 def test_budget_failure_stays_with_its_integral():
@@ -337,8 +340,8 @@ def test_budget_failure_stays_with_its_integral():
     assert failed == [False, True, True, True]
     assert "panel budget 14 exhausted" in str(alone[2])
     assert [str(alone[i]) for i in (1, 3)] == ["initial partition exceeds max_panels"] * 2
-    f, breaks = _batched(cases)
-    for g, a, fail in zip(integrate_batch(f, breaks, cfg), alone, failed):
+    f, seeds = _batched(cases)
+    for g, a, fail in zip(integrate_batch(f, *seeds, cfg), alone, failed):
         if not fail:
             assert g == a
             continue
@@ -346,3 +349,187 @@ def test_budget_failure_stays_with_its_integral():
         assert (str(g), g.partial_value, g.err_estimate, g.panels_used) == (
             str(a), a.partial_value, a.err_estimate, a.panels_used
         )
+
+
+def _reference_sums(f, lefts, rights):
+    x, half = _kernels._panel_nodes(lefts, rights)
+    return _kernels.panel_sums_from_values(np.asarray(f(x), dtype=np.float64), half)
+
+
+def _reference_loop(f, breaks, cfg):
+    # the adaptive loop the flat engine replaced, one integral at a time, as
+    # (value, err_estimate, panels_used, reason); reason None for a result
+    lefts, rights = breaks[:-1], breaks[1:]
+    if lefts.size > cfg.max_panels:
+        return 0.0, math.inf, lefts.size, "seed-budget"
+    sums, err = _reference_sums(f, lefts, rights)
+    prev_err, stagnant = math.inf, 0
+    while True:
+        total, total_err = float(np.add.reduce(sums)), float(np.add.reduce(err))
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        n = lefts.size
+        if total_err <= tol:
+            return total, total_err, n, None
+        stagnant = stagnant + 1 if total_err > 0.98 * prev_err else 0
+        if stagnant >= 3:
+            return total, total_err, n, "stalled"
+        prev_err = total_err
+        bad = (err > tol / (2.0 * n)) & ((rights - lefts) > 1e-14)
+        if not bad.any():
+            return total, total_err, n, "min-width"
+        if n + int(bad.sum()) > cfg.max_panels:
+            return total, total_err, n, "budget"
+        bl, br = lefts[bad], rights[bad]
+        mids = 0.5 * (bl + br)
+        new_l, new_r = np.concatenate([bl, mids]), np.concatenate([mids, br])
+        new_sums, new_err = _reference_sums(f, new_l, new_r)
+        keep = ~bad
+        merged = np.concatenate([lefts[keep], new_l])
+        order = np.argsort(merged, kind="stable")
+        lefts = merged[order]
+        rights = np.concatenate([rights[keep], new_r])[order]
+        sums = np.concatenate([sums[keep], new_sums])[order]
+        err = np.concatenate([err[keep], new_err])[order]
+
+
+def _entry(res):
+    reason = getattr(res, "reason", None)
+    value = res.partial_value if reason else res.value
+    return value, res.err_estimate, res.panels_used, reason
+
+
+def _reason_cases():
+    # (f, breaks, cfg) that end with each engine failure reason
+    floor = QuadConfig(abs_tol=1e-300, rel_tol=1e-300)
+    tight = QuadConfig(max_panels=4)
+    return {
+        "seed-budget": (lambda x: np.ones_like(x), np.array([0.0, 0.25, 0.5, 1.0]), QuadConfig(max_panels=2)),
+        "budget": (lambda x: np.sin(300.0 * x), uniform_breaks(0.0, 1.0, 300.0, tight), tight),
+        # below the roundoff floor the estimate stops falling
+        "stalled": (lambda x: np.sin(10.0 * x), uniform_breaks(0.0, 1.0, 10.0), floor),
+        # a jump on a panel already narrower than the minimal width
+        "min-width": (lambda x: np.where(x > 2.5e-15, 1.0, -1.0), np.array([0.0, 5e-15]), floor),
+    }
+
+
+def test_flat_engine_matches_the_per_integral_loop():
+    # bitwise against the loop kept here as the reference, alone and in one
+    # batch per config, refinement and every failure reason included
+    configs = [QuadConfig(), QuadConfig(max_panels=14), QuadConfig(abs_tol=1e-13, rel_tol=1e-13)]
+    for cfg in configs:
+        cases = _batch_cases()
+        f, seeds = _batched(cases)
+        got = integrate_batch(f, *seeds, cfg)
+        assert [_entry(g) for g in got] == [_reference_loop(g, b, cfg) for g, b in cases]
+    for reason, (g, breaks, cfg) in _reason_cases().items():
+        assert _reference_loop(g, breaks, cfg)[3] == reason
+        (got,) = integrate_batch(lambda x, owner: g(x), breaks, [breaks.size - 1], cfg)
+        assert _entry(got) == _reference_loop(g, breaks, cfg)
+
+
+def test_each_failure_carries_its_reason():
+    for reason, (f, breaks, cfg) in _reason_cases().items():
+        with pytest.raises(QuadratureBudgetError) as exc:
+            integrate_oscillatory(f, breaks, cfg)
+        assert exc.value.reason == reason
+    # the seed builders fail a rate they cannot seed before the engine runs
+    (seed,) = fourier.lp_initial_breaks_batch(1.5, [1e308], [1e308], QuadConfig())
+    (lp,) = fourier.chi_hat_lp_batch(1.5, [(1e308, 1e308)])
+    assert seed.reason == lp.reason == "unseedable"
+
+
+def _counters(entry):
+    return entry.rounds, entry.panels_evaluated, entry.seed_panels
+
+
+def test_counters_do_not_depend_on_batch_or_chunking(monkeypatch):
+    cases = _batch_cases()
+    for cfg in (QuadConfig(), QuadConfig(max_panels=14)):
+        alone = []
+        for g, b in cases:
+            try:
+                alone.append(integrate_oscillatory(g, b, cfg))
+            except QuadratureBudgetError as exc:
+                alone.append(exc)
+        want = [_counters(a) for a in alone]
+        f, seeds = _batched(cases)
+        for chunk in (oscquad.CHUNK_PANELS, 1, 7, 100):
+            monkeypatch.setattr(oscquad, "CHUNK_PANELS", chunk)
+            assert [_counters(e) for e in integrate_batch(f, *seeds, cfg)] == want, (cfg, chunk)
+        for a, (_, b) in zip(alone, cases):
+            if isinstance(a, QuadratureBudgetError) and a.reason == "seed-budget":
+                assert _counters(a) == (0, 0, 0)
+                continue
+            # every bisection evaluates two halves and adds one panel
+            assert a.seed_panels == b.size - 1 and a.rounds >= 1
+            assert a.panels_evaluated == 2 * a.panels_used - a.seed_panels
+    # sqrt|x - 0.3| refines: more than one round
+    assert integrate_oscillatory(*cases[2]).rounds > 1
+
+
+def test_totals_are_the_one_dimensional_reduce():
+    rng = np.random.default_rng(3)
+    counts = np.array(list(range(1, 300)) + [1000, 5000, 7777, 8192, 8193, 20000])
+    values = rng.standard_normal((2, counts.sum()))
+    got = oscquad._totals(values, counts)
+    for j, end in enumerate(np.cumsum(counts).tolist()):
+        for row in (0, 1):
+            assert got[row, j] == np.add.reduce(values[row, end - counts[j] : end]), (counts[j], row)
+
+
+def test_engine_call_reuses_one_node_buffer(monkeypatch):
+    # every chunk of every round of one call computes into the same buffer
+    monkeypatch.setattr(oscquad, "CHUNK_PANELS", 7)
+    pointers = []
+
+    def f(x, owner):
+        pointers.append(x.__array_interface__["data"][0])
+        return np.sqrt(np.abs(x - 0.3))
+
+    breaks = uniform_breaks(0.0, 1.0, 300.0)
+    (res, _) = integrate_batch(f, np.concatenate([breaks, breaks]), [breaks.size - 1] * 2)
+    assert res.rounds > 1 and len(pointers) > res.rounds
+    assert len(set(pointers)) == 1
+
+
+def test_integrand_may_call_the_engine():
+    # a nested call borrows buffers of its own: the outer nodes survive it
+    inner_breaks = uniform_breaks(0.0, 2.0, 40.0)
+
+    def inner(y):
+        return np.cos(20.0 * y)
+
+    outside = integrate_oscillatory(inner, inner_breaks)
+    nested = []
+
+    def f(x):
+        nested.append(integrate_oscillatory(inner, inner_breaks))
+        return np.sin(5.0 * x) * nested[-1].value
+
+    breaks = uniform_breaks(0.0, 1.0, 5.0)
+    got = integrate_oscillatory(f, breaks)
+    assert nested and all(r == outside for r in nested)
+    assert got == integrate_oscillatory(lambda x: np.sin(5.0 * x) * outside.value, breaks)
+
+
+def test_results_do_not_depend_on_the_free_list(monkeypatch):
+    f, seeds = _batched(_batch_cases())
+    monkeypatch.setattr(_kernels, "_FREE", [])
+    cold = integrate_batch(f, *seeds)
+    assert [b.shape for b in _kernels._FREE] == [(oscquad.CHUNK_PANELS, 31)] * 2
+    assert integrate_batch(f, *seeds) == cold
+    # buffers follow CHUNK_PANELS as it stands at the call
+    monkeypatch.setattr(oscquad, "CHUNK_PANELS", 5)
+    assert integrate_batch(f, *seeds) == cold
+    assert [b.shape for b in _kernels._FREE] == [(5, 31)] * 2
+
+
+def test_failures_survive_pickling():
+    # a scan's failures cross the process pool
+    exc = QuadratureBudgetError("panel budget 4 exhausted", 1.5, 2.0, 3, "budget", 4, 5, 6)
+    back = pickle.loads(pickle.dumps(exc))
+    fields = ("partial_value", "err_estimate", "panels_used", "reason", "rounds", "panels_evaluated", "seed_panels")
+    assert str(back) == str(exc)
+    assert [getattr(back, k) for k in fields] == [getattr(exc, k) for k in fields]
+    back = pickle.loads(pickle.dumps(NonFiniteIntegrandError(0.25)))
+    assert (str(back), back.abscissa) == (str(NonFiniteIntegrandError(0.25)), 0.25)
