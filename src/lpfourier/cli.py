@@ -5,8 +5,9 @@ Output files start with a '#'-prefixed header block embedding the tool
 version and the run configuration: the parsed arguments minus the
 execution details in _EXECUTION_KEYS (output paths, the timestamp switch
 and the worker count).  Identical configs must produce byte-identical
-files regardless of those.  Floats are serialised with the shortest
-round-trip representation.
+files regardless of those, on one numpy build at one SIMD level: JSON
+outputs record both, with Python's version, in a ``machine`` block.
+Floats are serialised with the shortest round-trip representation.
 
 Exit codes: 0 success, 1 assertion/bound failure, 2 usage error,
 3 quadrature budget failure, 4 conjecture counterexample candidate.
@@ -15,6 +16,7 @@ Exit codes: 0 success, 1 assertion/bound failure, 2 usage error,
 import argparse
 import json
 import math
+import platform
 import sys
 from datetime import datetime, timezone
 
@@ -64,8 +66,24 @@ def _write_table(path, args, columns, rows):
     _emit(path, "\n".join(out) + "\n")
 
 
+def _machine():
+    """Python, the numpy version and numpy's active SIMD targets: what the bytes depend on.
+
+    The targets are the dispatched ones the CPU runs (``__cpu_features__``
+    drops those that ``NPY_DISABLE_CPU_FEATURES`` switches off, which
+    ``__cpu_dispatch__`` still lists).
+    """
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "simd": [t for t in __cpu_dispatch__ if __cpu_features__.get(t)],
+    }
+
+
 def _write_json(path, args, payload):
-    payload = dict(payload, tool_version=__version__, config=_config(args))
+    payload = dict(payload, tool_version=__version__, config=_config(args), machine=_machine())
     if not args.no_timestamp:
         payload["timestamp"] = _timestamp()
     _emit(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")

@@ -19,7 +19,8 @@ import multiprocessing.util
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -45,12 +46,20 @@ _POOL = None
 
 @dataclass(frozen=True)
 class EnvelopeSample:
+    """One scan sample; a failed one has method 'budget-error' and the engine's ``reason``.
+
+    ``reason`` is the QuadratureBudgetError's reason ('seed-budget',
+    'stalled', 'min-width', 'budget' or 'unseedable'), None for a sample
+    that succeeded; it stays out of the repr.
+    """
+
     p: float
     r: float
     theta: float
     scaled_value: float  # r^{3/2} |chi_hat|
     err_estimate: float
     method: str
+    reason: Optional[str] = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -105,14 +114,15 @@ def scaled_samples(p, points, cfg=None):
     """Envelope samples r^{3/2}|chi_hat| at the polar frequencies (r, theta) of points.
 
     The transforms run as one batch (``fourier.chi_hat_lp_batch``); a
-    sample whose integral fails is recorded with method 'budget-error'.
+    sample whose integral fails is recorded with method 'budget-error' and
+    the failure's reason.
     """
     cfg = cfg or QuadConfig()
     omegas = [fourier.Frequency.from_polar(r, theta) for r, theta in points]
     out = []
     for (r, theta), res in zip(points, fourier.chi_hat_lp_batch(p, omegas, cfg)):
         if isinstance(res, QuadratureBudgetError):
-            out.append(EnvelopeSample(p, r, theta, float("nan"), float("inf"), "budget-error"))
+            out.append(EnvelopeSample(p, r, theta, float("nan"), float("inf"), "budget-error", res.reason))
             continue
         s = r**1.5
         out.append(
@@ -262,8 +272,9 @@ def envelope_scan(p, r_grid=None, theta_grid=None, cfg=None, workers=1):
     (c_est, samples) where c_est is the max of scaled_value over all
     successful samples, folded in deterministic grid order.  Failed
     samples are recorded with method 'budget-error' and excluded from the
-    max; more than 1% of failures aborts the scan with
-    QuadratureBudgetError.
+    max; more than 1% of failures aborts the scan with a
+    QuadratureBudgetError carrying the reason of the first failed sample
+    in point order.
     """
     p = as_p(p)
     if not (1.0 < p <= 2.0):
@@ -285,11 +296,11 @@ def envelope_scan(p, r_grid=None, theta_grid=None, cfg=None, workers=1):
     points += [(float(rw), t_star) for rw in witness]
 
     samples = _scan(_sample_batch_worker, p, points, cfg, workers)
-    failed = sum(1 for s in samples if s.method == "budget-error")
-    if failed > _MAX_FAILED_FRACTION * len(samples):
+    failures = [s for s in samples if s.method == "budget-error"]
+    if len(failures) > _MAX_FAILED_FRACTION * len(samples):
         raise QuadratureBudgetError(
-            f"scan aborted: {failed}/{len(samples)} samples failed",
-            float("nan"), float("inf"), 0, "budget",
+            f"scan aborted: {len(failures)}/{len(samples)} samples failed",
+            float("nan"), float("inf"), 0, failures[0].reason,
         )
     c_est = 0.0
     for s in samples:
@@ -316,7 +327,7 @@ def sequence_values(p, spec, cfg=None):
 
     The samples run through the scan driver ``_scan`` on one worker.
     Raises QuadratureBudgetError naming the first sample, in order, that
-    misses its tolerance.
+    misses its tolerance, with that sample's reason.
     """
     p = as_p(p)
     cfg = cfg or QuadConfig()
@@ -327,7 +338,7 @@ def sequence_values(p, spec, cfg=None):
         if s.method == "budget-error":
             raise QuadratureBudgetError(
                 f"witness sample n={n} (r={s.r!r}) failed",
-                s.scaled_value, s.err_estimate, 0, "budget",
+                s.scaled_value, s.err_estimate, 0, s.reason,
             )
         out.append((n, s))
     return out

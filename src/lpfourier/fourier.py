@@ -33,6 +33,7 @@ from .lpgeom import as_p
 from .oscquad import (
     QuadConfig,
     QuadratureBudgetError,
+    QuadResult,
     _chunk_buffer,
     _raised,
     integrate_batch,
@@ -515,16 +516,258 @@ def chi_hat_lp_via_y(p, omega, cfg=None):
     return replace(_raised(part), method="reduction-y")
 
 
+# the steepest-descent route of psi_split_integrals (_contour_pairs) takes a
+# row whose rate r (cos t + sin t) is at least CONTOUR_RATE and whose
+# stationary point is CONTOUR_SEPARATION path widths from every branch point
+# of phi_p (_contour_rows); README § Numerical notes has the tables behind
+# both.  Below the rate the real-axis engine is cheap and measured; near a
+# branch point the separate paths straddle it
+CONTOUR_RATE = 5.0e3
+CONTOUR_SEPARATION = 3.0
+# Newton steps of every path node, from the local expansion: at separation 3
+# the worst node of the measured grid reached roundoff after 5
+_CONTOUR_NEWTON_STEPS = 6
+
+# Tables of the route; tools/derive_constants.py derives them at 60 digits
+# (hermite_rule, tanh_sinh_rule).  (v, weight) of the Gauss-Hermite rules for
+# int e^(-v^2) f(v) dv, v > 0; the rules are symmetric in v
+_GH40_HALF = [
+    (0.1745372145975824, 0.3386432774255892), (0.5238747138322772, 0.2657282518773771),
+    (0.8740066123570881, 0.16337873271327147), (1.225480109046289, 0.07847460586540439),
+    (1.5788698949316138, 0.02931256553617237), (1.9347914722822959, 0.008460888008258132),
+    (2.293917141875083, 0.0018714968295979529), (2.6569959984428957, 0.0003138535945413315),
+    (3.0248798839012845, 3.9369339810924925e-05), (3.3985582658596285, 3.6315761506930235e-06),
+    (3.7792067534352234, 2.4111441636705236e-07), (4.1682570668325, 1.121236083227581e-08),
+    (4.567502072844395, 3.525620791365412e-10), (4.9792609785452555, 7.1565280526903186e-12),
+    (5.406654247970128, 8.805707645216133e-14), (5.8540950560304, 6.008358789490816e-16),
+    (6.328255351220082, 1.9891810121165023e-18), (6.840237305249356, 2.5675933654116698e-21),
+    (7.411582531485469, 8.54405696377551e-25), (8.09876113925085, 2.591043713847081e-29),
+]
+_GH30_HALF = [
+    (0.20112857654887148, 0.38639488954181384), (0.6039210586255523, 0.28013093083921264),
+    (1.0083382710467235, 0.1467358475408901), (1.4155278001981886, 0.05514417687023425),
+    (1.826741143603688, 0.014703829704826683), (2.243391467761504, 0.0027379224730676587),
+    (2.667132124535617, 0.0003483101243186855), (3.0999705295864417, 2.9387252289229877e-05),
+    (3.54444387315535, 1.5790948873247103e-06), (4.003908603861229, 5.108522450775946e-08),
+    (4.4830553570925185, 9.178580424378528e-10), (4.988918968589944, 8.106186297463044e-12),
+    (5.533147151567496, 2.878607080548706e-14), (6.138279220123935, 2.8103336027509036e-17),
+    (6.863345293529892, 2.9082547001312263e-21),
+]
+# tanh-sinh rule of step 1/9 on u = 1 - e^(-tau) over tau in (0, 40):
+# int_0^40 e^(-tau) f dtau ~ sum_k w_k f(tau_k), k = -30..30; the weights are
+# even in k, and listed for k >= 0
+_TS_TAUS = [
+    7.970641821063928e-20, 8.228572972781068e-18, 5.224163368872759e-16, 2.1470805279391434e-14,
+    5.980859893299618e-13, 1.1765745673510315e-11, 1.695921654475582e-10, 1.8511573843846215e-09,
+    1.5760159098610627e-08, 1.0746134691171407e-07, 6.009265659413041e-07, 2.8151817101211487e-06,
+    1.1261467179287053e-05, 3.9131368280354775e-05, 0.00011994286710686646, 0.0003288052829588543,
+    0.0008162036355997306, 0.001855134769107782, 0.0038992446131083853, 0.007646346980332783,
+    0.01409943179238906, 0.024616533897145864, 0.04094146696593442, 0.06520888692282395,
+    0.09991902009365984, 0.1478797025844314, 0.2121165557519608, 0.2957566070975475,
+    0.4018963655007443, 0.5334712299209435, 0.6931471805599453, 0.8832557663002497,
+    1.1057882104215404, 1.3624547273692533, 1.6548036180170036, 1.9843849897952721,
+    2.3529387726657114, 2.762586791624181, 3.216012759933762, 3.7166199703384684,
+    4.268662213649687, 4.877348001485, 5.548921422355341, 6.2907253577393085,
+    7.111254754762348, 8.02020922565498, 9.028555006834232, 10.148605720420383,
+    11.394129274354677, 12.780485155380234, 14.32479339678651, 16.04613467134029,
+    17.965780665088644, 20.107454778920253, 22.49762456296717, 25.16582835402158,
+    28.145034753206996, 31.471884429551213, 35.17996758754208, 38.92265055696691,
+    39.98141211361552,
+]
+_TS_WEIGHTS_HALF = [
+    0.08726646259971647, 0.085173791168894, 0.07920716684701284, 0.07021805647167607,
+    0.05938347146789167, 0.04794124756322757, 0.036961794789639624, 0.027210461040917112,
+    0.019109930889226474, 0.01277902191748826, 0.00811205767533301, 0.004867377342657129,
+    0.002745057026270673, 0.0014450193041136827, 0.0007041143832392568, 0.00031452065124653206,
+    0.000127375144733108, 4.6188392046950506e-05, 1.4788917430706496e-05, 4.116697802078384e-06,
+    9.791916620014663e-07, 1.9523074050689315e-07, 3.193776946421707e-08, 4.18595976970909e-09,
+    4.280489915121578e-10, 3.315477581994153e-11, 1.8819662006443334e-12, 7.545435708077273e-14,
+    2.050659959324484e-15, 3.6081527188004003e-17, 3.904552625362294e-19,
+]
+
+
+def _symmetric_rule(half):
+    v, w = np.array(half).T
+    return np.concatenate([-v[::-1], v]), np.concatenate([w[::-1], w])
+
+
+# the stationary path's nodes: the 40-point rule's, then the 30-point rule's
+# it is checked against; each rule's weights are zero on the other's nodes
+_GH_NODES = np.concatenate([_symmetric_rule(_GH40_HALF)[0], _symmetric_rule(_GH30_HALF)[0]])
+_GH_FINE = np.concatenate([_symmetric_rule(_GH40_HALF)[1], np.zeros(2 * len(_GH30_HALF))])
+_GH_COARSE = np.concatenate([np.zeros(2 * len(_GH40_HALF)), _symmetric_rule(_GH30_HALF)[1]])
+_TS_TAU = np.array(_TS_TAUS)
+_TS_WEIGHTS = np.array(_TS_WEIGHTS_HALF[:0:-1] + _TS_WEIGHTS_HALF)
+# the rule of step 2/9: every other node, k even, at twice the weight
+_TS_COARSE = np.zeros(_TS_TAU.size)
+_TS_COARSE[::2] = 2.0 * _TS_WEIGHTS[::2]
+
+
+def _log1p(w):
+    """log(1 + w) for complex w, accurate for small |w|: numpy's complex log1p is log(1 + w)."""
+    u, v = w.real, w.imag
+    out = np.empty_like(w)
+    out.real = 0.5 * np.log1p(u * (2.0 + u) + v * v)
+    out.imag = np.arctan2(v, 1.0 + u)
+    return out
+
+
+def _stationary_points(p, cos_t, sin_t):
+    """(x, phi_p(x), x^p, phi_p(x)^p, |psi''(x)|) at the stationary point of psi = cos_t x + sin_t phi_p(x).
+
+    Elementwise over arrays with cos_t, sin_t > 0, for 1 < p < 2: with
+    q = (cos_t / sin_t)^(1/(p-1)), x^p = q^p / (1 + q^p) and
+    phi_p(x)^p = 1 / (1 + q^p), and
+    |psi''| = sin_t (p - 1) x^(p-2) phi_p(x)^(1-2p).  Taken from
+    log q, so an angle near 0 or pi/2 gives x or phi_p(x) = 0, or a NaN
+    curvature, which no separation test passes.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        pq = p / (p - 1.0) * np.log(cos_t / sin_t)
+        xp = 1.0 / (1.0 + np.exp(-pq))
+        yp = 1.0 / (1.0 + np.exp(pq))
+        x = xp ** (1.0 / p)
+        y = yp ** (1.0 / p)
+        curv = sin_t * (p - 1.0) * (xp / (x * x)) * (y / (yp * yp))
+    return x, y, xp, yp, curv
+
+
+def _contour_rows(p, r, theta, cos_t, sin_t):
+    """Which rows (arrays r, theta and their rounded cos and sin) take the steepest-descent route.
+
+    A row does when 1 < p < 2, 0 < theta < pi/2, its rate
+    r (cos_t + sin_t) is at least CONTOUR_RATE, and its stationary point x
+    lies CONTOUR_SEPARATION path widths sqrt(2 / (r |psi''(x)|)) from each
+    branch point: x and 1 - x from the ends of [0, 1] in x, and phi_p(x)
+    from w = 0 in the variable w = phi_p of the x = 1 path, where the width
+    grows by cot t (at least the x width, so never below it).  A width
+    that underflows to 0 (an infinite curvature) fails.
+    """
+    if not 1.0 < p < 2.0:
+        return np.zeros(r.shape, dtype=bool)
+    ok = (0.0 < theta) & (theta < 0.5 * math.pi) & (r * (cos_t + sin_t) >= CONTOUR_RATE)
+    r, c, s = r[ok], cos_t[ok], sin_t[ok]
+    x, y, _, _, curv = _stationary_points(p, c, s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = CONTOUR_SEPARATION * np.sqrt(2.0 / (r * curv))
+    ok[ok] = (gap > 0.0) & (x >= gap) & (1.0 - x >= gap) & (y >= gap * np.maximum(1.0, c / s))
+    return ok
+
+
+def _end_phi(h, p):
+    """(phi_p(h) - 1, phi_p'(h)) at complex h near 0, the first accurate to roundoff relative to h^p."""
+    hp = np.exp(p * np.log(h))
+    e = np.expm1(_log1p(-hp) / p)
+    return e, -hp * (1.0 + e) / (h * (1.0 - hp))
+
+
+def _stationary_phi(z, p, x, y, xp, yp):
+    """(phi_p(x + z) - y, phi_p'(x + z)) at complex z near 0, for y = phi_p(x) with x^p = xp, y^p = yp.
+
+    (x + z)^p - x^p = xp expm1(p log1p(z/x)) =: d and
+    phi_p(x + z) = y (1 - d / yp)^(1/p), so the difference carries no
+    cancellation against x or y.
+    """
+    d = xp * np.expm1(p * _log1p(z / x))
+    e = y * np.expm1(_log1p(-d / yp) / p)
+    return e, -(xp + d) * (y + e) / ((x + z) * (yp - d))
+
+
+def _contour_pairs(p, r, cos_t, sin_t):
+    """(I, err): I+- = int_0^1 exp(i r psi+-(x)) dx per row, psi+- = +-cos_t x + sin_t phi_p(x), as an (n, 2) array.
+
+    The rows are arrays r, cos_t, sin_t at one p, each row one that
+    ``_contour_rows`` passes; a row's values depend on its own entries
+    only.  Each integral is a sum of steepest-descent paths (Huybrechs and
+    Vandewalle, SIAM J. Numer. Anal. 44, 2006), on which exp(i r psi) decays
+    without oscillating:
+
+    - from x = 0, h(t) with psi(h) = psi(0) + i t: the piece is
+      exp(i r psi(0)) int_0^inf e^(-r t) h'(t) dt;
+    - from x = 1, in the variable w = phi_p(x), in which the end looks like
+      x = 0: chi(w) = psi(phi_p(w)) = sin_t w +- cos_t phi_p(w) and the
+      amplitude -phi_p'(w), with the sign that leaves the path toward 1;
+    - for psi+ only, through its stationary point x (``_stationary_points``),
+      z(u) with psi(x + z) = psi(x) + i u^2: exp(i r psi(x)) int e^(-r u^2) z'(u) du.
+
+    With t = tau / r, the endpoint pieces take the tanh-sinh rule of the
+    ``_TS_*`` table on tau in (0, 40) (e^-40 = 4e-18 is the rest), and the
+    stationary piece takes 40-point Gauss-Hermite in v = sqrt(r) u.  Every
+    node of every path and row solves its equation by the same
+    ``_CONTOUR_NEWTON_STEPS`` vectorised Newton steps, started from the
+    first term of the local expansion, i t / psi'(0) or u sqrt(2 i / psi''(x));
+    h' = i / psi'(h) and z' = 2 i u / psi'(x + z) come from the last one.
+
+    The estimate, calibrated and not proved, sums over the pieces:
+
+    - |Q_h - Q_2h| of the tanh-sinh rule against its every other node, and
+      the 40-point Hermite rule against the 30-point one;
+    - the Newton residual: a node's phase off by |psi(h) - psi(a) - i t|
+      moves its term by r times that, summed with the rule's weights;
+    - 8 (1 + r |psi(a)|) eps |piece|, with the constant of ``_phase_floor``,
+      for the rounding of the base phase r psi(a), a = 0, 1 or x: psi(x)
+      rounds phi_p(x), two products and a sum, the factor r rounds once
+      more, and exp(i r psi(a)) is off by 1 ulp.  This term dominates.
+    """
+    sqrt_r = np.sqrt(r)
+    # endpoint paths, per row: psi+ and psi- from 0, then from 1 in w; each
+    # solves a h + b (phi_p(h) - 1) = i t
+    a = np.stack([cos_t, -cos_t, sin_t, sin_t], axis=1)[:, :, None]
+    b = np.stack([sin_t, sin_t, cos_t, -cos_t], axis=1)[:, :, None]
+    target = 1j * (_TS_TAU / r[:, None])[:, None, :]
+    h = target / a
+    x, y, xp, yp, curv = _stationary_points(p, cos_t, sin_t)
+    x, y, xp, yp = (v[:, None] for v in (x, y, xp, yp))
+    c, s = cos_t[:, None], sin_t[:, None]
+    # stationary path of psi+: psi(x + z) - psi(x) = i u^2
+    u = _GH_NODES / sqrt_r[:, None]
+    goal = 1j * u * u
+    z = u * (np.sqrt(2.0 / curv) * complex(math.sqrt(0.5), -math.sqrt(0.5)))[:, None]
+    for step in range(_CONTOUR_NEWTON_STEPS + 1):
+        e, dphi = _end_phi(h, p)
+        f = a * h + b * e - target
+        slope = a + b * dphi
+        g, dphi_s = _stationary_phi(z, p, x, y, xp, yp)
+        fs = c * z + s * g - goal
+        slope_s = c + s * dphi_s
+        if step == _CONTOUR_NEWTON_STEPS:
+            break
+        h = h - f / slope
+        z = z - fs / slope_s
+    ends = 1j / slope
+    ends[:, 2:] *= -dphi[:, 2:]
+    mass = np.abs(ends) * _TS_WEIGHTS
+    pieces = np.einsum("ijk,k->ij", ends, _TS_WEIGHTS) / r[:, None]
+    quad = np.abs(np.einsum("ijk,k->ij", ends, _TS_COARSE) / r[:, None] - pieces)
+    newton = np.einsum("ijk,ijk->ij", mass, np.abs(f))
+    stat = 2j * u / slope_s
+    fine = np.einsum("ij,j->i", stat, _GH_FINE) / sqrt_r
+    coarse = np.einsum("ij,j->i", stat, _GH_COARSE) / sqrt_r
+    stat_newton = np.einsum("ij,j->i", np.abs(stat) * np.abs(fs), _GH_FINE) * sqrt_r
+    # base phases r psi(a): psi(0) = sin_t, psi(1) = +-cos_t, psi+(x) = c x + s y
+    phases = r[:, None] * np.stack([sin_t, sin_t, cos_t, -cos_t, cos_t * x[:, 0] + sin_t * y[:, 0]], axis=1)
+    turn = np.exp(1j * phases)
+    floor = _phase_floor(np.abs(phases))
+    err = quad + newton + floor[:, :4] * np.abs(pieces)
+    stat_err = np.abs(fine - coarse) + stat_newton + floor[:, 4] * np.abs(fine)
+    values = np.stack([
+        turn[:, 0] * pieces[:, 0] + turn[:, 2] * pieces[:, 2] + turn[:, 4] * fine,
+        turn[:, 1] * pieces[:, 1] + turn[:, 3] * pieces[:, 3],
+    ], axis=1)
+    errs = np.stack([err[:, 0] + err[:, 2] + stat_err, err[:, 1] + err[:, 3]], axis=1)
+    return values, errs
+
+
 def psi_split_integrals(p, r, theta, cfg=None):
     """The two polar-split integrals (int sin(r psi), int sin(r psi~)).
 
-    Both run in one ``integrate_batch`` call on one seed, the graded
-    partition of the reduction path, with the sign of cos t in psi and
-    psi~ as a per-row column; each result is bitwise the one the integral
-    gets alone.  The two pieces are what the stationary-phase analysis
-    bounds separately.  Each estimate carries the phase-roundoff floor at
-    rate r (|cos t| + |sin t|).  Raises ValueError unless r > 0 and theta
-    are finite.
+    Above ``CONTOUR_RATE``, with the stationary point of psi clear of the
+    branch points of phi_p (``_contour_rows``), both are the imaginary parts
+    of ``_contour_pairs``, at a cost that does not grow with r; such results
+    carry zero panels, rounds and panels evaluated, which marks the route.
+    Every other (p, r, theta) runs on the real axis (``_psi_split_engine``).
+    The two pieces are what the stationary-phase analysis bounds
+    separately.  Raises ValueError unless r > 0 and theta are finite.
     """
     p = as_p(p)
     cfg = cfg or QuadConfig()
@@ -533,6 +776,22 @@ def psi_split_integrals(p, r, theta, cfg=None):
     if not (0.0 < r < math.inf and math.isfinite(theta)):
         raise ValueError("need finite r > 0 and theta")
     ct, st = math.cos(theta), math.sin(theta)
+    row = [np.array([v]) for v in (r, theta, ct, st)]
+    if not _contour_rows(p, *row)[0]:
+        return _psi_split_engine(p, r, ct, st, cfg)
+    values, errs = _contour_pairs(p, row[0], row[2], row[3])
+    return tuple(QuadResult(v.imag, e, 0, 0, 0, 0) for v, e in zip(values[0].tolist(), errs[0].tolist()))
+
+
+def _psi_split_engine(p, r, ct, st, cfg):
+    """``psi_split_integrals`` on the real axis, for cos t = ct and sin t = st.
+
+    Both integrals run in one ``integrate_batch`` call on one seed, the
+    graded partition of the reduction path, with the sign of cos t in psi
+    and psi~ as a per-row column; each result is bitwise the one the
+    integral gets alone.  Each estimate carries the phase-roundoff floor at
+    rate r (|cos t| + |sin t|).
+    """
     breaks = _raised(lp_initial_breaks_batch(p, [abs(r * ct)], [abs(r * st)], cfg)[0])
     signs = np.array([[1.0], [-1.0]])
 

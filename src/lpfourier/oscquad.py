@@ -86,7 +86,9 @@ class QuadResult:
     ``panels_evaluated`` the panels evaluated over all of them and
     ``seed_panels`` those of the seed.  The counters depend on the
     integrand, the seed and the tolerance only, not on the batch or the
-    chunking; they stay out of the repr.
+    chunking; they stay out of the repr.  Zero panels (and all counters
+    zero) marks a result of ``fourier.psi_split_integrals`` computed on
+    steepest-descent contours, not by this engine.
     """
 
     value: float

@@ -263,7 +263,13 @@ def criterion_conjecture_probe(workers=1):
 
 
 def criterion_determinism(workers=1):
-    """Envelope CSVs are byte-identical across worker counts 1, 4, 8."""
+    """Envelope CSVs are byte-identical across worker counts 1, 4, 8.
+
+    Byte-identity holds for one numpy build at one SIMD level on one
+    machine, across worker counts and batch sizes: numpy's dispatched
+    kernels (``np.tan`` among them) may round differently at another level
+    (the JSON outputs' ``machine`` block names both).
+    """
     import tempfile
     from pathlib import Path
 

@@ -64,3 +64,10 @@ def test_points_cover_paths_and_range():
         assert theta in calibrate.decay.default_theta_grid(p) and theta >= 0.5 * math.pi - calibrate._STEEP
     for point in calibrate._REGRESSION_POINTS:
         assert POINTS[point[0]] == point
+    # the polar-split witness points from r = 4000 on take the steepest-descent
+    # route, checked against the real-axis reference
+    contour = [point for point in POINTS.values() if point[1] == "psi_split" and point[3] >= 4000.0]
+    assert len(contour) == 4
+    for _, _, p, r, theta in contour:
+        row = [calibrate.np.array([v]) for v in (r, theta, math.cos(theta), math.sin(theta))]
+        assert calibrate.fourier._contour_rows(p, *row)[0]

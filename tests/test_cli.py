@@ -1,7 +1,9 @@
 import json
 import math
+import platform
 import warnings
 
+import numpy as np
 import pytest
 
 from lpfourier import cli, fourier
@@ -190,6 +192,12 @@ def test_fit_json(tmp_path):
     assert -0.7 < payload["slope"] < -0.3
     assert payload["config"]["n_ref"] == 50
     assert payload["config"]["p_list"] == [1.05, 1.1, 1.2, 1.3, 1.4]
+    # the build behind the bytes: numpy's version and its active SIMD targets
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    machine = payload["machine"]
+    assert machine["numpy"] == np.__version__ and machine["python"] == platform.python_version()
+    assert machine["simd"] == [t for t in __cpu_dispatch__ if __cpu_features__[t]]
 
 
 def test_fit_usage_error(capsys):

@@ -92,6 +92,18 @@ def test_sequence_values_name_the_first_failure(monkeypatch):
             decay.sequence_values(1.5, spec, cfg)
 
 
+def test_sequence_failure_keeps_the_engine_reason():
+    # the n = 22 seed holds more panels than the budget: the engine reports
+    # 'seed-budget', and the sample and the raised error carry it
+    cfg = QuadConfig(max_panels=24)
+    spec = decay.stationary_sequence(1.5, 22, 22)
+    (sample,) = decay.scaled_samples(1.5, [(spec.r_values[0], spec.theta_star)], cfg)
+    assert (sample.method, sample.reason) == ("budget-error", "seed-budget")
+    with pytest.raises(QuadratureBudgetError) as caught:
+        decay.sequence_values(1.5, spec, cfg)
+    assert caught.value.reason == "seed-budget"
+
+
 def test_sequence_scaling_band():
     # scaled * sqrt(p-1) stays within [0.3, 1.0] near p = 1
     for p in (1.05, 1.1, 1.2, 1.3):
@@ -225,8 +237,12 @@ def test_envelope_scan_aborts_on_mass_failure():
     cfg = QuadConfig(max_panels=2)
     r_grid = np.geomspace(500.0, 2000.0, 4)
     th = np.linspace(math.pi / 4, math.pi / 2, 3)
-    with pytest.raises(QuadratureBudgetError):
+    with pytest.raises(QuadratureBudgetError) as caught:
         decay.envelope_scan(1.5, r_grid, th, cfg)
+    # the reason is the first failed sample's, in point order
+    points = decay._polar_points(r_grid, np.sort(np.append(th, lpgeom.theta_star(1.5))))
+    first = next(s for s in decay.scaled_samples(1.5, points, cfg) if s.method == "budget-error")
+    assert caught.value.reason == first.reason
 
 
 def test_off_angle_decay():
@@ -333,8 +349,9 @@ def test_budget_error_marks_only_its_sample():
         alone = decay.scaled_sample(1.5, r, t, cfg)
         if s.method == "budget-error":
             assert alone.method == "budget-error" and math.isnan(s.scaled_value)
+            assert s.reason == alone.reason == ("seed-budget" if r == 900.0 else "unseedable")
         else:
-            assert alone == s
+            assert alone == s and s.reason is None
 
 
 def _worker_pid(_):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -524,7 +525,9 @@ def test_high_frequency_integrals_finish_on_their_seed(monkeypatch):
     low, high = sorted((abs(omega.alpha), abs(omega.beta)))
     assert res.panels_used == fourier.lp_initial_breaks(p, low, high, QuadConfig()).size - 1
     seed = fourier.lp_initial_breaks(p, abs(omega.alpha), abs(omega.beta), QuadConfig())
-    for part in fourier.psi_split_integrals(p, r, theta):
+    # psi_split_integrals takes the contours here; its real-axis route is the engine's
+    ct, st = math.cos(theta), math.sin(theta)
+    for part in fourier._psi_split_engine(p, r, ct, st, QuadConfig()):
         assert part.panels_used == seed.size - 1
 
 
@@ -569,3 +572,114 @@ def test_lp_seeds_do_not_depend_on_the_v_slice(monkeypatch):
         monkeypatch.setattr(fourier, "_V_SLICE", size)
         got = fourier.lp_initial_breaks_batch(1.5, alphas, betas, QuadConfig())
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want], size
+
+
+def _contour_grid(rates=False):
+    # the separation grid of README § Numerical notes: 4 p x 13 angles, at the
+    # radii of the agreement test, or (rates=True) at the rate just below
+    # the crossover
+    for p in (1.02, 1.1, 1.5, 1.9):
+        for theta in np.linspace(0.25 * math.pi, 0.5 * math.pi - 0.02, 13).tolist():
+            ct, st = math.cos(theta), math.sin(theta)
+            radii = (fourier.CONTOUR_RATE / (ct + st) * (1.0 - 1e-12),) if rates else (
+                fourier.CONTOUR_RATE, 2e4, 1e5)
+            for r in radii:
+                yield p, float(r), theta, ct, st
+
+
+def _takes_contours(p, r, theta, ct, st):
+    return bool(fourier._contour_rows(p, *(np.array([v]) for v in (r, theta, ct, st)))[0])
+
+
+def _quad_bits(res):
+    return res.value.hex(), res.err_estimate.hex(), res.panels_used, res.rounds, res.panels_evaluated
+
+
+def test_contour_route_agrees_with_the_engine_on_the_separation_grid():
+    # every row on the contours agrees with the real-axis engine within the
+    # two estimates; every other row is the engine's result, bit for bit
+    contour = 0
+    for p, r, theta, ct, st in _contour_grid():
+        got = fourier.psi_split_integrals(p, r, theta)
+        engine = fourier._psi_split_engine(p, r, ct, st, QuadConfig())
+        if _takes_contours(p, r, theta, ct, st):
+            contour += 1
+            for part, ref in zip(got, engine):
+                assert part.panels_used == part.rounds == part.panels_evaluated == 0
+                assert abs(part.value - ref.value) <= part.err_estimate + ref.err_estimate, (p, r, theta)
+        else:
+            assert [_quad_bits(res) for res in got] == [_quad_bits(res) for res in engine], (p, r, theta)
+    # the contour rows of README's separation table
+    assert contour == 85
+
+
+def test_rows_below_the_crossover_stay_on_the_engine_bitwise():
+    for p, r, theta, ct, st in _contour_grid(rates=True):
+        assert r * (ct + st) < fourier.CONTOUR_RATE
+        got = fourier.psi_split_integrals(p, r, theta)
+        engine = fourier._psi_split_engine(p, r, ct, st, QuadConfig())
+        assert [_quad_bits(res) for res in got] == [_quad_bits(res) for res in engine], (p, r, theta)
+
+
+def test_stationary_point_near_zero_stays_on_the_engine():
+    # at theta = 1.551 the stationary point of psi sits within a path width
+    # of the branch point x = 0 even at r = 1e5: the engine's bits, not contours
+    p, r, theta = 1.5, 1e5, 1.551
+    ct, st = math.cos(theta), math.sin(theta)
+    assert not _takes_contours(p, r, theta, ct, st)
+    got = fourier.psi_split_integrals(p, r, theta)
+    engine = fourier._psi_split_engine(p, r, ct, st, QuadConfig())
+    assert got[0].panels_used > 0
+    assert [_quad_bits(res) for res in got] == [_quad_bits(res) for res in engine]
+
+
+def test_contour_pairs_batch_matches_single_rows_bitwise():
+    rows = [row for row in _contour_grid() if _takes_contours(*row)]
+    p_rows = {}
+    for p, r, theta, ct, st in rows:
+        p_rows.setdefault(p, []).append((r, ct, st))
+    for p, group in p_rows.items():
+        r, ct, st = (np.array(v) for v in zip(*group))
+        values, errs = fourier._contour_pairs(p, r, ct, st)
+        for k in (0, len(group) // 2, len(group) - 1):
+            one = fourier._contour_pairs(p, r[k : k + 1], ct[k : k + 1], st[k : k + 1])
+            assert one[0][0].tobytes() == values[k].tobytes(), (p, k)
+            assert one[1][0].tobytes() == errs[k].tobytes(), (p, k)
+        flipped = fourier._contour_pairs(p, r[::-1], ct[::-1], st[::-1])
+        assert flipped[0][::-1].tobytes() == values.tobytes()
+
+
+def test_contour_route_raises_no_runtime_warning():
+    # tier-1 turns RuntimeWarnings into errors; assert it here on its own, over
+    # angles that take the route on both sides of pi/4 and at large r, and
+    # the row test on every angle
+    checked = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for p in (1.01, 1.3, 1.7, 1.99):
+            for r in (5e3, 1e6, 1e8):
+                for theta in np.linspace(0.02, 0.5 * math.pi - 0.001, 25).tolist():
+                    ct, st = math.cos(theta), math.sin(theta)
+                    if _takes_contours(p, r, theta, ct, st):
+                        checked += 1
+                        for part in fourier.psi_split_integrals(p, r, theta):
+                            assert math.isfinite(part.value) and math.isfinite(part.err_estimate)
+    assert checked > 100
+
+
+def test_contour_tables_are_the_rounded_derivation():
+    mp = pytest.importorskip("mpmath")
+    import sys
+    from pathlib import Path
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+    import derive_constants
+
+    with mp.workdps(60):
+        for n, half in ((40, fourier._GH40_HALF), (30, fourier._GH30_HALF)):
+            nodes, weights = derive_constants.hermite_rule(n)
+            assert derive_constants.hermite_exactness_defect(nodes, weights, 2 * n - 1) < mp.mpf(10) ** -50
+            assert half == [(float(v), float(w)) for v, w in zip(nodes, weights) if v > 0]
+        taus, weights = derive_constants.tanh_sinh_rule()
+    assert fourier._TS_TAUS == [float(t) for t in taus]
+    assert fourier._TS_WEIGHTS_HALF == [float(w) for w in weights[derive_constants.TANH_SINH_HALF :]]

@@ -19,13 +19,16 @@ estimate once failed there.
 
 References:
 
-* lp paths: composite Gauss-Legendre in mpmath (12 nodes per panel) on a
-  partition that never holds more than one wavelength per coarse panel,
-  graded geometrically toward x = 1 (the Hoelder endpoint of phi_p) and
-  toward x = 0 (the x^p cusp: phi_p'' ~ x^(p-2) for p < 2).  It is
-  evaluated twice, with every panel bisected the second time (about two
-  panels per wavelength); the two must agree to ``SELF_CHECK_TOL`` and
-  the finer one is the reference.
+* lp paths: a composite nested pair in mpmath, the 12-point
+  Gauss-Legendre rule and its 25-point Kronrod extension (from
+  ``derive_constants.kronrod_rule(12)``) on the same panels, on a
+  partition that never holds more than one wavelength per panel, graded
+  geometrically toward x = 1 (the Hoelder endpoint of phi_p) and toward
+  x = 0 (the x^p cusp: phi_p'' ~ x^(p-2) for p < 2).  The two sums must
+  agree to ``SELF_CHECK_TOL`` and the Kronrod one is the reference.  Above
+  ``fourier.CONTOUR_RATE`` the package computes the polar split on
+  steepest-descent contours; this real-axis reference checks that route
+  too.
 * ellipse: the closed form a b J1(rho)/rho with rho = |(a alpha, b beta)|,
   evaluated with ``mpmath.besselj``.
 * superellipse |x/a|^q + |y/b|^q <= 1: the lp reference through the
@@ -33,7 +36,7 @@ References:
 * poly body |y| <= u(x) on [-w, w]: (2 / (pi beta)) int_0^w sin(beta u)
   cos(alpha x) dx, the vertical-slice form, by the same composite rule on
   breaks at equal steps of 2 pi in alpha x + beta (u(0) - u(x)), again
-  self-checked by bisecting every panel.  The polynomial graph is smooth,
+  self-checked by the nested pair.  The polynomial graph is smooth,
   so no end grading is needed.  The package integrates the same formula
   (in its sinc form below beta = 2/pi); the reference differs in its
   partition and its 25-digit arithmetic.
@@ -60,10 +63,11 @@ from pathlib import Path
 
 import mpmath as mp
 import numpy as np
-from mpmath.calculus.quadrature import GaussLegendre
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+import derive_constants  # noqa: E402
 from lpfourier import convex_probe, decay, fourier, lpgeom  # noqa: E402
 
 DPS = 25
@@ -111,6 +115,8 @@ _SPECS = (
     ("psi_split", 1.5, 4000.0, 6000.0, "witness"),
     ("chi_hat_lp", 1.5, 20000.0, 25000.0, "witness"),
     ("psi_split", 1.5, 40000.0, 50000.0, "witness"),
+    ("psi_split", 1.1, 8000.0, 12000.0, "witness"),
+    ("psi_split", 1.9, 8000.0, 12000.0, "witness"),
 )
 _STEEP = 0.25
 # default envelope-scan samples where the estimate once fell below the
@@ -164,9 +170,12 @@ def calibration_points():
 
 
 @functools.lru_cache(maxsize=1)
-def _gl12():
-    # 12-point Gauss-Legendre on [-1, 1] at the working precision
-    return GaussLegendre(mp.mp).calc_nodes(3, mp.mp.prec)
+def _k25():
+    """[(node, Kronrod weight, Gauss weight)] of the 25-point Kronrod extension of
+    12-point Gauss-Legendre on [-1, 1], at DPS; the Gauss weight is 0 on the
+    13 Kronrod-only nodes."""
+    with mp.workdps(DPS):
+        return list(zip(*derive_constants.kronrod_rule(12, dps=DPS)))
 
 
 def _phi_mp(p, x):
@@ -211,32 +220,31 @@ def _wavelength_breaks(v_of, v_end, end):
 
 
 def _composite(f, breaks):
-    """Composite sums over breaks of each integrand in the tuple f(x) returns."""
+    """[(K25, G12)] composite sums over breaks of each integrand in the tuple f(x) returns."""
     totals = None
     for a, b in zip(breaks[:-1], breaks[1:]):
         mid = (mp.mpf(a) + mp.mpf(b)) / 2
         half = (mp.mpf(b) - mp.mpf(a)) / 2
-        nodes = [(w, f(mid + half * t)) for t, w in _gl12()]
+        nodes = [(wk, wg, f(mid + half * t)) for t, wk, wg in _k25()]
         if totals is None:
-            totals = [mp.mpf(0)] * len(nodes[0][1])
-        for k in range(len(totals)):
-            totals[k] += half * mp.fsum(w * values[k] for w, values in nodes)
+            totals = [[mp.mpf(0), mp.mpf(0)] for _ in nodes[0][2]]
+        for k, pair in enumerate(totals):
+            pair[0] += half * mp.fsum(wk * values[k] for wk, _, values in nodes)
+            pair[1] += half * mp.fsum(wg * values[k] for _, wg, values in nodes if wg)
     return totals
 
 
 def reference_integrals(f, breaks):
-    """[(fine, |coarse - fine|)] of the integral of each integrand in the tuple
-    f(x) returns over [breaks[0], breaks[-1]], on breaks and on breaks bisected.
+    """[(K25, |G12 - K25|)] of the integral of each integrand in the tuple f(x)
+    returns over [breaks[0], breaks[-1]], both on breaks.
 
     The integrands share their nodes, so work common to them (phi_p) is
-    done once per node."""
-    coarse = _composite(f, breaks)
-    fine = _composite(f, np.unique(np.concatenate([breaks, 0.5 * (breaks[:-1] + breaks[1:])])))
-    return [(hi, abs(lo - hi)) for lo, hi in zip(coarse, fine)]
+    done once per node; the 12 Gauss nodes are among the 25 Kronrod ones."""
+    return [(kronrod, abs(gauss - kronrod)) for kronrod, gauss in _composite(f, breaks)]
 
 
 def reference_integral(f, breaks):
-    """(fine, |coarse - fine|) of the integral of f, as reference_integrals."""
+    """(K25, |G12 - K25|) of the integral of f, as reference_integrals."""
     return reference_integrals(lambda x: (f(x),), breaks)[0]
 
 
@@ -339,6 +347,8 @@ def calibrate_point(label, kind, p, r, theta):
             "point": name, "p": p, "r": r, "theta": theta,
             "value": res.value, "reference": float(ref), "self_check": float(self_diff),
             "actual": actual, "estimate": estimate,
+            # 0 on the steepest-descent route of psi_split_integrals
+            "panels": getattr(res, "panels_used", None),
             "ratio": actual / estimate if estimate > 0.0 else math.inf,
         })
     return records

@@ -9,6 +9,9 @@ the G15 and K31 errors and the QUADPACK estimate on one panel of a
 sinusoid, per wavelengths per panel (``panel_density_table``), and the one
 behind the end-grading ratio ``fourier.GRADING_RATIO``: the K31 error and
 the estimate on a graded end panel of the lp seed (``grading_ratio_table``).
+The tables of ``fourier``'s steepest-descent route are derived at 60 digits
+too: the Gauss-Hermite rules of its stationary path (``hermite_rule``) and
+the tanh-sinh rule of its endpoint paths (``tanh_sinh_rule``).
 Not part of the package; requires the dev extra (mpmath).
 
 Usage: python tools/derive_constants.py
@@ -121,6 +124,63 @@ def kronrod_rule(n=15, dps=60):
         dp = {x: n * (x * mp.legendre(n, x) - mp.legendre(n - 1, x)) / (x * x - 1) for x in gauss}
         gauss_weights = {x: 2 / ((1 - x * x) * d * d) for x, d in dp.items()}
         return nodes, kronrod, [gauss_weights.get(x, mp.mpf(0)) for x in nodes]
+
+
+def hermite_rule(n, dps=60):
+    """(nodes, weights) of the n-point Gauss-Hermite rule for int e^(-v^2) f(v) dv, nodes ascending.
+
+    The nodes are the roots of the physicists' Hermite polynomial H_n
+    (H_(k+1) = 2 v H_k - 2 k H_(k-1), in exact integers), the weights
+    2^(n-1) n! sqrt(pi) / (n^2 H_(n-1)(v)^2).
+    """
+    with mp.workdps(dps):
+        polys = [[1], [0, 2]]
+        for k in range(1, n):
+            two_v_hk = [0] + [2 * a for a in polys[k]]
+            prev = polys[k - 1] + [0, 0]
+            polys.append([a - 2 * k * b for a, b in zip(two_v_hk, prev)])
+        nodes = sorted(_real_roots([mp.mpf(a) for a in polys[n]], dps))
+        scale = 2 ** (n - 1) * mp.factorial(n) * mp.sqrt(mp.pi) / n**2
+        weights = [scale / mp.polyval(list(reversed(polys[n - 1])), v) ** 2 for v in nodes]
+        return nodes, weights
+
+
+def hermite_exactness_defect(nodes, weights, degree):
+    """max over even k <= degree of |sum_i w_i v_i^k / Gamma((k + 1)/2) - 1|: the moments of e^(-v^2), relative."""
+    return max(
+        abs(mp.fsum(w * v**k for w, v in zip(weights, nodes)) / mp.gamma(mp.mpf(k + 1) / 2) - 1)
+        for k in range(0, degree + 1, 2)
+    )
+
+
+# tanh-sinh rule of fourier's endpoint paths: step h = 1/9, nodes k h for
+# |k| <= 30, on u = 1 - e^(-tau) over tau in (0, 40)
+TANH_SINH_STEPS_PER_UNIT = 9
+TANH_SINH_HALF = 30
+TANH_SINH_TAU_MAX = 40
+
+
+def tanh_sinh_rule(dps=60):
+    """(taus, weights): int_0^40 e^(-tau) f(tau) dtau ~ sum_k weights[k] f(taus[k]), k = -30..30.
+
+    The substitution u = 1 - e^(-tau) turns the integral into int f du over
+    (0, U), U = 1 - e^(-40), which the tanh-sinh rule of step h = 1/9 takes
+    at u_k = (U/2)(1 + tanh((pi/2) sinh(k h))), with weights
+    (U/2) h (pi/2) cosh(k h) / cosh^2((pi/2) sinh(k h)); taus[k] =
+    -log(1 - u_k), ascending.  Every other node (k even) with doubled
+    weights is the rule of step 2 h that the route's estimate compares
+    against.
+    """
+    with mp.workdps(dps):
+        h = mp.mpf(1) / TANH_SINH_STEPS_PER_UNIT
+        half_u = -mp.expm1(-TANH_SINH_TAU_MAX) / 2
+        taus, weights = [], []
+        for k in range(-TANH_SINH_HALF, TANH_SINH_HALF + 1):
+            y = mp.pi / 2 * mp.sinh(k * h)
+            u = half_u * (1 + mp.tanh(y))
+            taus.append(-mp.log1p(-u))
+            weights.append(half_u * h * mp.pi / 2 * mp.cosh(k * h) / mp.cosh(y) ** 2)
+        return taus, weights
 
 
 def kronrod_exactness_defect(nodes, weights, degree):
@@ -260,6 +320,14 @@ if __name__ == "__main__":
         print("_XGK_HALF =", [float(nodes[i]) for i in half])
         print("_WGK_HALF =", [float(wk[i]) for i in half])
         print("_WG_HALF =", [float(wg[i]) for i in half if wg[i] != 0])
+        # fourier's steepest-descent tables: the Hermite halves v > 0, ascending
+        for n in (40, 30):
+            v, w = hermite_rule(n)
+            show(f"Hermite {n} defect to degree {2 * n - 1}", hermite_exactness_defect(v, w, 2 * n - 1))
+            print(f"_GH{n}_HALF =", [(float(a), float(b)) for a, b in zip(v, w) if a > 0])
+        taus, weights = tanh_sinh_rule()
+        print("_TS_TAUS =", [float(t) for t in taus])
+        print("_TS_WEIGHTS_HALF =", [float(w) for w in weights[TANH_SINH_HALF:]])
     print("one panel of sin(omega x + c), largest over 12 phases, relative to int |f|:")
     print(f"{'wavelengths per panel':<22}{'G15 error':>12}{'K31 error':>12}{'estimate':>12}")
     for w, g15, k31, estimate in panel_density_table():
