@@ -130,8 +130,9 @@ def superellipse_body(a, b, exponent):
     a = float(a)
     b = float(b)
     q = float(exponent)
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError("semiaxes must be positive")
+    for name, v in (("a", a), ("b", b)):
+        if not (0.0 < v < math.inf):
+            raise ValueError(f"semiaxis {name} must be finite and positive, not {v!r}")
     if not (1.0 < q <= 2.0):
         raise ValueError("exponent must lie in (1, 2]")
     graphs = [partial(g, a, b, q) for g in (_superellipse_u, _superellipse_du, _superellipse_ddu)]
@@ -161,14 +162,17 @@ def poly_body(coeffs, half_width):
     the polynomial must be positive inside, vanish at +-w, and be concave
     there.
     """
-    poly = np.polynomial.Polynomial(np.asarray(coeffs, dtype=np.float64))
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("polynomial coeffs must be finite")
+    poly = np.polynomial.Polynomial(coeffs)
     if np.any(poly.coef[1::2] != 0.0):
         raise ValueError("polynomial upper graph must be even: odd-power coefficients must be 0")
     d1 = poly.deriv()
     d2 = d1.deriv()
     w = float(half_width)
-    if w <= 0.0:
-        raise ValueError("half_width must be positive")
+    if not (0.0 < w < math.inf):
+        raise ValueError(f"half_width must be finite and positive, not {w!r}")
     for xe in (-w, w):
         if abs(poly(xe)) > 1e-9:
             raise ValueError(f"polynomial upper graph must vanish at x = {xe}")
@@ -287,14 +291,10 @@ def _body_slices(body, ab, cfg):
         breaks[np.cumsum(sizes) - 1] = w
         return out, ok, breaks, panels
 
-    def graph(x, out):
-        # a body's graph returns a new array; the chunk buffer goes unused
-        return body.upper(x)
-
     alphas, betas = np.abs(ab).T
     # no phase floor: its derivation counts the roundings of phi_p, and
     # fourier._phase_floor says why the kernel's cos term needs none here
-    return fourier._slice_transforms(graph, seeds, alphas, betas, cfg, 0.0)
+    return fourier._slice_transforms(body.upper, seeds, alphas, betas, cfg, 0.0)
 
 
 def chi_hat_body_batch(body, omegas, cfg=None):

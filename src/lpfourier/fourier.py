@@ -34,7 +34,6 @@ from .oscquad import (
     QuadConfig,
     QuadratureBudgetError,
     QuadResult,
-    _chunk_buffer,
     _raised,
     integrate_batch,
     integrate_oscillatory,
@@ -424,12 +423,10 @@ def _slice_transforms(graph, seeds, alphas, betas, cfg, roundoff_c=_PHASE_ROUNDO
     of the sine form would magnify the integral's error there, and overflow
     for subnormal beta.
 
-    ``alphas`` and ``betas`` are float arrays.  ``graph(x, out=buf)``
-    evaluates u at the nodes into buf, a chunk buffer the integrand borrows
-    for its call, or into a new array, and ``seeds(alphas, betas, sinc)``
-    returns, for the arrays
-    of the pairs of a form, the ``(out, ok, breaks, panels)`` of
-    ``_lp_seeds``: the QuadratureBudgetError of each pair it cannot seed,
+    ``alphas`` and ``betas`` are float arrays.  ``graph(x)`` returns u at
+    the nodes as a new array, and ``seeds(alphas, betas, sinc)`` returns,
+    for the arrays of the pairs of a form, the
+    ``(out, ok, breaks, panels)`` of ``_lp_seeds``: the QuadratureBudgetError of each pair it cannot seed,
     and the seeds of the others laid end to end.  Each form is one
     ``integrate_batch`` call, whose estimates gain the phase floor
     ``roundoff_c`` (1 + alpha + beta) eps before the scale 2/pi or
@@ -452,8 +449,7 @@ def _slice_transforms(graph, seeds, alphas, betas, cfg, roundoff_c=_PHASE_ROUNDO
         kernel = _kernels.cos_sinc_values if sinc else _kernels.cos_sin_values
 
         def f(x, owner):
-            with _chunk_buffer() as u:
-                return kernel(x, graph(x, out=u[: x.shape[0]]), a[owner], b[owner])
+            return kernel(x, graph(x), a[owner], b[owner])
 
         results = integrate_batch(f, breaks, panels, cfg)
         for i, res in zip(rows.tolist(), results):
@@ -654,21 +650,15 @@ def _contour_rows(p, r, theta, cos_t, sin_t):
     return ok
 
 
-def _end_phi(h, p):
-    """(phi_p(h) - 1, phi_p'(h)) at complex h near 0, the first accurate to roundoff relative to h^p."""
-    hp = np.exp(p * np.log(h))
-    e = np.expm1(_log1p(-hp) / p)
-    return e, -hp * (1.0 + e) / (h * (1.0 - hp))
-
-
-def _stationary_phi(z, p, x, y, xp, yp):
+def _stationary_phi(z, d, p, x, y, xp, yp):
     """(phi_p(x + z) - y, phi_p'(x + z)) at complex z near 0, for y = phi_p(x) with x^p = xp, y^p = yp.
 
-    (x + z)^p - x^p = xp expm1(p log1p(z/x)) =: d and
+    The caller passes d = (x + z)^p - x^p, accurate to roundoff relative
+    to itself: xp expm1(p log1p(z/x)) at a stationary point, and h^p at
+    the end x = 0 (x = 0, y = 1, xp = 0, yp = 1, z = h).  Then
     phi_p(x + z) = y (1 - d / yp)^(1/p), so the difference carries no
     cancellation against x or y.
     """
-    d = xp * np.expm1(p * _log1p(z / x))
     e = y * np.expm1(_log1p(-d / yp) / p)
     return e, -(xp + d) * (y + e) / ((x + z) * (yp - d))
 
@@ -724,10 +714,10 @@ def _contour_pairs(p, r, cos_t, sin_t):
     goal = 1j * u * u
     z = u * (np.sqrt(2.0 / curv) * complex(math.sqrt(0.5), -math.sqrt(0.5)))[:, None]
     for step in range(_CONTOUR_NEWTON_STEPS + 1):
-        e, dphi = _end_phi(h, p)
+        e, dphi = _stationary_phi(h, np.exp(p * np.log(h)), p, 0.0, 1.0, 0.0, 1.0)
         f = a * h + b * e - target
         slope = a + b * dphi
-        g, dphi_s = _stationary_phi(z, p, x, y, xp, yp)
+        g, dphi_s = _stationary_phi(z, xp * np.expm1(p * _log1p(z / x)), p, x, y, xp, yp)
         fs = c * z + s * g - goal
         slope_s = c + s * dphi_s
         if step == _CONTOUR_NEWTON_STEPS:
@@ -796,8 +786,7 @@ def _psi_split_engine(p, r, ct, st, cfg):
     signs = np.array([[1.0], [-1.0]])
 
     def f(x, owner):
-        with _chunk_buffer() as phi:
-            return _kernels.lp_phase_sin_values(x, p, r, ct, st, signs[owner], phi[: x.shape[0]])
+        return _kernels.lp_phase_sin_values(x, p, r, ct, st, signs[owner])
 
     results = integrate_batch(f, np.concatenate([breaks, breaks]), [breaks.size - 1] * 2, cfg)
     floor = _phase_floor(r * (abs(ct) + abs(st)))
@@ -828,7 +817,8 @@ def chi_hat_l1_closed(omega):
 
 
 def _composite_gl_nodes(breaks):
-    # built per call: leggauss loads numpy.linalg, which an import should not
+    # built per call: leggauss runs an eigenvalue solve, which an import should
+    # not pay for (numpy.linalg itself is loaded by a bare import numpy, 2.4.6)
     xg, wg = leggauss(8)
     l, r = breaks[:-1], breaks[1:]
     half = 0.5 * (r - l)[:, None]

@@ -34,9 +34,9 @@ each with its own seed partition, tolerance test, stagnation count and
 panel budget, and its own result or failure.  The panels of all
 integrals live in flat arrays, and each round settles, bisects and
 merges them as whole-batch array steps; it evaluates and reduces the new
-panels together, in chunks of at most ``CHUNK_PANELS`` rows, in borrowed
-buffers that no chunk allocates.  ``integrate_oscillatory`` is the batch
-of one.
+panels together, in chunks of at most ``CHUNK_PANELS`` rows, whose
+Kronrod abscissae all go into the one node array of the call.
+``integrate_oscillatory`` is the batch of one.
 
 Everything is deterministic: panels are kept sorted and summed in
 interval order, and every panel's (value, error) depends on that panel
@@ -53,7 +53,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._kernels import _borrowed, _panel_nodes, panel_sums_from_values
+from ._kernels import KRONROD_NODES, _panel_nodes, panel_sums_from_values
 
 _MIN_PANEL_WIDTH = 1e-14
 _STAGNANT_ROUNDS = 3
@@ -190,8 +190,7 @@ def _panel_sums(f, lefts, rights, owner, nodes):
     n = lefts.size
     x, half = _panel_nodes(lefts, rights, nodes[:n])
     v = np.asarray(f(x, owner), dtype=np.float64)
-    with _chunk_buffer() as dev:
-        sums, err = panel_sums_from_values(v, half, dev[:n])
+    sums, err = panel_sums_from_values(v, half)
     if not (np.all(np.isfinite(sums)) and np.all(np.isfinite(err))):
         raise NonFiniteIntegrandError(_locate_nonfinite(f, lefts, rights, owner, sums, err))
     return sums, err
@@ -210,9 +209,8 @@ def _evaluate(f, owner, panels, nodes):
     """Fill rows 2 and 3 of panels with the sums and errors of the panels in rows 0 and 1.
 
     The panels go through f in chunks of the row count of ``nodes``, the
-    buffer the engine call borrowed for the Kronrod abscissae; every chunk
-    reuses it.  The reduction borrows its deviations' buffer for the length
-    of the reduction only, so it can be the one the integrand handed back.
+    engine call's node array, into which every chunk writes its Kronrod
+    abscissae.
     """
     rows = nodes.shape[0]
     for s in range(0, owner.size, rows):
@@ -236,11 +234,6 @@ def _totals(values, counts):
         start, end = end, end + c
         out[:, j] = np.add.reduce(values[:, start:end], axis=1)
     return out
-
-
-def _chunk_buffer():
-    """A borrowed (CHUNK_PANELS, 31) buffer, at CHUNK_PANELS as it stands now."""
-    return _borrowed(CHUNK_PANELS)
 
 
 def _flat_panels(breaks, counts):
@@ -288,11 +281,11 @@ def integrate_batch(f: Callable, breaks, counts, cfg: Optional[QuadConfig] = Non
     panel, and the (n,) array ``owner`` of the index i of each row's
     integral, to the integrand values at those abscissae, elementwise.
     Rows of all integrals share the calls, at most ``CHUNK_PANELS`` rows
-    each.  x is a view of a buffer the call borrows from
-    ``_kernels._borrowed`` and reuses for every chunk: ``f`` may overwrite
-    it and return it as the values, but must not keep it past its return.
-    An integrand that needs a scratch array of x's shape borrows one for
-    its own length (``_chunk_buffer``); the reduction then borrows it back.
+    each.  x is a view of the one (CHUNK_PANELS, 31) node array the call
+    allocates, at ``CHUNK_PANELS`` as it stands at the call, and every
+    chunk writes into it: ``f`` may overwrite x and return it as the
+    values, but must not keep it past its return.  A nested call (an
+    integrand that calls the engine) allocates a node array of its own.
 
     Returns one entry per integral: its QuadResult, or the
     QuadratureBudgetError (with the partial value and a typed ``reason``)
@@ -316,8 +309,8 @@ def integrate_batch(f: Callable, breaks, counts, cfg: Optional[QuadConfig] = Non
         live = ~over[owner]
         panels, owner = np.compress(live, panels, axis=1), owner[live]
     if owner.size:
-        with _chunk_buffer() as nodes:
-            _refine(f, panels, owner, counts, cfg, out, nodes)
+        nodes = np.empty((CHUNK_PANELS, KRONROD_NODES.size))
+        _refine(f, panels, owner, counts, cfg, out, nodes)
     return out
 
 

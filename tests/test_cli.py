@@ -283,6 +283,7 @@ BAD_BODY_SPECS = {
     "not-an-object": ([1, 2], "JSON object"),
     "missing-param": ({"kind": "ellipse", "params": {}}, "a, b"),
     "null-param": ({"kind": "ellipse", "params": {"a": None, "b": 1}}, "bad parameter type"),
+    "infinite-semiaxis": ({"kind": "ellipse", "params": {"a": 2, "b": math.inf}}, "semiaxis b must be finite"),
     "odd-poly": (
         {"kind": "custom-poly-coeffs", "params": {"coeffs": [1.0, 0.3, -1.0, -0.3], "half_width": 1.0}},
         "even",

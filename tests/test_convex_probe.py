@@ -95,6 +95,23 @@ def test_body_validation_errors():
         convex_probe.validate_body(tilted)
 
 
+@pytest.mark.parametrize(
+    "build, args, name",
+    [
+        (superellipse_body, (math.inf, 1.0, 1.5), "semiaxis a"),
+        (superellipse_body, (1.0, math.nan, 1.5), "semiaxis b"),
+        (ellipse_body, (2.0, math.inf), "semiaxis b"),
+        (poly_body, ([1.0, 0.0, math.nan], 1.0), "coeffs"),
+        (poly_body, ([math.inf, 0.0, -1.0], 1.0), "coeffs"),
+        (poly_body, ([1.0, 0.0, -1.0], math.inf), "half_width"),
+        (poly_body, ([1.0, 0.0, -1.0], math.nan), "half_width"),
+    ],
+)
+def test_non_finite_body_parameters_are_named(build, args, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        build(*args)
+
+
 def test_poly_body_roundtrip():
     body = poly_body([1.0, 0.0, -1.0], 1.0)  # parabola 1 - x^2
     nu, (x, _) = body_curvature_min(body)

@@ -649,6 +649,23 @@ def test_contour_pairs_batch_matches_single_rows_bitwise():
         assert flipped[0][::-1].tobytes() == values.tobytes()
 
 
+def test_contour_pairs_rows_do_not_depend_on_a_large_batch():
+    # past 256 KiB an operand array may be a temporary that numpy reuses in
+    # place, through a complex product that rounds otherwise: every row of a
+    # batch that large must still be its single-row bits
+    r = np.repeat(np.geomspace(5e3, 1e8, 17), 41)
+    theta = np.tile(np.linspace(0.0, 0.5 * math.pi, 41), 17)
+    ct, st = np.cos(theta), np.sin(theta)
+    ok = fourier._contour_rows(1.3, r, theta, ct, st)
+    r, ct, st = r[ok], ct[ok], st[ok]
+    # 4 endpoint paths of 61 complex nodes per row
+    assert r.size * 4 * 61 * 16 > 256 * 1024
+    values, errs = fourier._contour_pairs(1.3, r, ct, st)
+    for k in range(r.size):
+        one = fourier._contour_pairs(1.3, r[k : k + 1], ct[k : k + 1], st[k : k + 1])
+        assert (one[0].tobytes(), one[1].tobytes()) == (values[k].tobytes(), errs[k].tobytes()), k
+
+
 def test_contour_route_raises_no_runtime_warning():
     # tier-1 turns RuntimeWarnings into errors; assert it here on its own, over
     # angles that take the route on both sides of pi/4 and at large r, and

@@ -512,18 +512,6 @@ def test_integrand_may_call_the_engine():
     assert got == integrate_oscillatory(lambda x: np.sin(5.0 * x) * outside.value, breaks)
 
 
-def test_results_do_not_depend_on_the_free_list(monkeypatch):
-    f, seeds = _batched(_batch_cases())
-    monkeypatch.setattr(_kernels, "_FREE", [])
-    cold = integrate_batch(f, *seeds)
-    assert [b.shape for b in _kernels._FREE] == [(oscquad.CHUNK_PANELS, 31)] * 2
-    assert integrate_batch(f, *seeds) == cold
-    # buffers follow CHUNK_PANELS as it stands at the call
-    monkeypatch.setattr(oscquad, "CHUNK_PANELS", 5)
-    assert integrate_batch(f, *seeds) == cold
-    assert [b.shape for b in _kernels._FREE] == [(5, 31)] * 2
-
-
 def test_failures_survive_pickling():
     # a scan's failures cross the process pool
     exc = QuadratureBudgetError("panel budget 4 exhausted", 1.5, 2.0, 3, "budget", 4, 5, 6)
