@@ -286,8 +286,7 @@ def _body_slices(body, ab, cfg):
             rates = alphas + betas * body._slope_scale
         out, ok, panels = fourier._seed_counts(alphas, betas, rates, w, cfg)
         sizes = panels + 1
-        ranks = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        breaks = ranks * np.repeat(w / panels, sizes)
+        breaks = fourier._spans(0, sizes) * np.repeat(w / panels, sizes)
         breaks[np.cumsum(sizes) - 1] = w
         return out, ok, breaks, panels
 

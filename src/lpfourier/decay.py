@@ -42,6 +42,11 @@ _MAX_FAILED_FRACTION = 0.01
 BATCH_SAMPLES = 128
 # (pid, workers, pool): the process pool _ordered_map keeps between scans
 _POOL = None
+# the most witness indices n a radius list is built for (_witness_radii): above
+# the <= 3.0e6 indices below the largest radius the default panel budget can
+# seed (1.4e7-1.9e7 for p from 1.01 to 1.99), far above the 452-635 radii of
+# a default scan
+_MAX_WITNESS_INDICES = 2**22
 
 
 @dataclass(frozen=True)
@@ -246,6 +251,19 @@ def _base_phase(prof):
     )
 
 
+def _witness_radii(base, n_lo, n_hi, bound):
+    """The radii 2 pi n / base for n_lo <= n <= n_hi, as an array.
+
+    Raises ValueError naming ``bound``, the input that sets n_hi, before
+    anything is allocated when there would be more than
+    ``_MAX_WITNESS_INDICES`` of them.
+    """
+    count = n_hi - n_lo + 1
+    if count > _MAX_WITNESS_INDICES:
+        raise ValueError(f"{bound} asks for {count} witness indices, more than {_MAX_WITNESS_INDICES}")
+    return 2.0 * math.pi * np.arange(n_lo, n_hi + 1, dtype=np.float64) / base
+
+
 def witness_r_values(p, r_min, r_max):
     """Witness radii inside [r_min, r_max]: the aligned r_n plus the offset
     r_n + 3 pi/(4 base_phase), where the scaled value along theta* peaks
@@ -258,8 +276,7 @@ def witness_r_values(p, r_min, r_max):
     n_hi = int(math.floor(r_max * base / (2.0 * math.pi)))
     if n_hi < n_lo:
         return np.empty(0)
-    ns = np.arange(n_lo, n_hi + 1, dtype=np.float64)
-    aligned = 2.0 * math.pi * ns / base
+    aligned = _witness_radii(base, n_lo, n_hi, "r_max")
     offset = aligned + 3.0 * math.pi / (4.0 * base)
     rs = np.concatenate([aligned, offset])
     return np.sort(rs[(rs >= r_min) & (rs <= r_max)])
@@ -318,7 +335,7 @@ def stationary_sequence(p, n_min, n_max):
         raise ValueError("need 1 <= n_min <= n_max")
     prof = lpgeom.geom_profile(p)
     base = _base_phase(prof)
-    rs = tuple(2.0 * math.pi * n / base for n in range(n_min, n_max + 1))
+    rs = tuple(_witness_radii(base, n_min, n_max, "n_max").tolist())
     return SequenceSpec(p=p, theta_star=prof.theta_star, base_phase=base, r_values=rs)
 
 
@@ -361,7 +378,8 @@ def fit_power_law(u, v):
     v = np.asarray(v, dtype=np.float64)
     if u.size != v.size or u.size < 2:
         raise ValueError("need at least two matching points")
-    if np.any(u <= 0.0) or np.any(v <= 0.0):
+    # written so that NaN fails it too
+    if not (np.all(u > 0.0) and np.all(v > 0.0)):
         raise ValueError("power-law fit needs positive data")
     if np.unique(u).size < 2:
         raise ValueError("power-law fit needs at least two distinct u values")

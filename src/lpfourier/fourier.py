@@ -34,10 +34,10 @@ from .oscquad import (
     QuadConfig,
     QuadratureBudgetError,
     QuadResult,
+    _panel_spans,
     _raised,
     integrate_batch,
     integrate_oscillatory,
-    seed_fits_budget,
     uniform_breaks,
     uniform_panel_counts,
 )
@@ -48,7 +48,7 @@ _BRUTEFORCE_MAX_FREQ = 50.0
 _BRUTEFORCE_PANELS = 250
 # c of the phase-roundoff floor c (1 + rate) eps; see _phase_floor
 _PHASE_ROUNDOFF_C = 8.0
-# ratio of the end grading of the lp seed (lp_initial_breaks): graded panels
+# ratio of the end grading of the lp seed (_lp_seeds): graded panels
 # are [a, 8 a] toward x = 0 and [t/8, t], t = 1 - x, toward x = 1.  On them
 # the QUADPACK estimate of phi_p's end models x^p and t^(1/p), 1 < p < 2,
 # stays at its floor 50 eps resabs (K31 error below 3e-21 of resabs); at
@@ -132,43 +132,13 @@ class TransformResult:
 def lp_initial_breaks(p, alpha, beta, cfg):
     """Panel boundaries for int_0^1 cos(alpha x) sin(beta phi_p(x)) dx.
 
-    The seed steps the phase bound V(x) = alpha x + beta (1 - phi_p(x)),
-    which grows from 0 to alpha + beta and bounds the phase change of
-    both factors (and of the polar-split phases): its interior breaks are
-    the points with V(x_k) = k V(1)/n, k = 1..n-1, for the panel count
-    n = ceil((alpha + beta) / 6 pi) of ``uniform_breaks(0, 1, alpha + beta,
-    cfg)`` (``lp_v_points``).  Every seed panel therefore spans at most
-    ``oscquad.WAVELENGTHS_PER_PANEL`` = 3 wavelengths of the integrand's
-    fastest phase, also near x = 1, where |phi_p'| > 1 and equal steps in
-    x would under-resolve.  When V is linear (p = 1 or beta = 0) the
-    breaks are uniform, k/n.  The seed is then graded geometrically toward
-    both ends of [0, 1], where phi_p is not smooth, starting from the
-    first and last V-breaks.
-
-    Toward x = 1 (slope blow-up of phi_p): cut the last panel [a, 1] at
-    1 - (1 - a)/8, and again on the rest, until the remaining phase
-    variation beta*phi(a) + alpha*(1-a) over [a, 1] drops below pi/2 and
-    the crude tail bound beta*phi(a)*(1-a) is below 0.1 abs_tol.
-
-    Toward x = 0, where phi_p = 1 - x^p/p + ... has an x^p cusp for
-    1 < p < 2 (phi_1 is linear and phi_2 smooth there), sin(beta phi_p) on
-    [0, e] differs from a smooth function by at most beta e^(p+1): grade
-    the first panel, of width h, by h 8^-k down to h 8^-K for the smallest
-    K with beta (h 8^-K)^(p+1) <= 0.1 abs_tol (``_head_counts``).
-
-    The ratio 8 of both gradings is ``GRADING_RATIO``.
-
-    Both stages keep the endpoint singularities of phi out of the error
-    estimator's blind spot: each end panel contributes less than the
-    tolerance outright, so no adaptive round has to find it.
-
-    Raises QuadratureBudgetError naming |omega| = hypot(alpha, beta) when
-    n would exceed ``cfg.max_panels`` (an overflowing rate included): the
-    V-steps alone would not fit the budget, so the seed fails before any
-    point is built.  This is the batch of one of ``lp_initial_breaks_batch``,
-    kept for the benchmark tracer's ``REQUIRED_SPANS``, which names it.
+    The seed of ``_lp_seeds`` for the one pair (alpha, beta), as an array;
+    raises its QuadratureBudgetError when the rate cannot be seeded.
+    Kept for the benchmark tracer's ``REQUIRED_SPANS``, which names it.
     """
-    return _raised(lp_initial_breaks_batch(p, [alpha], [beta], cfg)[0])
+    (seed_error,), _, breaks, _ = _lp_seeds(p, [alpha], [beta], cfg)
+    _raised(seed_error)
+    return breaks
 
 
 # V-points per lp_v_points call of a seed batch (_lp_seeds); the points are
@@ -236,33 +206,54 @@ def lp_v_points(p, alpha, beta, k, n):
     return x
 
 
-def lp_initial_breaks_batch(p, alphas, betas, cfg):
-    """``lp_initial_breaks`` for each pair (alphas[i], betas[i]), built together.
-
-    Returns one entry per pair: its breaks, bitwise those of
-    ``lp_initial_breaks`` whatever the batch, or the QuadratureBudgetError
-    of a rate it cannot seed within ``cfg.max_panels``.  The rows are views
-    of the one array ``_lp_seeds`` lays them out in.
-    """
-    out, ok, breaks, panels = _lp_seeds(p, alphas, betas, cfg)
-    for i, row in zip(ok.tolist(), np.split(breaks, np.cumsum(panels + 1)[:-1])):
-        out[i] = row
-    return out
-
-
 def _lp_seeds(p, alphas, betas, cfg):
-    """(out, ok, breaks, panels): the seeds of ``lp_initial_breaks_batch``, laid end to end.
+    """(out, ok, breaks, panels): the lp seed of each pair (alphas[i], betas[i]), laid end to end.
 
-    ``out`` and ``ok`` are ``_seed_counts``': the failure of each pair that
-    cannot be seeded and None for the others, whose indices ``ok`` holds.
+    A seed partitions [0, 1] for int_0^1 cos(alpha x) sin(beta phi_p(x)) dx.
+    ``out`` and ``ok`` are ``_seed_counts``': the 'unseedable'
+    QuadratureBudgetError of each pair whose V-steps alone would exceed
+    ``cfg.max_panels`` (an overflowing rate included), built before any
+    point, and None for the others, whose indices ``ok`` holds.
     ``breaks`` holds their seeds in order, each 0, its head cuts, its
     V-points, its tail cuts and 1, and ``panels`` the panel count of each,
-    as ``oscquad.integrate_batch`` takes them.  Every stage runs over the
-    batch as array operations: the V-points of all pairs go through
-    ``lp_v_points`` ``_V_SLICE`` at a time, the tail candidates
-    a <- 1 - (1 - a)/8 run from the last V-point until 1 - a <= 1e-13, at
-    most 15 steps as 1 - a falls by 8 from below 1, and the rows are laid
-    out by index arrays.
+    as ``oscquad.integrate_batch`` takes them.  A pair's seed does not
+    depend on the batch.
+
+    The seed steps the phase bound V(x) = alpha x + beta (1 - phi_p(x)),
+    which grows from 0 to alpha + beta and bounds the phase change of
+    both factors (and of the polar-split phases): its interior breaks are
+    the points with V(x_k) = k V(1)/n, k = 1..n-1, for the panel count
+    n = ceil((alpha + beta) / 6 pi) of ``uniform_breaks(0, 1, alpha + beta,
+    cfg)`` (``lp_v_points``).  Every seed panel therefore spans at most
+    ``oscquad.WAVELENGTHS_PER_PANEL`` = 3 wavelengths of the integrand's
+    fastest phase, also near x = 1, where |phi_p'| > 1 and equal steps in
+    x would under-resolve.  When V is linear (p = 1 or beta = 0) the
+    breaks are uniform, k/n.  The seed is then graded geometrically toward
+    both ends of [0, 1], where phi_p is not smooth, starting from the
+    first and last V-breaks.
+
+    Toward x = 1 (slope blow-up of phi_p): cut the last panel [a, 1] at
+    1 - (1 - a)/8, and again on the rest, until the remaining phase
+    variation beta*phi(a) + alpha*(1-a) over [a, 1] drops below pi/2 and
+    the crude tail bound beta*phi(a)*(1-a) is below 0.1 abs_tol.
+
+    Toward x = 0, where phi_p = 1 - x^p/p + ... has an x^p cusp for
+    1 < p < 2 (phi_1 is linear and phi_2 smooth there), sin(beta phi_p) on
+    [0, e] differs from a smooth function by at most beta e^(p+1): grade
+    the first panel, of width h, by h 8^-k down to h 8^-K for the smallest
+    K with beta (h 8^-K)^(p+1) <= 0.1 abs_tol (``_head_counts``).
+
+    The ratio 8 of both gradings is ``GRADING_RATIO``.
+
+    Both stages keep the endpoint singularities of phi out of the error
+    estimator's blind spot: each end panel contributes less than the
+    tolerance outright, so no adaptive round has to find it.
+
+    Every stage runs over the batch as array operations: the V-points of
+    all pairs go through ``lp_v_points`` ``_V_SLICE`` at a time, the tail
+    candidates a <- 1 - (1 - a)/8 run from the last V-point until
+    1 - a <= 1e-13, at most 15 steps as 1 - a falls by 8 from below 1, and
+    the rows are laid out by index arrays (``_spans``).
     """
     p = as_p(p)
     alphas = np.abs(np.asarray(alphas, dtype=np.float64))
@@ -401,7 +392,7 @@ def _seed_counts(alphas, betas, rates, length, cfg):
     the others; ``ok`` holds the indices of the others and ``n`` their
     counts ``uniform_panel_counts(0, length, rates[ok], cfg)``.
     """
-    seedable = seed_fits_budget(length, rates, cfg)
+    seedable = _panel_spans(length, rates) <= cfg.max_panels
     out = [None] * rates.size
     for i in np.flatnonzero(~seedable):
         out[i] = QuadratureBudgetError(
@@ -777,12 +768,13 @@ def _psi_split_engine(p, r, ct, st, cfg):
     """``psi_split_integrals`` on the real axis, for cos t = ct and sin t = st.
 
     Both integrals run in one ``integrate_batch`` call on one seed, the
-    graded partition of the reduction path, with the sign of cos t in psi
-    and psi~ as a per-row column; each result is bitwise the one the
-    integral gets alone.  Each estimate carries the phase-roundoff floor at
-    rate r (|cos t| + |sin t|).
+    graded partition of the reduction path (``_lp_seeds``, whose failure
+    is raised), with the sign of cos t in psi and psi~ as a per-row
+    column; each result is bitwise the one the integral gets alone.  Each
+    estimate carries the phase-roundoff floor at rate r (|cos t| + |sin t|).
     """
-    breaks = _raised(lp_initial_breaks_batch(p, [abs(r * ct)], [abs(r * st)], cfg)[0])
+    (seed_error,), _, breaks, _ = _lp_seeds(p, [abs(r * ct)], [abs(r * st)], cfg)
+    _raised(seed_error)
     signs = np.array([[1.0], [-1.0]])
 
     def f(x, owner):

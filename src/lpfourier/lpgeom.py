@@ -59,7 +59,8 @@ class GeomProfile:
 
 def _check_open_unit(x):
     x = np.asarray(x, dtype=np.float64)
-    if np.any(x <= 0.0) or np.any(x >= 1.0):
+    # written so that NaN fails it too
+    if not np.all((0.0 < x) & (x < 1.0)):
         raise ValueError("x must lie strictly inside (0, 1)")
     return x
 
@@ -79,7 +80,8 @@ def phi(p, x):
     """phi_p(x) = (1 - x^p)^(1/p) on [0, 1]; exact 1 at 0 and 0 at 1."""
     p = as_p(p)
     xa = np.asarray(x, dtype=np.float64)
-    if np.any(xa < 0.0) or np.any(xa > 1.0):
+    # written so that NaN fails it too
+    if not np.all((0.0 <= xa) & (xa <= 1.0)):
         raise ValueError("x must lie in [0, 1]")
     return _scalar_like(x, _phi_array(xa, p))
 

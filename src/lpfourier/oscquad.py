@@ -9,7 +9,7 @@ estimate meets the target.
 r*max|psi'| and the interval's length, at ``WAVELENGTHS_PER_PANEL``
 wavelengths (2*pi of phase each) per panel; the l^p reduction places its
 seed at equal steps of a phase bound instead and grades it toward the
-endpoint singularities of phi_p (``fourier.lp_initial_breaks``).
+endpoint singularities of phi_p (``fourier._lp_seeds``).
 
 The seed density is the constant 3 wavelengths per panel, the widest at
 which the QUADPACK estimate of a sinusoid panel stays at its floor
@@ -176,26 +176,6 @@ def _panel_spans(length, rate):
     return rate * length / (2.0 * math.pi * WAVELENGTHS_PER_PANEL)
 
 
-def seed_fits_budget(length, rate, cfg):
-    """Whether the uniform count ceil(rate length / 6 pi) fits ``cfg.max_panels``.
-
-    Elementwise for an array of rates; False for an infinite rate.  A rate
-    that fails it cannot be seeded at WAVELENGTHS_PER_PANEL within the
-    budget, so the seed builders fail it before building any breaks.
-    """
-    return _panel_spans(length, rate) <= cfg.max_panels
-
-
-def _panel_sums(f, lefts, rights, owner, nodes):
-    n = lefts.size
-    x, half = _panel_nodes(lefts, rights, nodes[:n])
-    v = np.asarray(f(x, owner), dtype=np.float64)
-    sums, err = panel_sums_from_values(v, half)
-    if not (np.all(np.isfinite(sums)) and np.all(np.isfinite(err))):
-        raise NonFiniteIntegrandError(_locate_nonfinite(f, lefts, rights, owner, sums, err))
-    return sums, err
-
-
 def _locate_nonfinite(f, lefts, rights, owner, sums, err):
     bad = ~(np.isfinite(sums) & np.isfinite(err))
     i = int(np.argmax(bad))
@@ -210,12 +190,19 @@ def _evaluate(f, owner, panels, nodes):
 
     The panels go through f in chunks of the row count of ``nodes``, the
     engine call's node array, into which every chunk writes its Kronrod
-    abscissae.
+    abscissae.  A non-finite sum or error raises NonFiniteIntegrandError
+    with the offending abscissa.
     """
     rows = nodes.shape[0]
     for s in range(0, owner.size, rows):
-        e = s + rows
-        panels[2:, s:e] = _panel_sums(f, panels[0, s:e], panels[1, s:e], owner[s:e], nodes)
+        chunk = slice(s, s + rows)
+        lefts, rights, who = panels[0, chunk], panels[1, chunk], owner[chunk]
+        x, half = _panel_nodes(lefts, rights, nodes[: who.size])
+        v = np.asarray(f(x, who), dtype=np.float64)
+        sums, err = panel_sums_from_values(v, half)
+        if not (np.all(np.isfinite(sums)) and np.all(np.isfinite(err))):
+            raise NonFiniteIntegrandError(_locate_nonfinite(f, lefts, rights, who, sums, err))
+        panels[2:, chunk] = sums, err
 
 
 def _totals(values, counts):

@@ -1,14 +1,18 @@
-"""The package names the benchmark harness in ``perfbench/`` relies on still exist.
+"""The benchmark harness in ``perfbench/`` still runs on the package.
 
 The tracer turns a missing layer function into missing per-layer metrics,
 and the workloads call package functions by attribute; either loss breaks
 the benchmark's result line rather than a test, so both are checked here.
+So is what ``perfbench/run.py`` checks of a run's passes, whose failure
+fails the run: no failed sample, and repeats with the first pass's repr.
 """
 
 import ast
 import importlib
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PACKAGE_MODULES = ("decay", "fourier", "convex_probe", "oscquad")
@@ -60,3 +64,14 @@ def test_workload_attributes_resolve():
                 break
             obj = getattr(obj, attr)
     assert unresolved == []
+
+
+@pytest.mark.parametrize("name, count", [("lp-envelope", 1309), ("highfreq-witness", 7), ("body-conjecture", 900)])
+def test_workload_passes_are_correct_and_repeatable(name, count):
+    # the untimed checks of a benchmark run at seed 1: the first pass against
+    # independent routes, the second for the same repr
+    wl = _load("workloads").WORKLOADS[name](1)
+    first, second = wl.run_pass(), wl.run_pass()
+    assert wl.failures(first) == set()
+    assert repr(second) == repr(first)
+    assert wl.count(first) == count

@@ -109,6 +109,9 @@ def test_envelope_usage_errors(tmp_path):
     assert run_cli(["envelope", "--p", "1.5", "--r-min", "50", "--r-max", "10", "--out", out]) == 2
     # p = 1 has no finite envelope bound
     assert run_cli(["envelope", "--p", "1.0", "--out", out]) == 2
+    # 1.45e14 witness radii below r_max = 1e15: rejected before any is built
+    args = ["--r-max", "1e15", "--per-decade", "1", "--theta-points", "1", "--out", out]
+    assert run_cli(["envelope", "--p", "1.5", *args]) == 2
 
 
 def test_sequence_csv(tmp_path):

@@ -150,6 +150,10 @@ def test_fit_power_law():
         decay.fit_power_law([1.0], [1.0])
     with pytest.raises(ValueError):
         decay.fit_power_law([1.0, -2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 1.0])
+    # NaN is not positive data; it must not reach the least-squares solve
+    for u, v in (([1.0, 2.0, math.nan], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [1.0, math.nan, 3.0])):
+        with pytest.raises(ValueError, match="positive"):
+            decay.fit_power_law(u, v)
     # one distinct abscissa leaves the slope undetermined
     with pytest.raises(ValueError, match="distinct"):
         decay.fit_power_law([0.1, 0.1, 0.1, 0.1], [1.0, 2.0, 3.0, 4.0])
@@ -269,6 +273,15 @@ def test_witness_r_values_offsets():
         # the companion at three eighths of a period sits at the peak of the oscillation
         assert np.any(np.abs(rs - (r + 3.0 * math.pi / (4 * spec.base_phase))) < 1e-12)
     assert decay.witness_r_values(2.0, 5.0, 100.0).size == 0
+
+
+def test_witness_radii_are_capped_before_they_are_built():
+    # 1.45e14 witness indices below r_max = 1e15, 1e15 sequence indices: both
+    # fail naming their bound, before any radius is allocated
+    with pytest.raises(ValueError, match="r_max"):
+        decay.witness_r_values(1.5, 5.0, 1e15)
+    with pytest.raises(ValueError, match="n_max"):
+        decay.stationary_sequence(1.5, 1, 10**15)
 
 
 def test_witness_offset_reads_the_peak():

@@ -192,13 +192,15 @@ def test_unseedable_pair_fails_before_its_v_points(monkeypatch):
 
     monkeypatch.setattr(fourier, "lp_v_points", spy)
     alphas, betas = zip(*pairs)
-    got = fourier.lp_initial_breaks_batch(1.5, alphas, betas, cfg)
+    failed, ok, breaks, panels = fourier._lp_seeds(1.5, alphas, betas, cfg)
     assert set(np.concatenate(seen).tolist()) == {43.0, 3e4}
-    for i in (0, 2):
-        assert got[i].tobytes() == want[i].tobytes()
+    assert ok.tolist() == [0, 2]
+    for i, row in zip(ok.tolist(), np.split(breaks, np.cumsum(panels + 1)[:-1])):
+        assert failed[i] is None
+        assert row.tobytes() == want[i].tobytes()
     for i in (1, 3):
-        assert isinstance(got[i], QuadratureBudgetError)
-        assert f"|omega| = {math.hypot(*pairs[i]):.3e} exceeds max_panels" in str(got[i])
+        assert isinstance(failed[i], QuadratureBudgetError)
+        assert f"|omega| = {math.hypot(*pairs[i]):.3e} exceeds max_panels" in str(failed[i])
         with pytest.raises(QuadratureBudgetError, match="omega"):
             fourier.lp_initial_breaks(1.5, *pairs[i], cfg)
 
@@ -558,20 +560,22 @@ def test_batch_failure_stays_with_its_sample():
     assert "|omega| = 1.414e+308" in str(out[1])
     assert _bits(out[0]) == _bits(fourier.chi_hat_lp(1.5, (3.0, 4.0)))
     assert _bits(out[2]) == _bits(fourier.chi_hat_lp(1.5, (0.2, 0.4)))
-    seeds = fourier.lp_initial_breaks_batch(1.5, [3.0, 1e308], [4.0, 1e308], QuadConfig())
-    assert isinstance(seeds[1], fourier.QuadratureBudgetError)
-    assert np.array_equal(seeds[0], fourier.lp_initial_breaks(1.5, 3.0, 4.0, QuadConfig()))
+    failed, ok, breaks, panels = fourier._lp_seeds(1.5, [3.0, 1e308], [4.0, 1e308], QuadConfig())
+    assert isinstance(failed[1], fourier.QuadratureBudgetError)
+    assert ok.tolist() == [0] and panels.tolist() == [breaks.size - 1]
+    assert np.array_equal(breaks, fourier.lp_initial_breaks(1.5, 3.0, 4.0, QuadConfig()))
 
 
 def test_lp_seeds_do_not_depend_on_the_v_slice(monkeypatch):
     # the V-points are solved a slice at a time; each point is elementwise
     alphas = [0.0, 3.0, 1e4, 250.0, 7.0, 0.0]
     betas = [12.0, 4.0, 2e4, 1200.0, 0.1, 0.0]
-    want = fourier.lp_initial_breaks_batch(1.5, alphas, betas, QuadConfig())
+    _, _, want, want_panels = fourier._lp_seeds(1.5, alphas, betas, QuadConfig())
     for size in (1, 3, 10**6):
         monkeypatch.setattr(fourier, "_V_SLICE", size)
-        got = fourier.lp_initial_breaks_batch(1.5, alphas, betas, QuadConfig())
-        assert [g.tobytes() for g in got] == [w.tobytes() for w in want], size
+        failed, ok, got, panels = fourier._lp_seeds(1.5, alphas, betas, QuadConfig())
+        assert failed == [None] * 6 and ok.tolist() == list(range(6))
+        assert got.tobytes() == want.tobytes() and panels.tolist() == want_panels.tolist(), size
 
 
 def _contour_grid(rates=False):

@@ -35,12 +35,13 @@ def test_phi_closed_values():
 
 
 def test_phi_domain():
-    with pytest.raises(ValueError):
-        lpgeom.phi(1.5, -0.01)
-    with pytest.raises(ValueError):
-        lpgeom.phi(1.5, 1.01)
+    # NaN fails the checks too, as a ValueError rather than a nan value or
+    # an OverflowError
+    for x in (-0.01, 1.01, math.nan, [0.5, math.nan]):
+        with pytest.raises(ValueError):
+            lpgeom.phi(1.5, x)
     for f in (lpgeom.phi_d1, lpgeom.phi_d2):
-        for x in (0.0, 1.0):
+        for x in (0.0, 1.0, math.nan, [0.5, math.nan]):
             with pytest.raises(ValueError):
                 f(1.5, x)
 

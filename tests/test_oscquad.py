@@ -433,8 +433,9 @@ def test_each_failure_carries_its_reason():
             integrate_oscillatory(f, breaks, cfg)
         assert exc.value.reason == reason
     # the seed builders fail a rate they cannot seed before the engine runs
-    (seed,) = fourier.lp_initial_breaks_batch(1.5, [1e308], [1e308], QuadConfig())
+    (seed,), ok, _, _ = fourier._lp_seeds(1.5, [1e308], [1e308], QuadConfig())
     (lp,) = fourier.chi_hat_lp_batch(1.5, [(1e308, 1e308)])
+    assert ok.size == 0
     assert seed.reason == lp.reason == "unseedable"
 
 

@@ -103,15 +103,19 @@ def _seed_inputs():
 def test_batched_seeds_are_the_single_seeds_bitwise(p, inputs):
     cfg, pairs = inputs
     alphas, betas = zip(*pairs)
-    for (alpha, beta), got in zip(pairs, fourier.lp_initial_breaks_batch(p, alphas, betas, cfg)):
+    failed, ok, breaks, panels = fourier._lp_seeds(p, alphas, betas, cfg)
+    rows = dict(zip(ok.tolist(), np.split(breaks, np.cumsum(panels + 1)[:-1])))
+    for i, (alpha, beta) in enumerate(pairs):
         # a rate whose V-steps exceed the budget fails on both routes alike
         unseedable = (alpha + beta) / PANEL_PHASE > cfg.max_panels
-        assert isinstance(got, QuadratureBudgetError) == unseedable, (alpha, beta)
+        assert isinstance(failed[i], QuadratureBudgetError) == unseedable, (alpha, beta)
+        assert (i not in rows) == unseedable, (alpha, beta)
         if unseedable:
             with pytest.raises(QuadratureBudgetError) as exc:
                 fourier.lp_initial_breaks(p, alpha, beta, cfg)
-            assert str(exc.value) == str(got)
+            assert str(exc.value) == str(failed[i])
             continue
+        got = rows[i]
         want = fourier.lp_initial_breaks(p, alpha, beta, cfg)
         assert got.tobytes() == want.tobytes(), (alpha, beta)
         check_lp_seed(p, alpha, beta, cfg, got)

@@ -247,7 +247,7 @@ def grading_ratio_table(ratios=(2, 4, 8, 16), exponents=("1.01", "1.1", "1.5", "
                         wavelengths=(0, 0.25, 0.5, 1, 2, 3), phases=8, dps=60):
     """[(ratio, model, p, w, K31 error, estimate)] on the graded panel [1/ratio, 1].
 
-    The end grading of ``fourier.lp_initial_breaks`` cuts panels [a, ratio a]
+    The end grading of ``fourier._lp_seeds`` cuts panels [a, ratio a]
     toward x = 0 and, in t = 1 - x, [t / ratio, t] toward x = 1.  Scaled to
     [1/ratio, 1], phi_p there is modelled by g = x^p (head: phi_p is
     1 - x^p/p + ... at 0) and by g = t^(1/p) (tail: phi_p(1 - t) is
